@@ -59,15 +59,9 @@ from kbevolve.ntriples import (
 from kbevolve.synth import GroundTruth, SynthSpec, evaluate_accuracy, generate_kb
 from kbevolve.type_inference import (
     METHODS,
-    DomainCountTable,
-    InstanceProfile,
-    TypeProfile,
     TypingDecision,
     assign_types,
-    build_instance_profile,
-    build_type_profile,
-    cosine_score,
-    domain_frequency,
+    class_scores,
     idf_weight,
     naive_assign,
     pfidf_score,

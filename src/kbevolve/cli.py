@@ -29,25 +29,9 @@ from kbevolve.ntriples import ParseReport, Triple, read_batch, triple_to_line
 from kbevolve.synth import SynthSpec, generate_kb
 from kbevolve.type_inference import METHODS
 
-_CHUNK = 1 << 16
-
-
 def _parse_file(path: str) -> tuple[list[Triple], ParseReport]:
-    triples: list[Triple] = []
-    total = ParseReport()
     with open(path, "r", encoding="utf-8") as fh:
-        line_number = 1
-        while True:
-            batch, report = read_batch(fh, _CHUNK, line_number)
-            if report.lines_read == 0:
-                break
-            triples.extend(batch)
-            total.lines_read += report.lines_read
-            total.lines_skipped += report.lines_skipped
-            total.errors.extend(report.errors)
-            line_number += report.lines_read
-    total.triples_emitted = len(triples)
-    return triples, total
+        return read_batch(fh, sys.maxsize)
 
 
 def _load_snapshot(path: str) -> KnowledgeBase:

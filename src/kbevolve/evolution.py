@@ -10,11 +10,9 @@ from dataclasses import dataclass, field
 from typing import IO, Iterable, Iterator
 
 from kbevolve.generalization import ThresholdPolicy, run_generalization_pass
-from kbevolve.kb import KnowledgeBase
+from kbevolve.kb import UNCLASSIFIED_LABEL, KnowledgeBase
 from kbevolve.ntriples import read_batch
 from kbevolve.type_inference import METHODS, assign_types
-
-UNCLASSIFIED_LABEL = "unclassified"
 
 REPORT_COLUMNS = (
     "iteration",

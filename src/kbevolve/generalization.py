@@ -12,7 +12,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from kbevolve.errors import UnknownEntityError
 from kbevolve.kb import PROV_GENERALIZED, KnowledgeBase
 
 ACTION_ADDED = "added"
@@ -41,9 +40,6 @@ class ThresholdPolicy:
     def __post_init__(self):
         if not 0.0 < self.deletion_factor <= 1.0:
             raise ValueError("deletion_factor must be in (0, 1]")
-
-    def generalization_threshold(self, n: int) -> float:
-        return generalization_threshold(n)
 
     def deletion_threshold(self, n: int) -> float:
         return self.deletion_factor * generalization_threshold(n)
@@ -78,9 +74,7 @@ def property_support(kb: KnowledgeBase, class_iri: str) -> SupportStats:
     return SupportStats(class_iri, n, per_property)
 
 
-def generalize_properties(
-    kb: KnowledgeBase, class_iri: str, policy: ThresholdPolicy
-) -> list[DomainChange]:
+def generalize_properties(kb: KnowledgeBase, class_iri: str) -> list[DomainChange]:
     """Add the class as a (generalized) domain of every property whose
     support ratio reaches the threshold. Never removes anything."""
     stats = property_support(kb, class_iri)
@@ -106,8 +100,6 @@ def delete_properties(
     """Drop the class from generalized domains whose support ratio fell
     below the deletion threshold. Schema-provenance domains stay; a class
     with no direct instances deletes nothing."""
-    if class_iri not in kb.classes:
-        raise UnknownEntityError(f"unknown class: {class_iri}")
     stats = property_support(kb, class_iri)
     if stats.n == 0:
         return []
@@ -139,7 +131,7 @@ def run_generalization_pass(
     for class_iri in kb.leaf_first_order():
         if not kb.direct_instance_index.get(class_iri):
             continue
-        changes.extend(generalize_properties(kb, class_iri, policy))
+        changes.extend(generalize_properties(kb, class_iri))
         if deletion_enabled:
             changes.extend(delete_properties(kb, class_iri, policy))
     return changes

@@ -30,6 +30,9 @@ PROV_GENERALIZED = "generalized"
 # blank node; re-ingesting it adds the property without creating anything.
 EXPORT_USAGE_OBJECT = "_:use"
 
+# How reports and audits print the None type.
+UNCLASSIFIED_LABEL = "unclassified"
+
 
 @dataclass
 class ClassNode:
@@ -61,19 +64,8 @@ class IngestSummary:
 
 
 class KnowledgeBase:
-    def __init__(
-        self,
-        root_iri: str = OWL_THING,
-        *,
-        rdf_type: str = RDF_TYPE,
-        rdfs_subclassof: str = RDFS_SUBCLASSOF,
-        rdfs_domain: str = RDFS_DOMAIN,
-    ):
-        self.root_iri = root_iri
-        self.rdf_type = rdf_type
-        self.rdfs_subclassof = rdfs_subclassof
-        self.rdfs_domain = rdfs_domain
-        self.classes: dict[str, ClassNode] = {root_iri: ClassNode(root_iri, None)}
+    def __init__(self):
+        self.classes: dict[str, ClassNode] = {OWL_THING: ClassNode(OWL_THING, None)}
         self.properties: dict[str, PropertyRecord] = {}
         self.instances: dict[str, InstanceRecord] = {}
         self.direct_instance_index: dict[str, set[str]] = {}
@@ -83,7 +75,7 @@ class KnowledgeBase:
     def add_class(self, iri: str, parent: str | None = None) -> ClassNode:
         if iri in self.classes:
             raise SchemaError(f"class already defined: {iri}")
-        parent_iri = parent if parent is not None else self.root_iri
+        parent_iri = parent if parent is not None else OWL_THING
         parent_node = self.classes.get(parent_iri)
         if parent_node is None:
             raise SchemaError(f"unknown parent class: {parent_iri}")
@@ -92,12 +84,6 @@ class KnowledgeBase:
         parent_node.children.add(iri)
         return node
 
-    def class_depth(self, iri: str) -> int:
-        node = self.classes.get(iri)
-        if node is None:
-            raise UnknownEntityError(f"unknown class: {iri}")
-        return node.depth
-
     def leaf_first_order(self) -> list[str]:
         """Post-order walk of the class tree.
 
@@ -105,7 +91,7 @@ class KnowledgeBase:
         broken lexicographically, so the order is deterministic.
         """
         order: list[str] = []
-        stack = [(self.root_iri, iter(sorted(self.classes[self.root_iri].children)))]
+        stack = [(OWL_THING, iter(sorted(self.classes[OWL_THING].children)))]
         while stack:
             iri, children = stack[-1]
             child = next(children, None)
@@ -167,12 +153,12 @@ class KnowledgeBase:
             elif rec.placeholder:
                 rec.placeholder = False  # first statement of its own
             if (
-                t.predicate.value == self.rdf_type
+                t.predicate.value == RDF_TYPE
                 and t.object.kind is TermKind.IRI
                 and t.object.value in self.classes
             ):
                 cls = t.object.value
-                if cls != self.root_iri:
+                if cls != OWL_THING:
                     prev = asserted.get(skey)
                     asserted[skey] = cls if prev is None else self._deeper_class(prev, cls)
                 continue
@@ -219,19 +205,19 @@ class KnowledgeBase:
         for ciri in sorted(self.classes):
             parent = self.classes[ciri].parent
             if parent is not None:
-                sink.write(f"<{ciri}> <{self.rdfs_subclassof}> <{parent}> .\n")
+                sink.write(f"<{ciri}> <{RDFS_SUBCLASSOF}> <{parent}> .\n")
                 written += 1
         for piri in sorted(self.properties):
-            sink.write(f"<{piri}> <{self.rdf_type}> <{RDF_PROPERTY}> .\n")
+            sink.write(f"<{piri}> <{RDF_TYPE}> <{RDF_PROPERTY}> .\n")
             written += 1
         for piri in sorted(self.properties):
             for dom in sorted(self.properties[piri].domains):
-                sink.write(f"<{piri}> <{self.rdfs_domain}> <{dom}> .\n")
+                sink.write(f"<{piri}> <{RDFS_DOMAIN}> <{dom}> .\n")
                 written += 1
         for ikey in sorted(self.instances):
             rec = self.instances[ikey]
             if rec.assigned_type is not None:
-                sink.write(f"{_subject_ref(ikey)} <{self.rdf_type}> <{rec.assigned_type}> .\n")
+                sink.write(f"{_subject_ref(ikey)} <{RDF_TYPE}> <{rec.assigned_type}> .\n")
                 written += 1
         for ikey in sorted(self.instances):
             for prop in sorted(self.instances[ikey].properties):
@@ -249,7 +235,7 @@ def _require_iri(term, what: str) -> None:
         raise SchemaError(f"{what} must be an IRI, got {term.kind.value}")
 
 
-def _check_acyclic(parents: dict[str, str], root_iri: str) -> None:
+def _check_acyclic(parents: dict[str, str]) -> None:
     state: dict[str, int] = {}  # 1 = on current walk, 2 = cleared
     for start in parents:
         if state.get(start) == 2:
@@ -267,14 +253,7 @@ def _check_acyclic(parents: dict[str, str], root_iri: str) -> None:
             state[seen] = 2
 
 
-def load_schema(
-    triples: Iterable[Triple],
-    *,
-    root_iri: str = OWL_THING,
-    rdf_type: str = RDF_TYPE,
-    rdfs_subclassof: str = RDFS_SUBCLASSOF,
-    rdfs_domain: str = RDFS_DOMAIN,
-) -> tuple[KnowledgeBase, list[Triple]]:
+def load_schema(triples: Iterable[Triple]) -> tuple[KnowledgeBase, list[Triple]]:
     """Bootstrap a KB from schema statements.
 
     subClassOf edges build the class tree (single parent, no cycles),
@@ -283,9 +262,7 @@ def load_schema(
     Classes referenced but never placed get the root as parent. Non-schema
     triples are returned untouched for later ingestion.
     """
-    kb = KnowledgeBase(
-        root_iri, rdf_type=rdf_type, rdfs_subclassof=rdfs_subclassof, rdfs_domain=rdfs_domain
-    )
+    kb = KnowledgeBase()
     leftover: list[Triple] = []
     parents: dict[str, str] = {}
     class_iris: set[str] = set()
@@ -294,43 +271,43 @@ def load_schema(
 
     for t in triples:
         pv = t.predicate.value
-        if pv == rdfs_subclassof:
+        if pv == RDFS_SUBCLASSOF:
             _require_iri(t.subject, "subClassOf subject")
             _require_iri(t.object, "subClassOf object")
             child, parent = t.subject.value, t.object.value
-            if child == root_iri:
-                raise SchemaError(f"the root class cannot have a parent: {root_iri}")
+            if child == OWL_THING:
+                raise SchemaError(f"the root class cannot have a parent: {OWL_THING}")
             prev = parents.get(child)
             if prev is not None and prev != parent:
                 raise SchemaError(f"class has multiple parents: {child} under {prev} and {parent}")
             parents[child] = parent
             class_iris.update((child, parent))
-        elif pv == rdfs_domain:
+        elif pv == RDFS_DOMAIN:
             _require_iri(t.subject, "domain subject")
             _require_iri(t.object, "domain object")
             domain_pairs.append((t.subject.value, t.object.value))
             prop_iris.add(t.subject.value)
             class_iris.add(t.object.value)
-        elif pv == rdf_type and t.object.kind is TermKind.IRI and t.object.value == OWL_CLASS:
+        elif pv == RDF_TYPE and t.object.kind is TermKind.IRI and t.object.value == OWL_CLASS:
             _require_iri(t.subject, "class declaration subject")
             class_iris.add(t.subject.value)
-        elif pv == rdf_type and t.object.kind is TermKind.IRI and t.object.value == RDF_PROPERTY:
+        elif pv == RDF_TYPE and t.object.kind is TermKind.IRI and t.object.value == RDF_PROPERTY:
             _require_iri(t.subject, "property declaration subject")
             prop_iris.add(t.subject.value)
         else:
             leftover.append(t)
 
-    class_iris.discard(root_iri)
-    _check_acyclic(parents, root_iri)
+    class_iris.discard(OWL_THING)
+    _check_acyclic(parents)
 
     for ciri in sorted(class_iris):
         chain: list[str] = []
         node = ciri
-        while node != root_iri and node not in kb.classes:
+        while node != OWL_THING and node not in kb.classes:
             chain.append(node)
-            node = parents.get(node, root_iri)
+            node = parents.get(node, OWL_THING)
         for pending in reversed(chain):
-            kb.add_class(pending, parents.get(pending, root_iri))
+            kb.add_class(pending, parents.get(pending, OWL_THING))
 
     for piri in sorted(prop_iris):
         kb.properties.setdefault(piri, PropertyRecord(piri))

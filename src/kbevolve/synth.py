@@ -15,7 +15,14 @@ import random
 from dataclasses import dataclass, field
 
 from kbevolve.errors import ConfigError, ConsistencyError
-from kbevolve.kb import OWL_THING, RDF_TYPE, RDFS_DOMAIN, RDFS_SUBCLASSOF, KnowledgeBase
+from kbevolve.kb import (
+    OWL_THING,
+    RDF_TYPE,
+    RDFS_DOMAIN,
+    RDFS_SUBCLASSOF,
+    UNCLASSIFIED_LABEL,
+    KnowledgeBase,
+)
 from kbevolve.ntriples import Triple, iri, literal
 
 CLASS_NS = "http://synth.example/class/"
@@ -23,8 +30,6 @@ PROP_NS = "http://synth.example/prop/"
 INST_NS = "http://synth.example/inst/"
 
 SHARED_CARRY_PROBABILITY = 0.9
-
-UNCLASSIFIED_LABEL = "unclassified"
 
 
 @dataclass(frozen=True)

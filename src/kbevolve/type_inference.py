@@ -1,53 +1,29 @@
 """Instance type scoring and assignment.
 
-Three scorers over the property -> domain evidence: naive pair counting,
-cosine over binary property profiles, and cosine with the type side
-reweighted by inverse domain frequency. A full pass computes decisions
-against the pre-pass state and applies them in lexicographic instance
-order, so a pass is not order-dependent. Reassignment requires a strictly
-better score than the incumbent type; the root class is never assigned
-(it means unclassified).
+All three methods share one sparse kernel over the property -> domain
+table: each of an instance's properties adds its weight to every domain it
+has. naive weighs every property 1 and divides a class's hits by the
+instance's total hits (the root's included); cosine weighs every property 1
+and pfidf weighs it by inverse domain frequency, and both divide by the
+class and instance norms. A full pass computes decisions against the
+pre-pass state and applies them in lexicographic instance order, so a pass
+is not order-dependent. Reassignment requires a strictly better score than
+the incumbent type; the root class is never assigned (it means
+unclassified).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from kbevolve.errors import UnknownEntityError
-from kbevolve.kb import KnowledgeBase
+from kbevolve.kb import OWL_THING, InstanceRecord, KnowledgeBase
 
 METHOD_NAIVE = "naive"
 METHOD_COSINE = "cosine"
 METHOD_PFIDF = "pfidf"
 METHODS = (METHOD_NAIVE, METHOD_COSINE, METHOD_PFIDF)
-
-WEIGHTING_BINARY = "binary"
-WEIGHTING_PFIDF = "pfidf"
-
-
-@dataclass
-class DomainCountTable:
-    """Counts of (property, domain) pairs contributed by one instance."""
-
-    instance: str
-    entries: dict[str, int] = field(default_factory=dict)
-
-    def total(self) -> int:
-        return sum(self.entries.values())
-
-
-@dataclass
-class InstanceProfile:
-    instance: str
-    vector: dict[str, float] = field(default_factory=dict)
-
-
-@dataclass
-class TypeProfile:
-    class_iri: str
-    vector: dict[str, float] = field(default_factory=dict)
-    weighting: str = WEIGHTING_BINARY
 
 
 @dataclass(frozen=True)
@@ -59,63 +35,11 @@ class TypingDecision:
     method: str
 
 
-def _instance_record(kb: KnowledgeBase, instance_iri: str):
+def _instance_record(kb: KnowledgeBase, instance_iri: str) -> InstanceRecord:
     rec = kb.instances.get(instance_iri)
     if rec is None:
         raise UnknownEntityError(f"unknown instance: {instance_iri}")
     return rec
-
-
-def domain_frequency(kb: KnowledgeBase, instance_iri: str) -> DomainCountTable:
-    """Count one hit per (property, domain) pair over the instance's
-    property set; properties without domains contribute nothing."""
-    rec = _instance_record(kb, instance_iri)
-    entries: dict[str, int] = {}
-    for prop in rec.properties:
-        record = kb.properties.get(prop)
-        if record is None:
-            continue
-        for dom in record.domains:
-            entries[dom] = entries.get(dom, 0) + 1
-    return DomainCountTable(instance_iri, entries)
-
-
-def _pick_best(kb: KnowledgeBase, scores: dict[str, float]) -> str:
-    """Argmax with ties going to the deeper class, then the smaller IRI."""
-    best = ""
-    best_score = -1.0
-    best_depth = -1
-    for cls in sorted(scores):
-        score, depth = scores[cls], kb.classes[cls].depth
-        if score > best_score or (score == best_score and depth > best_depth):
-            best, best_score, best_depth = cls, score, depth
-    return best
-
-
-def naive_assign(kb: KnowledgeBase, instance_iri: str) -> TypingDecision:
-    """Choose the class with the most pair hits.
-
-    The incumbent type is kept unless strictly beaten. The reported score
-    is the chosen class's count over the total pair count (a reporting
-    normalization only).
-    """
-    table = domain_frequency(kb, instance_iri)
-    prev = kb.instances[instance_iri].assigned_type
-    candidates = {cls: float(n) for cls, n in table.entries.items() if cls != kb.root_iri}
-    if not candidates:
-        return TypingDecision(instance_iri, prev, prev, 0.0, METHOD_NAIVE)
-    best = _pick_best(kb, candidates)
-    if prev is not None and candidates.get(prev, 0.0) >= candidates[best]:
-        chosen = prev
-    else:
-        chosen = best
-    score = candidates.get(chosen, 0.0) / table.total()
-    return TypingDecision(instance_iri, prev, chosen, score, METHOD_NAIVE)
-
-
-def build_instance_profile(kb: KnowledgeBase, instance_iri: str) -> InstanceProfile:
-    rec = _instance_record(kb, instance_iri)
-    return InstanceProfile(instance_iri, {prop: 1.0 for prop in sorted(rec.properties)})
 
 
 def idf_weight(kb: KnowledgeBase, property_iri: str) -> float:
@@ -133,53 +57,96 @@ def idf_weight(kb: KnowledgeBase, property_iri: str) -> float:
     return math.log(class_count / df)
 
 
-def build_type_profile(
-    kb: KnowledgeBase, class_iri: str, weighting: str = WEIGHTING_BINARY
-) -> TypeProfile:
-    """Profile over the properties whose domains contain the class;
-    idf-weighted entries that weigh zero are dropped."""
-    if class_iri not in kb.classes:
-        raise UnknownEntityError(f"unknown class: {class_iri}")
-    if weighting not in (WEIGHTING_BINARY, WEIGHTING_PFIDF):
-        raise ValueError(f"unknown weighting: {weighting}")
-    vector: dict[str, float] = {}
-    for prop in sorted(kb.properties):
-        if class_iri not in kb.properties[prop].domains:
-            continue
-        if weighting == WEIGHTING_BINARY:
-            vector[prop] = 1.0
-        else:
-            weight = idf_weight(kb, prop)
-            if weight > 0.0:
-                vector[prop] = weight
-    return TypeProfile(class_iri, vector, weighting)
+def _class_norms(table: dict[str, tuple[float, tuple[str, ...]]]) -> dict[str, float]:
+    """Squared norm of each class's weighted profile, summed in table
+    order so that it equals the per-pair cosine's bit for bit."""
+    squares: dict[str, list[float]] = {}
+    for weight, domains in table.values():
+        for cls in domains:
+            squares.setdefault(cls, []).append(weight * weight)
+    return {cls: sum(sq) for cls, sq in squares.items()}
 
 
-def cosine_score(type_profile: TypeProfile, instance_profile: InstanceProfile) -> float:
-    """dot / (norm * norm), 0.0 when either vector is empty or zero."""
-    tv, iv = type_profile.vector, instance_profile.vector
-    if not tv or not iv:
-        return 0.0
-    small, large = (tv, iv) if len(tv) <= len(iv) else (iv, tv)
-    dot = 0.0
-    for key, weight in small.items():
-        other = large.get(key)
-        if other is not None:
-            dot += weight * other
-    if dot == 0.0:
-        return 0.0
-    norm_sq_t = sum(w * w for w in tv.values())
-    norm_sq_i = sum(w * w for w in iv.values())
-    # sqrt of the product keeps identical binary supports at exactly 1.0
-    return min(1.0, dot / math.sqrt(norm_sq_t * norm_sq_i))
+class _Kernel:
+    """Scoring tables for one state of the KB, built once per pass.
+
+    table maps every property with domains and a positive weight, in
+    sorted order, to its weight and domains; norms holds the class norms
+    cosine and pfidf divide by.
+    """
+
+    def __init__(self, kb: KnowledgeBase, method: str):
+        if method not in METHODS:
+            raise ValueError(f"unknown method: {method}")
+        self.table: dict[str, tuple[float, tuple[str, ...]]] = {}
+        for prop in sorted(kb.properties):
+            domains = tuple(kb.properties[prop].domains)
+            if domains:
+                weight = idf_weight(kb, prop) if method == METHOD_PFIDF else 1.0
+                if weight > 0.0:
+                    self.table[prop] = (weight, domains)
+        self.norms = None if method == METHOD_NAIVE else _class_norms(self.table)
+
+    def scores(self, properties: set[str]) -> dict[str, float]:
+        """Positive score of every non-root class the properties hit."""
+        dot: dict[str, float] = {}
+        hits = 0
+        for prop in sorted(properties):
+            entry = self.table.get(prop)
+            if entry is None:
+                continue
+            weight, domains = entry
+            hits += len(domains)
+            for cls in domains:
+                dot[cls] = dot.get(cls, 0.0) + weight
+        dot.pop(OWL_THING, None)
+        if self.norms is None:
+            return {cls: d / hits for cls, d in dot.items()}
+        n_props = len(properties)
+        # sqrt of the product keeps identical binary supports at exactly 1.0
+        return {cls: min(1.0, d / math.sqrt(self.norms[cls] * n_props)) for cls, d in dot.items()}
+
+
+def class_scores(kb: KnowledgeBase, instance_iri: str, method: str) -> dict[str, float]:
+    """Score of every non-root class the instance's properties give
+    evidence for; classes missing from the result score 0.0."""
+    rec = _instance_record(kb, instance_iri)
+    return _Kernel(kb, method).scores(rec.properties)
+
+
+def _decide(
+    kb: KnowledgeBase,
+    instance_iri: str,
+    previous: str | None,
+    scores: dict[str, float],
+    method: str,
+) -> TypingDecision:
+    """Argmax with ties going to the deeper class, then the smaller IRI;
+    the incumbent type is kept unless strictly beaten."""
+    best, best_score, best_depth = None, 0.0, -1
+    for cls in sorted(scores):
+        score, depth = scores[cls], kb.classes[cls].depth
+        if score > best_score or (score == best_score and depth > best_depth):
+            best, best_score, best_depth = cls, score, depth
+    if previous is not None and scores.get(previous, 0.0) >= best_score:
+        best = previous
+    return TypingDecision(instance_iri, previous, best, scores.get(best, 0.0), method)
+
+
+def naive_assign(kb: KnowledgeBase, instance_iri: str) -> TypingDecision:
+    """Choose the class with the most (property, domain) pair hits; the
+    score is its hit count over the instance's total pair count."""
+    rec = _instance_record(kb, instance_iri)
+    scores = class_scores(kb, instance_iri, METHOD_NAIVE)
+    return _decide(kb, instance_iri, rec.assigned_type, scores, METHOD_NAIVE)
 
 
 def pfidf_score(kb: KnowledgeBase, instance_iri: str, class_iri: str) -> float:
-    """Cosine with idf reweighting applied to the type side only."""
-    return cosine_score(
-        build_type_profile(kb, class_iri, WEIGHTING_PFIDF),
-        build_instance_profile(kb, instance_iri),
-    )
+    """Cosine with idf reweighting applied to the type side only. The
+    root class scores 0.0: it is never a candidate."""
+    if class_iri not in kb.classes:
+        raise UnknownEntityError(f"unknown class: {class_iri}")
+    return class_scores(kb, instance_iri, METHOD_PFIDF).get(class_iri, 0.0)
 
 
 def assign_types(kb: KnowledgeBase, method: str) -> list[TypingDecision]:
@@ -191,42 +158,12 @@ def assign_types(kb: KnowledgeBase, method: str) -> list[TypingDecision]:
     scorable evidence yield a no-change decision. Returns the applied
     decision list in instance order.
     """
-    if method not in METHODS:
-        raise ValueError(f"unknown method: {method}")
-    decisions: list[TypingDecision] = []
-    if method == METHOD_NAIVE:
-        for ikey in sorted(kb.instances):
-            rec = kb.instances[ikey]
-            if rec.placeholder or not rec.properties:
-                continue
-            decisions.append(naive_assign(kb, ikey))
-    else:
-        weighting = WEIGHTING_BINARY if method == METHOD_COSINE else WEIGHTING_PFIDF
-        profiles = {
-            cls: build_type_profile(kb, cls, weighting)
-            for cls in sorted(kb.classes)
-            if cls != kb.root_iri
-        }
-        for ikey in sorted(kb.instances):
-            rec = kb.instances[ikey]
-            if rec.placeholder or not rec.properties:
-                continue
-            iprof = build_instance_profile(kb, ikey)
-            scores: dict[str, float] = {}
-            for cls, tprof in profiles.items():
-                score = cosine_score(tprof, iprof)
-                if score > 0.0:
-                    scores[cls] = score
-            prev = rec.assigned_type
-            if not scores:
-                decisions.append(TypingDecision(ikey, prev, prev, 0.0, method))
-                continue
-            best = _pick_best(kb, scores)
-            if prev is None or scores[best] > scores.get(prev, 0.0):
-                chosen = best
-            else:
-                chosen = prev
-            decisions.append(TypingDecision(ikey, prev, chosen, scores.get(chosen, 0.0), method))
+    kernel = _Kernel(kb, method)
+    decisions = [
+        _decide(kb, ikey, rec.assigned_type, kernel.scores(rec.properties), method)
+        for ikey, rec in sorted(kb.instances.items())
+        if not rec.placeholder and rec.properties
+    ]
     for decision in decisions:
         if decision.chosen != decision.previous:
             kb.set_type(decision.instance, decision.chosen)

@@ -22,15 +22,13 @@ from kbevolve.ntriples import iri, literal, read_batch, triple_to_line, Triple
 from kbevolve.synth import SynthSpec, evaluate_accuracy, generate_kb
 from kbevolve.type_inference import (
     METHODS,
-    InstanceProfile,
-    TypeProfile,
     assign_types,
-    cosine_score,
-    domain_frequency,
+    class_scores,
     idf_weight,
     naive_assign,
     pfidf_score,
 )
+from oracles import InstanceProfile, TypeProfile, cosine_score, domain_frequency
 
 
 @contextmanager
@@ -63,6 +61,20 @@ def test_01_threshold_exactness():
             assert abs(generalization_threshold(n) - expected) <= 1e-12
 
 
+def kernel_cosine(type_support: set[str], instance_support: set[str]) -> float:
+    """The production cosine of one class whose domains are type_support
+    against one instance that carries instance_support."""
+    cls, inst = "http://acc2/C", "http://acc2/i"
+    schema = [Triple(iri(cls), iri(RDFS_SUBCLASSOF), iri(OWL_THING))]
+    schema += [Triple(iri(f"http://acc2/{p}"), iri(RDFS_DOMAIN), iri(cls)) for p in sorted(type_support)]
+    kb, _ = load_schema(schema)
+    # The type assertion creates the instance even when it carries nothing.
+    data = [Triple(iri(inst), iri(RDF_TYPE), iri(cls))]
+    data += [Triple(iri(inst), iri(f"http://acc2/{p}"), literal("x")) for p in sorted(instance_support)]
+    kb.add_instance_triples(data)
+    return class_scores(kb, inst, "cosine").get(cls, 0.0)
+
+
 def test_02_cosine_oracle_equivalence():
     with criterion("criterion 02 cosine-oracle-equivalence"):
         rng = random.Random(20240)
@@ -76,6 +88,7 @@ def test_02_cosine_oracle_equivalence():
             # Independent brute-force dot/norm oracle over the raw sets.
             expected = len(a & b) / math.sqrt(len(a) * len(b)) if a and b else 0.0
             assert abs(cosine_score(tp, ip) - expected) <= 1e-9
+            assert kernel_cosine(a, b) == cosine_score(tp, ip)
             checked += 1
         assert checked >= 100
         for size in (1, 2, 3, 7, 50):
@@ -83,6 +96,7 @@ def test_02_cosine_oracle_equivalence():
             tp = TypeProfile("c", {p: 1.0 for p in support})
             ip = InstanceProfile("i", {p: 1.0 for p in support})
             assert cosine_score(tp, ip) == 1.0
+            assert kernel_cosine(support, support) == 1.0
 
 
 def test_03_presidential_fixture():

@@ -23,6 +23,7 @@ from kbevolve.kb import (
     PROV_GENERALIZED,
     PROV_SCHEMA,
     RDF_TYPE,
+    RDFS_DOMAIN,
     KnowledgeBase,
     PropertyRecord,
     load_schema,
@@ -58,7 +59,7 @@ class TestThreshold:
     def test_deletion_threshold_below_generalization(self):
         policy = ThresholdPolicy(deletion_factor=0.5)
         for n in (1, 10, 123):
-            assert policy.deletion_threshold(n) < policy.generalization_threshold(n)
+            assert policy.deletion_threshold(n) < generalization_threshold(n)
         symmetric = ThresholdPolicy(deletion_factor=1.0)
         assert symmetric.deletion_threshold(10) == generalization_threshold(10)
 
@@ -121,39 +122,39 @@ class TestGeneralize:
 
     def test_ratio_above_threshold_adds_domain(self):
         kb = self._ratio_kb(6, 10)  # P(10) = 0.5, ratio 0.6
-        changes = generalize_properties(kb, CLS + "C", ThresholdPolicy())
+        changes = generalize_properties(kb, CLS + "C")
         added = {c.property_iri for c in changes}
         assert PROP + "p" in added
         assert kb.properties[PROP + "p"].domains[CLS + "C"] == PROV_GENERALIZED
 
     def test_ratio_below_threshold_not_added(self):
         kb = self._ratio_kb(4, 10)  # ratio 0.4 < 0.5
-        changes = generalize_properties(kb, CLS + "C", ThresholdPolicy())
+        changes = generalize_properties(kb, CLS + "C")
         assert PROP + "p" not in {c.property_iri for c in changes}
         assert CLS + "C" not in kb.properties[PROP + "p"].domains
 
     def test_single_instance_boundary_inclusive(self):
         kb = typed_kb(CLS + "C", {INST + "only": {PROP + "p"}})
-        changes = generalize_properties(kb, CLS + "C", ThresholdPolicy())
+        changes = generalize_properties(kb, CLS + "C")
         assert [(c.property_iri, c.action) for c in changes] == [(PROP + "p", ACTION_ADDED)]
         assert changes[0].support_ratio == 1.0 and changes[0].threshold == 1.0
 
     def test_existing_domain_untouched(self):
         kb, _ = load_schema([subclass(CLS + "C", OWL_THING), domain(PROP + "p", CLS + "C")])
         kb.add_instance_triples([t(INST + "i", RDF_TYPE, CLS + "C"), t_lit(INST + "i", PROP + "p")])
-        changes = generalize_properties(kb, CLS + "C", ThresholdPolicy())
+        changes = generalize_properties(kb, CLS + "C")
         assert changes == []
         assert kb.properties[PROP + "p"].domains[CLS + "C"] == PROV_SCHEMA
 
     def test_no_direct_instances_noop(self):
         kb, _ = load_schema([subclass(CLS + "C", OWL_THING)])
-        assert generalize_properties(kb, CLS + "C", ThresholdPolicy()) == []
+        assert generalize_properties(kb, CLS + "C") == []
 
     def test_never_removes_or_touches_instances(self):
         kb = self._ratio_kb(6, 10)
         before = {p: dict(r.domains) for p, r in kb.properties.items()}
         instance_props = {k: set(r.properties) for k, r in kb.instances.items()}
-        generalize_properties(kb, CLS + "C", ThresholdPolicy())
+        generalize_properties(kb, CLS + "C")
         for p, doms in before.items():
             assert set(doms) <= set(kb.properties[p].domains)
         assert {k: set(r.properties) for k, r in kb.instances.items()} == instance_props
@@ -232,7 +233,7 @@ class TestPass:
 
         spec = SynthSpec(6, 3, 1, 10, 0.0, 0.0, seed=21)  # no hidden types, no noise
         schema, instances, truth = generate_kb(spec)
-        stripped = [tr for tr in schema if tr.predicate.value != KnowledgeBase().rdfs_domain]
+        stripped = [tr for tr in schema if tr.predicate.value != RDFS_DOMAIN]
         kb, leftover = load_schema(stripped)
         kb.add_instance_triples(leftover)
         kb.add_instance_triples(instances)

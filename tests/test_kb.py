@@ -15,6 +15,7 @@ from kbevolve.kb import (
     PROV_SCHEMA,
     RDF_PROPERTY,
     RDF_TYPE,
+    RDFS_SUBCLASSOF,
     KnowledgeBase,
     load_schema,
 )
@@ -70,7 +71,7 @@ class TestLoadSchema:
         assert INST + "i" not in kb.instances
 
     def test_schema_statement_with_literal_rejected(self):
-        bad = Triple(iri(CLS + "A"), iri(kb_default().rdfs_subclassof), literal("x"))
+        bad = Triple(iri(CLS + "A"), iri(RDFS_SUBCLASSOF), literal("x"))
         with pytest.raises(SchemaError):
             load_schema([bad])
 

@@ -19,24 +19,32 @@ from helpers import (
     PRESIDENT,
     PROP,
     domain,
+    kb_instance_state,
     subclass,
     t,
     t_lit,
 )
 from kbevolve.errors import UnknownEntityError
+from kbevolve.generalization import ThresholdPolicy, run_generalization_pass
 from kbevolve.kb import OWL_THING, RDF_TYPE, KnowledgeBase, load_schema
 from kbevolve.type_inference import (
     METHODS,
+    assign_types,
+    class_scores,
+    idf_weight,
+    naive_assign,
+    pfidf_score,
+)
+from oracles import (
     InstanceProfile,
     TypeProfile,
-    assign_types,
     build_instance_profile,
     build_type_profile,
     cosine_score,
     domain_frequency,
-    idf_weight,
-    naive_assign,
-    pfidf_score,
+    oracle_assign_types,
+    oracle_class_scores,
+    oracle_naive_assign,
 )
 
 
@@ -407,3 +415,66 @@ class TestAssignTypes:
         decisions = assign_types(kb, method)
         assert decisions
         assert all(0.0 <= d.score <= 1.0 for d in decisions)
+
+
+@st.composite
+def random_kb_triples(draw):
+    """Schema and data of a small KB: a random class tree of any depth,
+    domains that may include the root or be empty, instances that may
+    assert a type (the root included) and may point at placeholders."""
+    classes = [CLS + f"C{k}" for k in range(draw(st.integers(1, 8)))]
+    schema = [
+        subclass(cls, draw(st.sampled_from([OWL_THING] + classes[:k])))
+        for k, cls in enumerate(classes)
+    ]
+    props = [PROP + f"p{k}" for k in range(draw(st.integers(1, 10)))]
+    for prop in props:
+        for cls in sorted(draw(st.sets(st.sampled_from([OWL_THING] + classes), max_size=4))):
+            schema.append(domain(prop, cls))
+    data = []
+    for k in range(draw(st.integers(1, 6))):
+        inst = INST + f"i{k}"
+        for prop in sorted(draw(st.sets(st.sampled_from(props), max_size=6))):
+            if draw(st.booleans()):
+                data.append(t_lit(inst, prop))
+            else:
+                data.append(t(inst, prop, INST + f"i{draw(st.integers(0, 8))}"))
+        incumbent = draw(st.none() | st.sampled_from([OWL_THING] + classes))
+        if incumbent is not None:
+            data.append(t(inst, RDF_TYPE, incumbent))
+    return schema, data
+
+
+class TestKernelMatchesOracle:
+    """The sparse kernel against the per-pair scorers and the dense pass
+    it replaced: scores, decisions and resulting types must be equal, not
+    merely close."""
+
+    @staticmethod
+    def _build(schema, data) -> KnowledgeBase:
+        kb, leftover = load_schema(schema)
+        assert leftover == []
+        kb.add_instance_triples(data)
+        return kb
+
+    @given(random_kb_triples(), st.sampled_from(METHODS))
+    @settings(max_examples=300, deadline=None)
+    def test_scores_decisions_and_types_equal(self, triples, method):
+        kb, oracle_kb = self._build(*triples), self._build(*triples)
+        # Round two re-scores against round one's incumbents and domains
+        # generalized in between.
+        for _ in range(2):
+            for ikey in sorted(kb.instances):
+                assert class_scores(kb, ikey, method) == oracle_class_scores(oracle_kb, ikey, method)
+                if method == "naive":
+                    assert naive_assign(kb, ikey) == oracle_naive_assign(oracle_kb, ikey)
+                if method == "pfidf":
+                    iprof = build_instance_profile(oracle_kb, ikey)
+                    for cls in sorted(kb.classes):
+                        tprof = build_type_profile(oracle_kb, cls, "pfidf")
+                        expected = cosine_score(tprof, iprof) if cls != OWL_THING else 0.0
+                        assert pfidf_score(kb, ikey, cls) == expected
+            assert assign_types(kb, method) == oracle_assign_types(oracle_kb, method)
+            assert kb_instance_state(kb) == kb_instance_state(oracle_kb)
+            run_generalization_pass(kb, ThresholdPolicy())
+            run_generalization_pass(oracle_kb, ThresholdPolicy())

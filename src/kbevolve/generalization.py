@@ -4,7 +4,11 @@ A class with N direct instances generalizes a property (gains it as a
 domain) when the property's support ratio reaches 1/(1 + log10 N), and a
 generalized domain is dropped when support falls below a hysteresis band
 (deletion_factor times that threshold). Schema-asserted domains are never
-deleted. A full pass walks the class tree leaf-first.
+deleted. A pass walks the class tree leaf-first and evaluates only the
+classes the KB marked dirty since the last pass, or every class when the
+policy or the deletion switch differs from the last pass: a class's
+outcome depends only on its own direct instances and domain entries, so
+a clean class would change nothing.
 """
 
 from __future__ import annotations
@@ -86,10 +90,9 @@ def generalize_properties(kb: KnowledgeBase, class_iri: str) -> list[DomainChang
         _, ratio = stats.per_property[prop]
         if ratio < threshold:
             continue
-        record = kb.properties[prop]
-        if class_iri in record.domains:
+        if class_iri in kb.properties[prop].domains:
             continue
-        record.domains[class_iri] = PROV_GENERALIZED
+        kb.add_domain(prop, class_iri, PROV_GENERALIZED)
         changes.append(DomainChange(class_iri, prop, ACTION_ADDED, ratio, threshold))
     return changes
 
@@ -105,14 +108,11 @@ def delete_properties(
         return []
     threshold = policy.deletion_threshold(stats.n)
     changes: list[DomainChange] = []
-    for prop in sorted(kb.properties):
-        record = kb.properties[prop]
-        if record.domains.get(class_iri) != PROV_GENERALIZED:
-            continue
+    for prop in sorted(kb.generalized_index.get(class_iri, ())):
         count_ratio = stats.per_property.get(prop)
         ratio = count_ratio[1] if count_ratio else 0.0
         if ratio < threshold:
-            del record.domains[class_iri]
+            kb.remove_domain(prop, class_iri)
             changes.append(DomainChange(class_iri, prop, ACTION_REMOVED, ratio, threshold))
     return changes
 
@@ -120,18 +120,25 @@ def delete_properties(
 def run_generalization_pass(
     kb: KnowledgeBase, policy: ThresholdPolicy, *, deletion_enabled: bool = True
 ) -> list[DomainChange]:
-    """Generalize then delete for every class, leaf-first.
+    """Generalize then delete for every dirty class, leaf-first.
 
     Support statistics are computed against the KB state current at each
     class's turn. Classes with no direct instances are skipped. With
     unchanged instance data the pass is idempotent: a second run returns
     an empty change list.
     """
+    settings = (policy, deletion_enabled)
+    evaluate_all = kb.generalized_with != settings
     changes: list[DomainChange] = []
     for class_iri in kb.leaf_first_order():
+        if not (evaluate_all or class_iri in kb.dirty_classes):
+            continue
         if not kb.direct_instance_index.get(class_iri):
             continue
         changes.extend(generalize_properties(kb, class_iri))
         if deletion_enabled:
             changes.extend(delete_properties(kb, class_iri, policy))
+    # A class's own domain writes mark only itself, and it is now settled.
+    kb.dirty_classes.clear()
+    kb.generalized_with = settings
     return changes

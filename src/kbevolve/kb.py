@@ -1,6 +1,18 @@
 """In-memory knowledge base: single-rooted class tree, property -> domain
-table with per-domain provenance, instance records, and the direct-instance
-index the scoring and generalization passes read.
+table with per-domain provenance, and instance records.
+
+The KB also owns the state derived from them that the passes read, and
+keeps it current on every write: the direct-instance index, a per-class
+index of generalized domains, and the dirty sets. A class is dirty when its
+direct-instance set, the properties of its direct instances, or its domain
+entries changed since the last generalization pass; an instance is dirty
+when its type or properties changed since the last typing pass. Domain
+writes therefore go through add_domain / remove_domain, and every domain
+write bumps table_version, which makes the next typing pass rescore every
+instance. The typing pass keeps its last decision per instance in
+typing_cache and its scoring tables in typing_kernel, both valid for the
+(method, table_version) in typed_against; the generalization pass records
+its (policy, deletion_enabled) in generalized_with.
 
 An instance's type of None means unclassified; typing an instance as the
 root class is the same thing, so assertions to the root are dropped and the
@@ -11,10 +23,14 @@ read-only scoring may fan out, mutations happen between phases.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, TextIO
+from typing import TYPE_CHECKING, Iterable, TextIO
 
 from kbevolve.errors import SchemaError, UnknownEntityError
 from kbevolve.ntriples import TermKind, Triple
+
+if TYPE_CHECKING:
+    from kbevolve.generalization import ThresholdPolicy
+    from kbevolve.type_inference import TypingDecision, _Kernel
 
 RDF_TYPE = "http://www.w3.org/1999/02/22-rdf-syntax-ns#type"
 RDF_PROPERTY = "http://www.w3.org/1999/02/22-rdf-syntax-ns#Property"
@@ -69,6 +85,14 @@ class KnowledgeBase:
         self.properties: dict[str, PropertyRecord] = {}
         self.instances: dict[str, InstanceRecord] = {}
         self.direct_instance_index: dict[str, set[str]] = {}
+        self.generalized_index: dict[str, set[str]] = {}  # class iri -> properties
+        self.dirty_classes: set[str] = set()
+        self.dirty_instances: set[str] = set()
+        self.table_version = 0
+        self.typing_cache: dict[str, TypingDecision] = {}
+        self.typing_kernel: _Kernel | None = None
+        self.typed_against: tuple[str, int] | None = None
+        self.generalized_with: tuple[ThresholdPolicy, bool] | None = None
 
     # ---- classes ----------------------------------------------------
 
@@ -82,6 +106,7 @@ class KnowledgeBase:
         node = ClassNode(iri, parent_iri, depth=parent_node.depth + 1)
         self.classes[iri] = node
         parent_node.children.add(iri)
+        self.table_version += 1  # pfidf weights depend on the class count
         return node
 
     def leaf_first_order(self) -> list[str]:
@@ -102,6 +127,36 @@ class KnowledgeBase:
                 stack.append((child, iter(sorted(self.classes[child].children))))
         return order
 
+    # ---- domains -----------------------------------------------------
+
+    def add_domain(self, prop: str, cls: str, provenance: str) -> None:
+        """Make cls a domain of prop with the given provenance, registering
+        prop if it is new."""
+        if cls not in self.classes:
+            raise UnknownEntityError(f"unknown class: {cls}")
+        record = self.properties.get(prop)
+        if record is None:
+            record = self.properties[prop] = PropertyRecord(prop)
+        if record.domains.get(cls) == provenance:
+            return
+        record.domains[cls] = provenance
+        if provenance == PROV_GENERALIZED:
+            self.generalized_index.setdefault(cls, set()).add(prop)
+        else:
+            self.generalized_index.get(cls, set()).discard(prop)
+        self.table_version += 1
+        self.dirty_classes.add(cls)
+
+    def remove_domain(self, prop: str, cls: str) -> None:
+        """Drop cls from the domains of prop, whatever its provenance."""
+        record = self.properties.get(prop)
+        if record is None or cls not in record.domains:
+            raise UnknownEntityError(f"{cls} is not a domain of {prop}")
+        if record.domains.pop(cls) == PROV_GENERALIZED:
+            self.generalized_index[cls].discard(prop)
+        self.table_version += 1
+        self.dirty_classes.add(cls)
+
     # ---- instances ---------------------------------------------------
 
     def direct_instances(self, class_iri: str) -> set[str]:
@@ -117,9 +172,12 @@ class KnowledgeBase:
             return
         if rec.assigned_type is not None:
             self.direct_instance_index[rec.assigned_type].discard(instance_iri)
+            self.dirty_classes.add(rec.assigned_type)
         rec.assigned_type = class_iri
         if class_iri is not None:
             self.direct_instance_index.setdefault(class_iri, set()).add(instance_iri)
+            self.dirty_classes.add(class_iri)
+        self.dirty_instances.add(instance_iri)
 
     def _deeper_class(self, a: str, b: str) -> str:
         da, db = self.classes[a].depth, self.classes[b].depth
@@ -166,7 +224,12 @@ class KnowledgeBase:
 
         for t in ordinary:
             pv = t.predicate.value
-            self.instances[t.subject.value].properties.add(pv)
+            rec = self.instances[t.subject.value]
+            if pv not in rec.properties:
+                rec.properties.add(pv)
+                self.dirty_instances.add(rec.iri)
+                if rec.assigned_type is not None:
+                    self.dirty_classes.add(rec.assigned_type)
             if pv not in self.properties:
                 self.properties[pv] = PropertyRecord(pv)
 
@@ -312,6 +375,6 @@ def load_schema(triples: Iterable[Triple]) -> tuple[KnowledgeBase, list[Triple]]
     for piri in sorted(prop_iris):
         kb.properties.setdefault(piri, PropertyRecord(piri))
     for piri, dom in domain_pairs:
-        kb.properties[piri].domains.setdefault(dom, PROV_SCHEMA)
+        kb.add_domain(piri, dom, PROV_SCHEMA)
 
     return kb, leftover

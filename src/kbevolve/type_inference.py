@@ -10,6 +10,11 @@ pre-pass state and applies them in lexicographic instance order, so a pass
 is not order-dependent. Reassignment requires a strictly better score than
 the incumbent type; the root class is never assigned (it means
 unclassified).
+
+A pass rescores only the instances the KB marked dirty while the method
+and the domain table stay what they were at the last pass; any other
+instance's decision is its cached one, which is stable: rescoring it
+against unchanged inputs would keep the type its last decision chose.
 """
 
 from __future__ import annotations
@@ -158,13 +163,29 @@ def assign_types(kb: KnowledgeBase, method: str) -> list[TypingDecision]:
     scorable evidence yield a no-change decision. Returns the applied
     decision list in instance order.
     """
-    kernel = _Kernel(kb, method)
-    decisions = [
-        _decide(kb, ikey, rec.assigned_type, kernel.scores(rec.properties), method)
-        for ikey, rec in sorted(kb.instances.items())
-        if not rec.placeholder and rec.properties
-    ]
+    inputs = (method, kb.table_version)
+    rescore_all = kb.typed_against != inputs
+    if rescore_all:
+        kb.typing_kernel = _Kernel(kb, method)
+        kb.typed_against = inputs
+    kernel, cache, dirty = kb.typing_kernel, kb.typing_cache, kb.dirty_instances
+    decisions: list[TypingDecision] = []
+    for ikey, rec in sorted(kb.instances.items()):
+        if rec.placeholder or not rec.properties:
+            continue
+        if rescore_all or ikey in dirty:
+            scores = kernel.scores(rec.properties)
+            decision = cache[ikey] = _decide(kb, ikey, rec.assigned_type, scores, method)
+        else:
+            decision = cache[ikey]
+            if decision.chosen != decision.previous:
+                decision = cache[ikey] = TypingDecision(
+                    ikey, decision.chosen, decision.chosen, decision.score, method
+                )
+        decisions.append(decision)
     for decision in decisions:
         if decision.chosen != decision.previous:
             kb.set_type(decision.instance, decision.chosen)
+    # Types set just above follow from stable decisions: nothing to rescore.
+    dirty.clear()
     return decisions

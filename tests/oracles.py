@@ -1,10 +1,15 @@
-"""Per-pair reference scorers and the dense typing pass.
+"""Per-pair reference scorers, the dense typing pass, and the full-scan
+generalization pass.
 
 This is the typing code kbevolve ran before its three methods shared one
 sparse kernel: one (property, domain) count table or one pair of profile
 vectors per (instance, class), and a pass that scores every instance
-against every class. The tests compare ``kbevolve.type_inference``
-against it for exact equality.
+against every class. The generalization pass is the one kbevolve ran
+before its passes kept dirty sets: it evaluates every class with direct
+instances and scans the whole property table for the class's generalized
+domains, writing the domain table directly. Neither reads nor updates the
+KB's incremental state. The tests compare ``kbevolve.type_inference`` and
+``kbevolve.generalization`` against them for exact equality.
 """
 
 from __future__ import annotations
@@ -13,7 +18,15 @@ import math
 from dataclasses import dataclass, field
 
 from kbevolve.errors import UnknownEntityError
-from kbevolve.kb import OWL_THING, KnowledgeBase
+from kbevolve.generalization import (
+    ACTION_ADDED,
+    ACTION_REMOVED,
+    DomainChange,
+    ThresholdPolicy,
+    generalization_threshold,
+    property_support,
+)
+from kbevolve.kb import OWL_THING, PROV_GENERALIZED, KnowledgeBase
 from kbevolve.type_inference import (
     METHOD_COSINE,
     METHOD_NAIVE,
@@ -200,3 +213,56 @@ def oracle_assign_types(kb: KnowledgeBase, method: str) -> list[TypingDecision]:
         if decision.chosen != decision.previous:
             kb.set_type(decision.instance, decision.chosen)
     return decisions
+
+
+def _oracle_generalize(kb: KnowledgeBase, class_iri: str) -> list[DomainChange]:
+    stats = property_support(kb, class_iri)
+    if stats.n == 0:
+        return []
+    threshold = generalization_threshold(stats.n)
+    changes: list[DomainChange] = []
+    for prop in sorted(stats.per_property):
+        _, ratio = stats.per_property[prop]
+        if ratio < threshold:
+            continue
+        record = kb.properties[prop]
+        if class_iri in record.domains:
+            continue
+        record.domains[class_iri] = PROV_GENERALIZED
+        changes.append(DomainChange(class_iri, prop, ACTION_ADDED, ratio, threshold))
+    return changes
+
+
+def _oracle_delete(
+    kb: KnowledgeBase, class_iri: str, policy: ThresholdPolicy
+) -> list[DomainChange]:
+    stats = property_support(kb, class_iri)
+    if stats.n == 0:
+        return []
+    threshold = policy.deletion_threshold(stats.n)
+    changes: list[DomainChange] = []
+    for prop in sorted(kb.properties):
+        record = kb.properties[prop]
+        if record.domains.get(class_iri) != PROV_GENERALIZED:
+            continue
+        count_ratio = stats.per_property.get(prop)
+        ratio = count_ratio[1] if count_ratio else 0.0
+        if ratio < threshold:
+            del record.domains[class_iri]
+            changes.append(DomainChange(class_iri, prop, ACTION_REMOVED, ratio, threshold))
+    return changes
+
+
+def oracle_generalization_pass(
+    kb: KnowledgeBase, policy: ThresholdPolicy, *, deletion_enabled: bool = True
+) -> list[DomainChange]:
+    """Generalize then delete for every class with direct instances,
+    leaf-first."""
+    changes: list[DomainChange] = []
+    for class_iri in kb.leaf_first_order():
+        if not kb.direct_instance_index.get(class_iri):
+            continue
+        changes.extend(_oracle_generalize(kb, class_iri))
+        if deletion_enabled:
+            changes.extend(_oracle_delete(kb, class_iri, policy))
+    return changes

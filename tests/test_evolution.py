@@ -68,7 +68,7 @@ class TestCoverage:
             [t_lit(INST + "i", PROP + f"p{k}") for k in range(10)]
         )
         for k in range(7):
-            kb.properties[PROP + f"p{k}"].domains[OWL_THING] = "schema"
+            kb.add_domain(PROP + f"p{k}", OWL_THING, "schema")
         stats = property_domain_ratio(kb)
         assert stats.properties_total == 10
         assert stats.with_domain == 7
@@ -86,8 +86,9 @@ class TestCoverage:
     def test_ratio_monotone_with_deletion_off(self):
         kb, lines, _ = load_synth(SynthSpec(4, 2, 1, 6, 0.0, 0.0, seed=2))
         # Strip the planted domains so the pass has work to do.
-        for record in kb.properties.values():
-            record.domains.clear()
+        for prop, record in kb.properties.items():
+            for cls in list(record.domains):
+                kb.remove_domain(prop, cls)
         kb.add_instance_triples([_parse(line) for line in lines])
         before = property_domain_ratio(kb).ratio
         run_generalization_pass(kb, ThresholdPolicy(), deletion_enabled=False)

@@ -25,7 +25,6 @@ from kbevolve.kb import (
     RDF_TYPE,
     RDFS_DOMAIN,
     KnowledgeBase,
-    PropertyRecord,
     load_schema,
 )
 
@@ -169,8 +168,7 @@ class TestDelete:
                 for k in range(total)
             },
         )
-        record = kb.properties.setdefault(PROP + "p", PropertyRecord(PROP + "p"))
-        record.domains[CLS + "C"] = provenance
+        kb.add_domain(PROP + "p", CLS + "C", provenance)
         return kb
 
     def test_low_support_generalized_domain_removed(self):
@@ -196,7 +194,7 @@ class TestDelete:
 
     def test_no_direct_instances_no_deletion(self):
         kb, _ = load_schema([subclass(CLS + "C", OWL_THING), domain(PROP + "q", CLS + "D2")])
-        kb.properties[PROP + "q"].domains[CLS + "C"] = PROV_GENERALIZED
+        kb.add_domain(PROP + "q", CLS + "C", PROV_GENERALIZED)
         assert delete_properties(kb, CLS + "C", ThresholdPolicy()) == []
 
 

@@ -307,6 +307,31 @@ class TestPfidfScore:
         without_shared = {c: pfidf_score(kb2, INST + "i", c) for c in classes}
         assert max(with_shared, key=with_shared.get) == max(without_shared, key=without_shared.get)
 
+    def test_dot_summed_in_sorted_property_order(self):
+        # 39 classes; property q<k> has the target and 2k other classes as
+        # domains, so its 20 idf weights are distinct and float addition
+        # rounds differently in other orders.
+        classes = [CLS + f"K{k:02d}" for k in range(39)]
+        target = classes[0]
+        schema = [subclass(c, OWL_THING) for c in classes]
+        props = [PROP + f"q{k:02d}" for k in range(20)]
+        for k, prop in enumerate(props):
+            schema += [domain(prop, c) for c in classes[: 1 + 2 * k]]
+        kb, _ = load_schema(schema)
+        kb.add_instance_triples([t_lit(INST + "i", prop) for prop in props])
+        weights = [idf_weight(kb, prop) for prop in sorted(props)]
+        assert len(set(weights)) == 20
+
+        def score(order):
+            dot = 0.0
+            for w in order:
+                dot += w
+            norm = sum(w * w for w in weights)
+            return min(1.0, dot / math.sqrt(norm * len(props)))
+
+        assert score(weights) != score(weights[::-1])
+        assert class_scores(kb, INST + "i", "pfidf")[target] == score(weights)
+
 
 class TestAssignTypes:
     def _signature_kb(self):

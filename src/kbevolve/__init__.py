@@ -27,17 +27,13 @@ from kbevolve.evolution import (
 )
 from kbevolve.generalization import (
     DomainChange,
-    SupportStats,
     ThresholdPolicy,
-    delete_properties,
+    evaluate_class,
     generalization_threshold,
-    generalize_properties,
-    property_support,
     run_generalization_pass,
 )
 from kbevolve.kb import (
     KnowledgeBase,
-    IngestSummary,
     load_schema,
     OWL_THING,
     RDF_TYPE,

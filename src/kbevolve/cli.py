@@ -30,7 +30,7 @@ from kbevolve.synth import SynthSpec, generate_kb
 from kbevolve.type_inference import METHODS
 
 def _parse_file(path: str) -> tuple[list[Triple], ParseReport]:
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
         return read_batch(fh, sys.maxsize)
 
 
@@ -60,7 +60,7 @@ def cmd_evolve(args: argparse.Namespace) -> int:
         deletion_enabled=not args.no_delete,
     )
     with ExitStack() as stack:
-        source = stack.enter_context(open(args.triples, "r", encoding="utf-8"))
+        source = stack.enter_context(open(args.triples, "r", encoding="utf-8", errors="surrogateescape"))
         typing_audit = domain_audit = None
         if args.typing_audit:
             typing_audit = stack.enter_context(open(args.typing_audit, "w", encoding="utf-8", newline=""))

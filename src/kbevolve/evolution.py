@@ -6,26 +6,13 @@ then alternate generalization and typing until a round changes nothing
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field, fields
 from typing import IO, Iterable, Iterator
 
 from kbevolve.generalization import ThresholdPolicy, run_generalization_pass
 from kbevolve.kb import UNCLASSIFIED_LABEL, KnowledgeBase
 from kbevolve.ntriples import read_batch
 from kbevolve.type_inference import METHODS, assign_types
-
-REPORT_COLUMNS = (
-    "iteration",
-    "triples_added",
-    "instances_total",
-    "instances_with_properties",
-    "instances_classified",
-    "instances_placeholder",
-    "properties_total",
-    "properties_with_domain",
-    "type_changes",
-    "domain_changes",
-)
 
 TYPING_AUDIT_COLUMNS = ("instance", "previous", "chosen", "score", "method")
 DOMAIN_AUDIT_COLUMNS = ("class", "property", "action", "ratio", "threshold")
@@ -60,6 +47,9 @@ class IterationRecord:
     properties_with_domain: int
     type_changes: int
     domain_changes: int
+
+
+REPORT_COLUMNS = tuple(f.name for f in fields(IterationRecord))
 
 
 @dataclass
@@ -216,19 +206,5 @@ def write_report(report: EvolutionReport, sink: IO[str]) -> int:
     """Write one CSV row per iteration record; returns data rows written."""
     writer = csv.writer(sink)
     writer.writerow(REPORT_COLUMNS)
-    for r in report.records:
-        writer.writerow(
-            [
-                r.iteration,
-                r.triples_added,
-                r.instances_total,
-                r.instances_with_properties,
-                r.instances_classified,
-                r.instances_placeholder,
-                r.properties_total,
-                r.properties_with_domain,
-                r.type_changes,
-                r.domain_changes,
-            ]
-        )
+    writer.writerows(astuple(r) for r in report.records)
     return len(report.records)

@@ -72,13 +72,6 @@ class InstanceRecord:
     placeholder: bool = False
 
 
-@dataclass
-class IngestSummary:
-    new_instances: int = 0
-    new_placeholders: int = 0
-    type_assertions: int = 0
-
-
 class KnowledgeBase:
     def __init__(self):
         self.classes: dict[str, ClassNode] = {OWL_THING: ClassNode(OWL_THING, None)}
@@ -185,7 +178,7 @@ class KnowledgeBase:
             return a if da > db else b
         return min(a, b)
 
-    def add_instance_triples(self, batch: Iterable[Triple]) -> IngestSummary:
+    def add_instance_triples(self, batch: Iterable[Triple]) -> None:
         """Fold a batch of instance triples into the KB.
 
         Each subject gains its predicates as a property set (rdf:type with
@@ -194,20 +187,13 @@ class KnowledgeBase:
         instance become placeholder records. Idempotent, and processed in
         phases so any permutation of a batch yields the same state.
         """
-        triples = list(batch)
-        summary = IngestSummary()
-        created: list[str] = []
-
         ordinary: list[Triple] = []
         asserted: dict[str, str] = {}
-        for t in triples:
+        for t in batch:
             skey = t.subject.value
             rec = self.instances.get(skey)
             if rec is None:
-                rec = InstanceRecord(skey)
-                self.instances[skey] = rec
-                summary.new_instances += 1
-                created.append(skey)
+                rec = self.instances[skey] = InstanceRecord(skey)
             elif rec.placeholder:
                 rec.placeholder = False  # first statement of its own
             if (
@@ -238,7 +224,6 @@ class KnowledgeBase:
             chosen = asserted[skey] if current is None else self._deeper_class(current, asserted[skey])
             if chosen != current:
                 self.set_type(skey, chosen)
-                summary.type_assertions += 1
 
         for t in ordinary:
             if t.object.kind is not TermKind.IRI:
@@ -247,11 +232,6 @@ class KnowledgeBase:
             if okey in self.classes or okey in self.properties or okey in self.instances:
                 continue
             self.instances[okey] = InstanceRecord(okey, placeholder=True)
-            summary.new_instances += 1
-            created.append(okey)
-
-        summary.new_placeholders = sum(1 for key in created if self.instances[key].placeholder)
-        return summary
 
     # ---- export ------------------------------------------------------
 

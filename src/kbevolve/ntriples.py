@@ -8,7 +8,10 @@ resolution, so distinct spellings stay distinct identifiers. Blank node
 labels are restricted to ``[A-Za-z0-9_-]+``.
 
 Parsing is pure per line, so a malformed line can never corrupt the parse
-of any other line, and parsed batches are immutable values.
+of any other line, and parsed batches are immutable values. The CLI opens
+files with ``errors="surrogateescape"``, which keeps each byte that is not
+UTF-8 as a lone surrogate; a line holding one is a ``bad encoding`` error
+like any other malformed line, so one bad byte cannot abort a run.
 """
 
 from __future__ import annotations
@@ -21,6 +24,9 @@ from typing import Iterable, Iterator
 from kbevolve.errors import ParseError
 
 _IRI_FORBIDDEN = set(" \t<>")
+# Lone surrogates: how a file opened with errors="surrogateescape" carries
+# bytes that are not UTF-8.
+_SURROGATE_RE = re.compile(r"[\ud800-\udfff]")
 _BLANK_LABEL_RE = re.compile(r"[A-Za-z0-9_-]+")
 _LANG_TAG_RE = re.compile(r"[A-Za-z]+(?:-[A-Za-z0-9]+)*\Z")
 _ECHAR = {"t": "\t", "b": "\b", "n": "\n", "r": "\r", "f": "\f", '"': '"', "'": "'", "\\": "\\"}
@@ -60,7 +66,7 @@ class Term:
                 raise ValueError("only literals carry a language tag or datatype")
         elif self.language_tag is not None and self.datatype_iri is not None:
             raise ValueError("language tag and datatype are mutually exclusive")
-        if self.kind is TermKind.IRI and (not self.value or _IRI_FORBIDDEN & set(self.value)):
+        if self.kind is TermKind.IRI and (not self.value or not _IRI_FORBIDDEN.isdisjoint(self.value)):
             raise ValueError(f"invalid IRI: {self.value!r}")
         if self.kind is TermKind.BLANK_NODE and (
             not self.value.startswith("_:") or len(self.value) == 2
@@ -156,7 +162,7 @@ def _read_iri(text: str, i: int) -> tuple[str, int]:
                 out.append(text[k])
                 k += 1
         raw = "".join(out)
-    if not raw or any(c in _IRI_FORBIDDEN for c in raw):
+    if not raw or not _IRI_FORBIDDEN.isdisjoint(raw):
         raise _err(text, i, "bad iri")
     return raw, end + 1
 
@@ -221,9 +227,13 @@ def parse_ntriple_line(line: str) -> Triple | None:
 
     Returns a Triple for a well-formed statement, None for blank and
     comment lines, and raises ParseError (with byte offset and category)
-    for anything else.
+    for anything else, including a line that holds a lone surrogate.
     """
     text = line.rstrip("\r\n")
+    if not text.isascii():
+        bad = _SURROGATE_RE.search(text)
+        if bad is not None:
+            raise _err(text, bad.start(), "bad encoding")
     i = _skip_ws(text, 0)
     if i == len(text) or text[i] == "#":
         return None

@@ -6,7 +6,8 @@ sparse kernel: one (property, domain) count table or one pair of profile
 vectors per (instance, class), and a pass that scores every instance
 against every class. The generalization pass is the one kbevolve ran
 before its passes kept dirty sets: it evaluates every class with direct
-instances and scans the whole property table for the class's generalized
+instances, counts its support with its own code once to add and again to
+drop, and scans the whole property table for the class's generalized
 domains, writing the domain table directly. Neither reads nor updates the
 KB's incremental state. The tests compare ``kbevolve.type_inference`` and
 ``kbevolve.generalization`` against them for exact equality.
@@ -24,7 +25,6 @@ from kbevolve.generalization import (
     DomainChange,
     ThresholdPolicy,
     generalization_threshold,
-    property_support,
 )
 from kbevolve.kb import OWL_THING, PROV_GENERALIZED, KnowledgeBase
 from kbevolve.type_inference import (
@@ -213,6 +213,26 @@ def oracle_assign_types(kb: KnowledgeBase, method: str) -> list[TypingDecision]:
         if decision.chosen != decision.previous:
             kb.set_type(decision.instance, decision.chosen)
     return decisions
+
+
+@dataclass
+class SupportStats:
+    """Per-property support among a class's direct instances."""
+
+    class_iri: str
+    n: int
+    per_property: dict[str, tuple[int, float]] = field(default_factory=dict)
+
+
+def property_support(kb: KnowledgeBase, class_iri: str) -> SupportStats:
+    instances = kb.direct_instances(class_iri)
+    n = len(instances)
+    counts: dict[str, int] = {}
+    for ikey in instances:
+        for prop in kb.instances[ikey].properties:
+            counts[prop] = counts.get(prop, 0) + 1
+    per_property = {prop: (c, c / n) for prop, c in counts.items()} if n else {}
+    return SupportStats(class_iri, n, per_property)
 
 
 def _oracle_generalize(kb: KnowledgeBase, class_iri: str) -> list[DomainChange]:

@@ -1,10 +1,16 @@
 """End-to-end CLI tests: commands, flags, exit codes, determinism."""
 
 import csv
+import runpy
+from pathlib import Path
 
 import pytest
 
 from kbevolve.cli import main
+
+
+# The benchmark's probe inputs, defined in perfbench/workloads.py.
+WORKLOADS = runpy.run_path(str(Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"))
 
 
 def run_synth(tmp_path, *extra):
@@ -129,6 +135,19 @@ class TestEvolveCommand:
         assert code == 0
         assert "tolerated 1 malformed instance lines" in capsys.readouterr().out
 
+    def test_undecodable_line_tolerated(self, tmp_path, capsys):
+        schema = tmp_path / "schema.nt"
+        schema.write_text(WORKLOADS["PROBE_SCHEMA"], encoding="utf-8")
+        data = tmp_path / "bad_encoding.nt"
+        data.write_bytes(WORKLOADS["PROBE_BAD_ENCODING"])
+        code, out, report = self._evolve(tmp_path, schema, data)
+        assert code == 0
+        assert "tolerated 1 malformed instance lines" in capsys.readouterr().out
+        assert out.exists() and report.exists()
+        snapshot = out.read_text(encoding="utf-8")
+        assert "<http://probe.example/i1>" in snapshot and "<http://probe.example/i3>" in snapshot
+        assert "<http://probe.example/i2>" not in snapshot
+
 
 class TestReportCommand:
     def test_prints_ratio_lines(self, tmp_path, capsys):
@@ -177,6 +196,15 @@ class TestIngestCommand:
         assert "parse_errors=1" in out
         assert "error line 3" in out
 
+    def test_undecodable_line_listed(self, tmp_path, capsys):
+        path = tmp_path / "data.nt"
+        path.write_bytes(WORKLOADS["PROBE_BAD_ENCODING"])
+        assert main(["ingest", str(path)]) == 0
+        out = capsys.readouterr().out
+        assert "triples_emitted=2" in out
+        assert "parse_errors=1" in out
+        assert "error line 2: bad encoding" in out
+
     def test_missing_file_exits_two(self, tmp_path):
         assert main(["ingest", str(tmp_path / "nope.nt")]) == 2
 
@@ -192,6 +220,14 @@ class TestExportCommand:
         assert main(["export", str(once), "--out", str(twice)]) == 0
         assert once.read_bytes() == twice.read_bytes()
         assert once.read_bytes() == evolved.read_bytes()
+
+    def test_undecodable_snapshot_exits_two(self, tmp_path, capsys):
+        bad = tmp_path / "bad.nt"
+        bad.write_bytes(b'<http://ex/a> <http://ex/p> "\xff" .\n')
+        assert main(["export", str(bad), "--out", str(tmp_path / "out.nt")]) == 2
+        err = capsys.readouterr().err
+        assert "corrupt snapshot" in err and "bad encoding on line 1" in err
+        assert not (tmp_path / "out.nt").exists()
 
 
 class TestHelp:

@@ -1,4 +1,4 @@
-"""Threshold, support counting, and generalization/deletion pass tests."""
+"""Threshold, per-class evaluation (support, add and drop), and pass tests."""
 
 import random
 
@@ -12,10 +12,8 @@ from kbevolve.generalization import (
     ACTION_ADDED,
     ACTION_REMOVED,
     ThresholdPolicy,
-    delete_properties,
+    evaluate_class,
     generalization_threshold,
-    generalize_properties,
-    property_support,
     run_generalization_pass,
 )
 from kbevolve.kb import (
@@ -73,25 +71,37 @@ def typed_kb(class_iri: str, instance_properties: dict[str, set[str]]) -> Knowle
     return kb
 
 
+def add_only(kb: KnowledgeBase, class_iri: str):
+    return evaluate_class(kb, class_iri, ThresholdPolicy(), deletion_enabled=False)
+
+
 class TestPropertySupport:
+    """Support is counted once per evaluate_class call and read back from
+    the ratios of the changes it makes."""
+
     def test_hand_count(self):
+        # One call adds p at 2/2 and then drops the generalized q at 1/2.
         kb = typed_kb(
             CLS + "C",
             {INST + "i1": {PROP + "p", PROP + "q"}, INST + "i2": {PROP + "p"}},
         )
-        stats = property_support(kb, CLS + "C")
-        assert stats.n == 2
-        assert stats.per_property[PROP + "p"] == (2, 1.0)
-        assert stats.per_property[PROP + "q"] == (1, 0.5)
+        kb.add_domain(PROP + "q", CLS + "C", PROV_GENERALIZED)
+        changes = evaluate_class(kb, CLS + "C", ThresholdPolicy(deletion_factor=1.0))
+        threshold = generalization_threshold(2)
+        assert [(c.property_iri, c.action, c.support_ratio, c.threshold) for c in changes] == [
+            (PROP + "p", ACTION_ADDED, 1.0, threshold),
+            (PROP + "q", ACTION_REMOVED, 0.5, threshold),
+        ]
+        assert kb.properties[PROP + "p"].domains == {CLS + "C": PROV_GENERALIZED}
+        assert kb.properties[PROP + "q"].domains == {}
 
     def test_no_direct_instances(self):
         kb, _ = load_schema([subclass(CLS + "C", OWL_THING)])
-        stats = property_support(kb, CLS + "C")
-        assert stats.n == 0 and stats.per_property == {}
+        assert evaluate_class(kb, CLS + "C", ThresholdPolicy()) == []
 
     def test_unknown_class_raises(self):
         with pytest.raises(UnknownEntityError):
-            property_support(KnowledgeBase(), CLS + "Nope")
+            evaluate_class(KnowledgeBase(), CLS + "Nope", ThresholdPolicy())
 
     def test_matches_brute_force_recount(self):
         # Oracle: recount over the raw instance -> property assignments.
@@ -100,15 +110,26 @@ class TestPropertySupport:
             INST + f"i{k}": {PROP + f"p{j}" for j in range(8) if rng.random() < 0.4} | {PROP + "base"}
             for k in range(30)
         }
-        kb = typed_kb(CLS + "C", assignments)
-        stats = property_support(kb, CLS + "C")
         expected: dict[str, int] = {}
         for props in assignments.values():
             for p in props:
                 expected[p] = expected.get(p, 0) + 1
-        assert {p: c for p, (c, _) in stats.per_property.items()} == expected
-        for p, (c, ratio) in stats.per_property.items():
-            assert ratio == pytest.approx(c / 30)
+        threshold = generalization_threshold(30)
+        kb = typed_kb(CLS + "C", assignments)
+        added = add_only(kb, CLS + "C")
+        assert {c.property_iri for c in added} == {p for p, c in expected.items() if c / 30 >= threshold}
+        for change in added:
+            assert change.support_ratio == expected[change.property_iri] / 30
+        # Every property pre-generalized: the symmetric drop rule reports
+        # the count of each one below the threshold.
+        kb = typed_kb(CLS + "C", assignments)
+        for p in expected:
+            kb.add_domain(p, CLS + "C", PROV_GENERALIZED)
+        dropped = evaluate_class(kb, CLS + "C", ThresholdPolicy(deletion_factor=1.0))
+        assert {c.property_iri for c in dropped} == {p for p, c in expected.items() if c / 30 < threshold}
+        for change in dropped:
+            assert change.action == ACTION_REMOVED
+            assert change.support_ratio == expected[change.property_iri] / 30
 
 
 class TestGeneralize:
@@ -121,39 +142,39 @@ class TestGeneralize:
 
     def test_ratio_above_threshold_adds_domain(self):
         kb = self._ratio_kb(6, 10)  # P(10) = 0.5, ratio 0.6
-        changes = generalize_properties(kb, CLS + "C")
+        changes = add_only(kb, CLS + "C")
         added = {c.property_iri for c in changes}
         assert PROP + "p" in added
         assert kb.properties[PROP + "p"].domains[CLS + "C"] == PROV_GENERALIZED
 
     def test_ratio_below_threshold_not_added(self):
         kb = self._ratio_kb(4, 10)  # ratio 0.4 < 0.5
-        changes = generalize_properties(kb, CLS + "C")
+        changes = add_only(kb, CLS + "C")
         assert PROP + "p" not in {c.property_iri for c in changes}
         assert CLS + "C" not in kb.properties[PROP + "p"].domains
 
     def test_single_instance_boundary_inclusive(self):
         kb = typed_kb(CLS + "C", {INST + "only": {PROP + "p"}})
-        changes = generalize_properties(kb, CLS + "C")
+        changes = add_only(kb, CLS + "C")
         assert [(c.property_iri, c.action) for c in changes] == [(PROP + "p", ACTION_ADDED)]
         assert changes[0].support_ratio == 1.0 and changes[0].threshold == 1.0
 
     def test_existing_domain_untouched(self):
         kb, _ = load_schema([subclass(CLS + "C", OWL_THING), domain(PROP + "p", CLS + "C")])
         kb.add_instance_triples([t(INST + "i", RDF_TYPE, CLS + "C"), t_lit(INST + "i", PROP + "p")])
-        changes = generalize_properties(kb, CLS + "C")
+        changes = add_only(kb, CLS + "C")
         assert changes == []
         assert kb.properties[PROP + "p"].domains[CLS + "C"] == PROV_SCHEMA
 
     def test_no_direct_instances_noop(self):
         kb, _ = load_schema([subclass(CLS + "C", OWL_THING)])
-        assert generalize_properties(kb, CLS + "C") == []
+        assert add_only(kb, CLS + "C") == []
 
     def test_never_removes_or_touches_instances(self):
         kb = self._ratio_kb(6, 10)
         before = {p: dict(r.domains) for p, r in kb.properties.items()}
         instance_props = {k: set(r.properties) for k, r in kb.instances.items()}
-        generalize_properties(kb, CLS + "C")
+        add_only(kb, CLS + "C")
         for p, doms in before.items():
             assert set(doms) <= set(kb.properties[p].domains)
         assert {k: set(r.properties) for k, r in kb.instances.items()} == instance_props
@@ -168,34 +189,36 @@ class TestDelete:
                 for k in range(total)
             },
         )
+        # base is on every instance; a schema domain keeps it from being added.
+        kb.add_domain(PROP + "base", CLS + "C", PROV_SCHEMA)
         kb.add_domain(PROP + "p", CLS + "C", provenance)
         return kb
 
     def test_low_support_generalized_domain_removed(self):
         kb = self._kb_with_generalized(2, 10)  # 0.2 < 0.25 = 0.5 * P(10)
-        changes = delete_properties(kb, CLS + "C", ThresholdPolicy())
+        changes = evaluate_class(kb, CLS + "C", ThresholdPolicy())
         assert [(c.property_iri, c.action) for c in changes] == [(PROP + "p", ACTION_REMOVED)]
         assert CLS + "C" not in kb.properties[PROP + "p"].domains
 
     def test_support_above_deletion_threshold_retained(self):
         kb = self._kb_with_generalized(3, 10)  # 0.3 >= 0.25
-        assert delete_properties(kb, CLS + "C", ThresholdPolicy()) == []
+        assert evaluate_class(kb, CLS + "C", ThresholdPolicy()) == []
         assert CLS + "C" in kb.properties[PROP + "p"].domains
 
     def test_schema_domains_never_deleted(self):
         kb = self._kb_with_generalized(0, 10, provenance=PROV_SCHEMA)
-        assert delete_properties(kb, CLS + "C", ThresholdPolicy()) == []
+        assert evaluate_class(kb, CLS + "C", ThresholdPolicy()) == []
         assert kb.properties[PROP + "p"].domains[CLS + "C"] == PROV_SCHEMA
 
     def test_zero_support_generalized_removed(self):
         kb = self._kb_with_generalized(0, 10)
-        changes = delete_properties(kb, CLS + "C", ThresholdPolicy())
+        changes = evaluate_class(kb, CLS + "C", ThresholdPolicy())
         assert changes and changes[0].support_ratio == 0.0
 
     def test_no_direct_instances_no_deletion(self):
         kb, _ = load_schema([subclass(CLS + "C", OWL_THING), domain(PROP + "q", CLS + "D2")])
         kb.add_domain(PROP + "q", CLS + "C", PROV_GENERALIZED)
-        assert delete_properties(kb, CLS + "C", ThresholdPolicy()) == []
+        assert evaluate_class(kb, CLS + "C", ThresholdPolicy()) == []
 
 
 class TestPass:

@@ -10,12 +10,7 @@ from hypothesis import strategies as st
 from helpers import CLS, INST, PROP, domain, kb_instance_state, subclass, t, t_lit
 from kbevolve import generalization, type_inference
 from kbevolve.errors import UnknownEntityError
-from kbevolve.generalization import (
-    ThresholdPolicy,
-    delete_properties,
-    generalize_properties,
-    run_generalization_pass,
-)
+from kbevolve.generalization import ThresholdPolicy, evaluate_class, run_generalization_pass
 from kbevolve.kb import (
     OWL_THING,
     PROV_GENERALIZED,
@@ -107,7 +102,8 @@ class TestMatchesFullRecompute:
         schema, batches = inputs
         kb, oracle_kb = build(schema), build(schema)
         for batch, rounds in batches:
-            assert kb.add_instance_triples(batch) == oracle_kb.add_instance_triples(batch)
+            kb.add_instance_triples(batch)
+            oracle_kb.add_instance_triples(batch)
             for policy, deletion_enabled, method in rounds:
                 changes = run_generalization_pass(kb, policy, deletion_enabled=deletion_enabled)
                 expected = oracle_generalization_pass(
@@ -160,12 +156,10 @@ class TestClassOrder:
         shuffled = self._build(schema, generalized, data)
         changes = run_generalization_pass(leaf_first, policy, deletion_enabled=deletion_enabled)
         shuffled_changes = []
-        for cls in order:
-            if not shuffled.direct_instance_index.get(cls):
-                continue
-            shuffled_changes.extend(generalize_properties(shuffled, cls))
-            if deletion_enabled:
-                shuffled_changes.extend(delete_properties(shuffled, cls, policy))
+        for cls in order:  # a class with no direct instances changes nothing
+            shuffled_changes.extend(
+                evaluate_class(shuffled, cls, policy, deletion_enabled=deletion_enabled)
+            )
         assert Counter(changes) == Counter(shuffled_changes)
         assert domain_table(leaf_first) == domain_table(shuffled)
 
@@ -215,13 +209,13 @@ def scored(monkeypatch):
 def evaluated(monkeypatch):
     """Classes the generalization pass evaluates, in order."""
     seen = []
-    real = generalization.generalize_properties
+    real = generalization.evaluate_class
 
-    def spy(kb, class_iri):
+    def spy(kb, class_iri, *args, **kwargs):
         seen.append(class_iri)
-        return real(kb, class_iri)
+        return real(kb, class_iri, *args, **kwargs)
 
-    monkeypatch.setattr(generalization, "generalize_properties", spy)
+    monkeypatch.setattr(generalization, "evaluate_class", spy)
     return seen
 
 

@@ -137,6 +137,25 @@ class TestParseErrors:
             parse_ntriple_line("<http://ex/a> <http://ex/p> .")
         assert exc_info.value.byte_offset == 28
 
+    @pytest.mark.parametrize(
+        "raw,offset",
+        [
+            (b'<http://ex/a> <http://ex/p> "caf\xc3\xa9\xff\xfe" .', 34),
+            (b"<http://ex/\x80> <http://ex/p> <http://ex/b> .", 11),
+            (b"# comment \xff", 10),
+        ],
+    )
+    def test_undecodable_byte_is_bad_encoding(self, raw, offset):
+        with pytest.raises(ParseError) as exc_info:
+            parse_ntriple_line(raw.decode("utf-8", errors="surrogateescape"))
+        assert exc_info.value.category == "bad encoding"
+        assert exc_info.value.byte_offset == offset
+
+    def test_valid_non_ascii_literal_parses(self):
+        raw = '<http://ex/a> <http://ex/p> "café" .'.encode("utf-8")
+        t = parse_ntriple_line(raw.decode("utf-8", errors="surrogateescape"))
+        assert t.object == literal("café")
+
     def test_determinism(self):
         line = "<http://ex/a> <http://ex/p> <http://ex/b> ."
         assert parse_ntriple_line(line) == parse_ntriple_line(line)

@@ -278,24 +278,6 @@ def _require_iri(term, what: str) -> None:
         raise SchemaError(f"{what} must be an IRI, got {term.kind.value}")
 
 
-def _check_acyclic(parents: dict[str, str]) -> None:
-    state: dict[str, int] = {}  # 1 = on current walk, 2 = cleared
-    for start in parents:
-        if state.get(start) == 2:
-            continue
-        path: list[str] = []
-        node = start
-        while node in parents and state.get(node) != 2:
-            if state.get(node) == 1:
-                cycle = path[path.index(node) :]
-                raise SchemaError("subClassOf cycle: " + " -> ".join(cycle + [node]))
-            state[node] = 1
-            path.append(node)
-            node = parents[node]
-        for seen in path:
-            state[seen] = 2
-
-
 def load_schema(triples: Iterable[Triple]) -> tuple[KnowledgeBase, list[Triple]]:
     """Bootstrap a KB from schema statements.
 
@@ -341,13 +323,17 @@ def load_schema(triples: Iterable[Triple]) -> tuple[KnowledgeBase, list[Triple]]
             leftover.append(t)
 
     class_iris.discard(OWL_THING)
-    _check_acyclic(parents)
 
     for ciri in sorted(class_iris):
         chain: list[str] = []
+        on_chain: set[str] = set()
         node = ciri
         while node != OWL_THING and node not in kb.classes:
+            if node in on_chain:
+                cycle = chain[chain.index(node) :] + [node]
+                raise SchemaError("subClassOf cycle: " + " -> ".join(cycle))
             chain.append(node)
+            on_chain.add(node)
             node = parents.get(node, OWL_THING)
         for pending in reversed(chain):
             kb.add_class(pending, parents.get(pending, OWL_THING))

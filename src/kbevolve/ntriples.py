@@ -1,11 +1,15 @@
 """Line-oriented N-Triples parsing, batching, and serialization.
 
 One statement per line, terminated by ``.``; ``#`` starts a comment; files
-are UTF-8. Unicode escapes (``\\uXXXX``, ``\\UXXXXXXXX``) are decoded in
-IRIs and literals, and the usual string escapes are decoded in literals.
-IRIs are otherwise kept verbatim: no case folding, percent decoding, or
-resolution, so distinct spellings stay distinct identifiers. Blank node
-labels are restricted to ``[A-Za-z0-9_-]+``.
+are UTF-8. Unicode escapes (``\\uXXXX``, ``\\UXXXXXXXX``: exactly 4 or 8
+hex digits naming a code point that is not a surrogate) are decoded in
+IRIs and literals, and the usual string escapes are decoded in literals;
+any other backslash is a ``bad escape`` at its byte offset. Each term body
+is scanned by one regex and decoded by one substitution. IRIs are
+otherwise kept verbatim: no case folding, percent decoding, or resolution,
+so distinct spellings stay distinct identifiers; ``Term`` rejects an empty
+IRI or one holding a space, tab, ``<`` or ``>``. Blank node labels are
+restricted to ``[A-Za-z0-9_-]+``.
 
 Parsing is pure per line, so a malformed line can never corrupt the parse
 of any other line, and parsed batches are immutable values. The CLI opens
@@ -28,17 +32,19 @@ _IRI_FORBIDDEN = set(" \t<>")
 # bytes that are not UTF-8.
 _SURROGATE_RE = re.compile(r"[\ud800-\udfff]")
 _BLANK_LABEL_RE = re.compile(r"[A-Za-z0-9_-]+")
+_LANG_CHARS_RE = re.compile(r"[A-Za-z0-9-]*")
 _LANG_TAG_RE = re.compile(r"[A-Za-z]+(?:-[A-Za-z0-9]+)*\Z")
+# A term's opening delimiter, its body (group 1: the longest prefix whose
+# escapes are well formed) and its closing delimiter if the body reaches it
+# (group 2); a body that stops short stops at a malformed escape.
+_UCHAR = r"u[0-9A-Fa-f]{4}|U[0-9A-Fa-f]{8}"
+_IRI_RE = re.compile(rf"<([^>\\]*(?:\\(?:{_UCHAR})[^>\\]*)*)(>?)")
+_LITERAL_RE = re.compile(rf'''"([^"\\]*(?:\\(?:[tbnrf"'\\]|{_UCHAR})[^"\\]*)*)("?)''')
+_ESCAPE_RE = re.compile(rf"\\({_UCHAR}|.)")
 _ECHAR = {"t": "\t", "b": "\b", "n": "\n", "r": "\r", "f": "\f", '"': '"', "'": "'", "\\": "\\"}
-_LITERAL_ESCAPES = {
-    "\\": "\\\\",
-    '"': '\\"',
-    "\n": "\\n",
-    "\r": "\\r",
-    "\t": "\\t",
-    "\b": "\\b",
-    "\f": "\\f",
-}
+_LITERAL_ESCAPES = {c: f"\\u{c:04X}" for c in range(0x20)} | str.maketrans(
+    {"\\": "\\\\", '"': '\\"', "\n": "\\n", "\r": "\\r", "\t": "\\t", "\b": "\\b", "\f": "\\f"}
+)
 
 
 class TermKind(Enum):
@@ -128,72 +134,57 @@ def _skip_ws(text: str, i: int) -> int:
     return i
 
 
-def _decode_uchar(text: str, i: int) -> tuple[str, int]:
-    """Decode one \\uXXXX or \\UXXXXXXXX at text[i] (a backslash)."""
-    marker = text[i + 1 : i + 2]
-    width = 4 if marker == "u" else 8 if marker == "U" else 0
-    if not width:
-        raise _err(text, i, "bad escape")
-    digits = text[i + 2 : i + 2 + width]
-    if len(digits) != width:
-        raise _err(text, i, "bad escape")
-    try:
-        code = int(digits, 16)
-    except ValueError:
-        raise _err(text, i, "bad escape") from None
-    if 0xD800 <= code <= 0xDFFF or code > 0x10FFFF:
-        raise _err(text, i, "bad escape", "invalid code point")
-    return chr(code), i + 2 + width
+def _unescape(text: str, start: int, body: str) -> str:
+    """Decode the escapes of a term body matched at text[start]; an escaped
+    surrogate or a code point above U+10FFFF is a ``bad escape`` at its
+    backslash."""
+
+    def decode(m: re.Match) -> str:
+        esc = m.group(1)
+        if len(esc) == 1:
+            return _ECHAR[esc]
+        code = int(esc[1:], 16)
+        if 0xD800 <= code <= 0xDFFF or code > 0x10FFFF:
+            raise _err(text, start + m.start(), "bad escape", "invalid code point")
+        return chr(code)
+
+    return _ESCAPE_RE.sub(decode, body)
 
 
-def _read_iri(text: str, i: int) -> tuple[str, int]:
-    end = text.find(">", i + 1)
-    if end < 0:
+def _read_iri(text: str, i: int) -> tuple[Term, int]:
+    m = _IRI_RE.match(text, i)
+    body, closed = m.groups()
+    # With no ">" left the IRI is unterminated, whatever its escapes hold.
+    if not closed and text.find(">", m.end()) < 0:
         raise _err(text, i, "unterminated iri")
-    raw = text[i + 1 : end]
-    if "\\" in raw:
-        out: list[str] = []
-        k = i + 1
-        while k < end:
-            if text[k] == "\\":
-                decoded, k = _decode_uchar(text, k)
-                out.append(decoded)
-            else:
-                out.append(text[k])
-                k += 1
-        raw = "".join(out)
-    if not raw or not _IRI_FORBIDDEN.isdisjoint(raw):
-        raise _err(text, i, "bad iri")
-    return raw, end + 1
+    value = _unescape(text, i + 1, body) if "\\" in body else body
+    if not closed:
+        raise _err(text, m.end(), "bad escape")
+    try:
+        return Term(TermKind.IRI, value), m.end()
+    except ValueError:
+        raise _err(text, i, "bad iri") from None
 
 
 def _read_literal(text: str, i: int) -> tuple[Term, int]:
-    out: list[str] = []
-    k = i + 1
-    while k < len(text) and text[k] != '"':
-        if text[k] == "\\":
-            esc = text[k + 1 : k + 2]
-            if esc in _ECHAR:
-                out.append(_ECHAR[esc])
-                k += 2
-            else:
-                decoded, k = _decode_uchar(text, k)
-                out.append(decoded)
-        else:
-            out.append(text[k])
-            k += 1
-    if k == len(text):
-        raise _err(text, i, "unterminated literal")
-    value = "".join(out)
-    k += 1
+    m = _LITERAL_RE.match(text, i)
+    body, closed = m.groups()
+    # Decoded first: an invalid code point before the stop is the error,
+    # even in a literal that never closes.
+    value = _unescape(text, i + 1, body) if "\\" in body else body
+    k = m.end()
+    if not closed:
+        if k == len(text):
+            raise _err(text, i, "unterminated literal")
+        raise _err(text, k, "bad escape")
     language = datatype = None
     if text[k : k + 2] == "^^":
         if text[k + 2 : k + 3] != "<":
             raise _err(text, k, "bad datatype")
-        datatype, k = _read_iri(text, k + 2)
+        datatype_term, k = _read_iri(text, k + 2)
+        datatype = datatype_term.value
     elif text[k : k + 1] == "@":
-        m = re.compile(r"[A-Za-z0-9-]*").match(text, k + 1)
-        tag = m.group() if m else ""
+        tag = _LANG_CHARS_RE.match(text, k + 1).group()
         if not _LANG_TAG_RE.match(tag):
             raise _err(text, k, "bad language tag")
         language = tag
@@ -210,8 +201,7 @@ def _read_term(text: str, i: int, role: str) -> tuple[Term, int]:
     if role == "predicate" and ch != "<":
         raise _err(text, i, "bad predicate")
     if ch == "<":
-        value, j = _read_iri(text, i)
-        return Term(TermKind.IRI, value), j
+        return _read_iri(text, i)
     if ch == "_" and text[i + 1 : i + 2] == ":":
         m = _BLANK_LABEL_RE.match(text, i + 2)
         if m is None:
@@ -288,24 +278,12 @@ def read_batch(
     return triples, report
 
 
-def _escape_literal(value: str) -> str:
-    out = []
-    for c in value:
-        if c in _LITERAL_ESCAPES:
-            out.append(_LITERAL_ESCAPES[c])
-        elif ord(c) < 0x20:
-            out.append(f"\\u{ord(c):04X}")
-        else:
-            out.append(c)
-    return "".join(out)
-
-
 def term_to_ntriples(term: Term) -> str:
     if term.kind is TermKind.IRI:
         return f"<{term.value}>"
     if term.kind is TermKind.BLANK_NODE:
         return term.value
-    body = f'"{_escape_literal(term.value)}"'
+    body = f'"{term.value.translate(_LITERAL_ESCAPES)}"'
     if term.language_tag is not None:
         return f"{body}@{term.language_tag}"
     if term.datatype_iri is not None:

@@ -1,5 +1,5 @@
-"""Per-pair reference scorers, the dense typing pass, and the full-scan
-generalization pass.
+"""Per-pair reference scorers, the dense typing pass, the full-scan
+generalization pass, and the character-walking N-Triples line parser.
 
 This is the typing code kbevolve ran before its three methods shared one
 sparse kernel: one (property, domain) count table or one pair of profile
@@ -10,15 +10,18 @@ instances, counts its support with its own code once to add and again to
 drop, and scans the whole property table for the class's generalized
 domains, writing the domain table directly. Neither reads nor updates the
 KB's incremental state. The tests compare ``kbevolve.type_inference`` and
-``kbevolve.generalization`` against them for exact equality.
+``kbevolve.generalization`` against them for exact equality, and
+``kbevolve.ntriples.parse_ntriple_line`` against ``oracle_parse_line``.
 """
 
 from __future__ import annotations
 
 import math
+import re
+import string
 from dataclasses import dataclass, field
 
-from kbevolve.errors import UnknownEntityError
+from kbevolve.errors import ParseError, UnknownEntityError
 from kbevolve.generalization import (
     ACTION_ADDED,
     ACTION_REMOVED,
@@ -27,6 +30,7 @@ from kbevolve.generalization import (
     generalization_threshold,
 )
 from kbevolve.kb import OWL_THING, PROV_GENERALIZED, KnowledgeBase
+from kbevolve.ntriples import Term, TermKind, Triple
 from kbevolve.type_inference import (
     METHOD_COSINE,
     METHOD_NAIVE,
@@ -286,3 +290,152 @@ def oracle_generalization_pass(
         if deletion_enabled:
             changes.extend(_oracle_delete(kb, class_iri, policy))
     return changes
+
+
+# The N-Triples line parser kbevolve ran before its term bodies were scanned
+# by regexes: a character walker that decodes one escape at a time. It
+# differs from that walker only in requiring hex digits in \u and \U escapes
+# (``int(digits, 16)`` also took a sign, spaces, underscores and ``0x``).
+
+_HEX_DIGITS = set(string.hexdigits)
+_IRI_FORBIDDEN = set(" \t<>")
+# Lone surrogates: how a file opened with errors="surrogateescape" carries
+# bytes that are not UTF-8.
+_SURROGATE_RE = re.compile(r"[\ud800-\udfff]")
+_BLANK_LABEL_RE = re.compile(r"[A-Za-z0-9_-]+")
+_LANG_TAG_RE = re.compile(r"[A-Za-z]+(?:-[A-Za-z0-9]+)*\Z")
+_ECHAR = {"t": "\t", "b": "\b", "n": "\n", "r": "\r", "f": "\f", '"': '"', "'": "'", "\\": "\\"}
+
+
+def _byte_offset(text: str, pos: int) -> int:
+    return len(text[:pos].encode("utf-8"))
+
+
+def _err(text: str, pos: int, category: str, detail: str = "") -> ParseError:
+    return ParseError(category, _byte_offset(text, pos), detail)
+
+
+def _skip_ws(text: str, i: int) -> int:
+    while i < len(text) and text[i] in " \t":
+        i += 1
+    return i
+
+
+def _decode_uchar(text: str, i: int) -> tuple[str, int]:
+    """Decode one \\uXXXX or \\UXXXXXXXX at text[i] (a backslash)."""
+    marker = text[i + 1 : i + 2]
+    width = 4 if marker == "u" else 8 if marker == "U" else 0
+    if not width:
+        raise _err(text, i, "bad escape")
+    digits = text[i + 2 : i + 2 + width]
+    if len(digits) != width or not _HEX_DIGITS.issuperset(digits):
+        raise _err(text, i, "bad escape")
+    code = int(digits, 16)
+    if 0xD800 <= code <= 0xDFFF or code > 0x10FFFF:
+        raise _err(text, i, "bad escape", "invalid code point")
+    return chr(code), i + 2 + width
+
+
+def _read_iri(text: str, i: int) -> tuple[str, int]:
+    end = text.find(">", i + 1)
+    if end < 0:
+        raise _err(text, i, "unterminated iri")
+    raw = text[i + 1 : end]
+    if "\\" in raw:
+        out: list[str] = []
+        k = i + 1
+        while k < end:
+            if text[k] == "\\":
+                decoded, k = _decode_uchar(text, k)
+                out.append(decoded)
+            else:
+                out.append(text[k])
+                k += 1
+        raw = "".join(out)
+    if not raw or not _IRI_FORBIDDEN.isdisjoint(raw):
+        raise _err(text, i, "bad iri")
+    return raw, end + 1
+
+
+def _read_literal(text: str, i: int) -> tuple[Term, int]:
+    out: list[str] = []
+    k = i + 1
+    while k < len(text) and text[k] != '"':
+        if text[k] == "\\":
+            esc = text[k + 1 : k + 2]
+            if esc in _ECHAR:
+                out.append(_ECHAR[esc])
+                k += 2
+            else:
+                decoded, k = _decode_uchar(text, k)
+                out.append(decoded)
+        else:
+            out.append(text[k])
+            k += 1
+    if k == len(text):
+        raise _err(text, i, "unterminated literal")
+    value = "".join(out)
+    k += 1
+    language = datatype = None
+    if text[k : k + 2] == "^^":
+        if text[k + 2 : k + 3] != "<":
+            raise _err(text, k, "bad datatype")
+        datatype, k = _read_iri(text, k + 2)
+    elif text[k : k + 1] == "@":
+        m = re.compile(r"[A-Za-z0-9-]*").match(text, k + 1)
+        tag = m.group() if m else ""
+        if not _LANG_TAG_RE.match(tag):
+            raise _err(text, k, "bad language tag")
+        language = tag
+        k += 1 + len(tag)
+    return Term(TermKind.LITERAL, value, language, datatype), k
+
+
+def _read_term(text: str, i: int, role: str) -> tuple[Term, int]:
+    if i == len(text) or text[i] == ".":
+        raise _err(text, i, f"missing {role}")
+    ch = text[i]
+    if ch == '"' and role == "subject":
+        raise _err(text, i, "literal in subject position")
+    if role == "predicate" and ch != "<":
+        raise _err(text, i, "bad predicate")
+    if ch == "<":
+        value, j = _read_iri(text, i)
+        return Term(TermKind.IRI, value), j
+    if ch == "_" and text[i + 1 : i + 2] == ":":
+        m = _BLANK_LABEL_RE.match(text, i + 2)
+        if m is None:
+            raise _err(text, i, "bad blank node")
+        return Term(TermKind.BLANK_NODE, text[i : m.end()]), m.end()
+    if ch == '"':
+        return _read_literal(text, i)
+    raise _err(text, i, f"bad {role}")
+
+
+def oracle_parse_line(line: str) -> Triple | None:
+    """Parse one physical line.
+
+    Returns a Triple for a well-formed statement, None for blank and
+    comment lines, and raises ParseError (with byte offset and category)
+    for anything else, including a line that holds a lone surrogate.
+    """
+    text = line.rstrip("\r\n")
+    if not text.isascii():
+        bad = _SURROGATE_RE.search(text)
+        if bad is not None:
+            raise _err(text, bad.start(), "bad encoding")
+    i = _skip_ws(text, 0)
+    if i == len(text) or text[i] == "#":
+        return None
+    subject, i = _read_term(text, i, "subject")
+    i = _skip_ws(text, i)
+    predicate, i = _read_term(text, i, "predicate")
+    i = _skip_ws(text, i)
+    obj, i = _read_term(text, i, "object")
+    i = _skip_ws(text, i)
+    if i == len(text) or text[i] != ".":
+        raise _err(text, i, "missing dot")
+    i = _skip_ws(text, i + 1)
+    if i < len(text) and text[i] != "#":
+        raise _err(text, i, "trailing garbage")
+    return Triple(subject, predicate, obj)

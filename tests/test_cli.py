@@ -11,6 +11,12 @@ from kbevolve.cli import main
 
 # The benchmark's probe inputs, defined in perfbench/workloads.py.
 WORKLOADS = runpy.run_path(str(Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"))
+# Line 2's \u escape holds a sign where its four hex digits belong.
+BAD_ESCAPE_LINES = (
+    '<http://probe.example/i1> <http://probe.example/p> "a" .\n'
+    '<http://probe.example/i2> <http://probe.example/p> "\\u-001" .\n'
+    '<http://probe.example/i3> <http://probe.example/p> "c" .\n'
+)
 
 
 def run_synth(tmp_path, *extra):
@@ -148,6 +154,19 @@ class TestEvolveCommand:
         assert "<http://probe.example/i1>" in snapshot and "<http://probe.example/i3>" in snapshot
         assert "<http://probe.example/i2>" not in snapshot
 
+    def test_malformed_unicode_escape_tolerated(self, tmp_path, capsys):
+        schema = tmp_path / "schema.nt"
+        schema.write_text(WORKLOADS["PROBE_SCHEMA"], encoding="utf-8")
+        data = tmp_path / "bad_escape.nt"
+        data.write_text(BAD_ESCAPE_LINES, encoding="utf-8")
+        code, out, report = self._evolve(tmp_path, schema, data)
+        assert code == 0
+        assert "tolerated 1 malformed instance lines" in capsys.readouterr().out
+        assert out.exists() and report.exists()
+        snapshot = out.read_text(encoding="utf-8")
+        assert "<http://probe.example/i1>" in snapshot and "<http://probe.example/i3>" in snapshot
+        assert "<http://probe.example/i2>" not in snapshot
+
 
 class TestReportCommand:
     def test_prints_ratio_lines(self, tmp_path, capsys):
@@ -204,6 +223,14 @@ class TestIngestCommand:
         assert "triples_emitted=2" in out
         assert "parse_errors=1" in out
         assert "error line 2: bad encoding" in out
+
+    def test_malformed_unicode_escape_listed(self, tmp_path, capsys):
+        path = tmp_path / "data.nt"
+        path.write_text(BAD_ESCAPE_LINES, encoding="utf-8")
+        assert main(["ingest", str(path)]) == 0
+        out = capsys.readouterr().out
+        assert "triples_emitted=2" in out
+        assert "error line 2: bad escape" in out
 
     def test_missing_file_exits_two(self, tmp_path):
         assert main(["ingest", str(tmp_path / "nope.nt")]) == 2

@@ -20,6 +20,7 @@ from kbevolve.ntriples import (
     term_to_ntriples,
     triple_to_line,
 )
+from oracles import oracle_parse_line
 
 
 class TestTermValidation:
@@ -115,6 +116,24 @@ class TestParseErrors:
     def test_bad_unicode_escape(self):
         assert self._category('<http://ex/a> <http://ex/p> "\\u00G1" .') == "bad escape"
         assert self._category('<http://ex/a> <http://ex/p> "\\uD800" .') == "bad escape"
+
+    @pytest.mark.parametrize(
+        "line",
+        [
+            '<http://ex/a> <http://ex/p> "\\u+041" .',
+            '<http://ex/a> <http://ex/p> "\\u 41 " .',
+            '<http://ex/a> <http://ex/p> "\\u0_41" .',
+            '<http://ex/a> <http://ex/p> "\\u\t110000" .',
+            '<http://ex/a> <http://ex/p> "\\u-001" .',
+            '<http://ex/a> <http://ex/p> "\\U-0000001" .',
+            "<http://ex/a\\u+041> <http://ex/p> <http://ex/b> .",
+        ],
+    )
+    def test_unicode_escape_digits_must_be_hex(self, line):
+        with pytest.raises(ParseError) as exc_info:
+            parse_ntriple_line(line)
+        assert exc_info.value.category == "bad escape"
+        assert exc_info.value.byte_offset == line.index("\\")
 
     def test_unterminated_iri(self):
         assert self._category("<http://ex/a <http://ex/p> <http://ex/b> .") == "bad iri"
@@ -283,6 +302,15 @@ class TestRoundTrip:
         assert term_to_ntriples(literal("x", language_tag="ko")) == '"x"@ko'
         assert term_to_ntriples(literal("x", datatype_iri="http://ex/d")) == '"x"^^<http://ex/d>'
 
+    def test_literal_escape_text_pinned(self):
+        value = "".join(map(chr, range(0x20))) + "\\\"'é"
+        assert term_to_ntriples(literal(value)) == (
+            '"\\u0000\\u0001\\u0002\\u0003\\u0004\\u0005\\u0006\\u0007\\b\\t\\n\\u000B\\f\\r'
+            "\\u000E\\u000F\\u0010\\u0011\\u0012\\u0013\\u0014\\u0015\\u0016\\u0017"
+            "\\u0018\\u0019\\u001A\\u001B\\u001C\\u001D\\u001E\\u001F"
+            '\\\\\\"\'é"'
+        )
+
     @given(st.lists(st.sampled_from(["valid", "comment", "blank", "bad"]), max_size=30))
     def test_accounting_is_exact(self, kinds):
         lines = {
@@ -304,3 +332,45 @@ class TestRoundTrip:
         first = read_batch(iter(stream), 10)
         second = read_batch(iter(stream), 10)
         assert first == second
+
+
+# Lines assembled from the pieces a malformed escape or term is made of.
+# Subjects and predicates are often well formed, so that most lines reach
+# the object; objects are often literals that never close.
+_PIECES = st.sampled_from(
+    [
+        "<", ">", '"', "\\", "u", "U", "0", "4", "a", "F", "D800", "110000", "g", "-", "+",
+        " ", "\t", "^^", "@", "en", "_:", "b", "#", ".", "\ud800", "é",
+    ]
+)
+_ESCAPES = st.sampled_from(["\\u0041", "\\uD800", "\\U00110000", "\\u-001", "\\q", '\\"'])
+_SOUP = st.lists(st.one_of(_PIECES, _ESCAPES), max_size=6).map("".join)
+_OPENED = st.tuples(st.sampled_from(["<", '"', "_:"]), _SOUP, st.sampled_from([">", '"', ""])).map("".join)
+_SEP = st.sampled_from(["", " ", "\t "])
+_LINES = st.tuples(
+    st.one_of(st.sampled_from(["<http://ex/s>", "_:s"]), _OPENED),
+    _SEP,
+    st.one_of(st.just("<http://ex/p>"), _OPENED),
+    _SEP,
+    st.one_of(
+        st.sampled_from(["<http://ex/o>", "_:o", '"v"', '"v"@en', '"v"^^<http://ex/d>']),
+        _OPENED,
+        _SOUP.map(lambda body: '"' + body),
+    ),
+    _SEP,
+    st.one_of(st.sampled_from([".", " .", ". # c"]), _SOUP),
+).map("".join)
+
+
+def _outcome(parse, line):
+    try:
+        return parse(line)
+    except ParseError as exc:
+        return exc.category, exc.byte_offset
+
+
+class TestMatchesWalker:
+    @given(_LINES)
+    @settings(max_examples=1000)
+    def test_same_triple_or_same_error(self, line):
+        assert _outcome(parse_ntriple_line, line) == _outcome(oracle_parse_line, line)

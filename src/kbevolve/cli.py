@@ -13,7 +13,7 @@ import sys
 from contextlib import ExitStack
 from pathlib import Path
 
-from kbevolve.errors import ConfigError, SchemaError
+from kbevolve.errors import SchemaError
 from kbevolve.evolution import (
     DOMAIN_AUDIT_COLUMNS,
     TYPING_AUDIT_COLUMNS,
@@ -209,7 +209,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (SchemaError, ConfigError, ValueError) as exc:
+    except (SchemaError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except OSError as exc:

@@ -89,14 +89,13 @@ class KnowledgeBase:
 
     # ---- classes ----------------------------------------------------
 
-    def add_class(self, iri: str, parent: str | None = None) -> ClassNode:
+    def add_class(self, iri: str, parent: str) -> ClassNode:
         if iri in self.classes:
             raise SchemaError(f"class already defined: {iri}")
-        parent_iri = parent if parent is not None else OWL_THING
-        parent_node = self.classes.get(parent_iri)
+        parent_node = self.classes.get(parent)
         if parent_node is None:
-            raise SchemaError(f"unknown parent class: {parent_iri}")
-        node = ClassNode(iri, parent_iri, depth=parent_node.depth + 1)
+            raise SchemaError(f"unknown parent class: {parent}")
+        node = ClassNode(iri, parent, depth=parent_node.depth + 1)
         self.classes[iri] = node
         parent_node.children.add(iri)
         self.table_version += 1  # pfidf weights depend on the class count
@@ -153,9 +152,11 @@ class KnowledgeBase:
     # ---- instances ---------------------------------------------------
 
     def direct_instances(self, class_iri: str) -> set[str]:
+        """The index's own set of the class's direct instances: read-only
+        for callers, and changed by the next set_type."""
         if class_iri not in self.classes:
             raise UnknownEntityError(f"unknown class: {class_iri}")
-        return set(self.direct_instance_index.get(class_iri, ()))
+        return self.direct_instance_index.get(class_iri, set())
 
     def set_type(self, instance_iri: str, class_iri: str | None) -> None:
         rec = self.instances.get(instance_iri)

@@ -23,7 +23,7 @@ import math
 from dataclasses import dataclass
 
 from kbevolve.errors import UnknownEntityError
-from kbevolve.kb import OWL_THING, InstanceRecord, KnowledgeBase
+from kbevolve.kb import OWL_THING, KnowledgeBase
 
 METHOD_NAIVE = "naive"
 METHOD_COSINE = "cosine"
@@ -38,13 +38,6 @@ class TypingDecision:
     chosen: str | None
     score: float
     method: str
-
-
-def _instance_record(kb: KnowledgeBase, instance_iri: str) -> InstanceRecord:
-    rec = kb.instances.get(instance_iri)
-    if rec is None:
-        raise UnknownEntityError(f"unknown instance: {instance_iri}")
-    return rec
 
 
 def idf_weight(kb: KnowledgeBase, property_iri: str) -> float:
@@ -112,13 +105,6 @@ class _Kernel:
         return {cls: min(1.0, d / math.sqrt(self.norms[cls] * n_props)) for cls, d in dot.items()}
 
 
-def class_scores(kb: KnowledgeBase, instance_iri: str, method: str) -> dict[str, float]:
-    """Score of every non-root class the instance's properties give
-    evidence for; classes missing from the result score 0.0."""
-    rec = _instance_record(kb, instance_iri)
-    return _Kernel(kb, method).scores(rec.properties)
-
-
 def _decide(
     kb: KnowledgeBase,
     instance_iri: str,
@@ -136,22 +122,6 @@ def _decide(
     if previous is not None and scores.get(previous, 0.0) >= best_score:
         best = previous
     return TypingDecision(instance_iri, previous, best, scores.get(best, 0.0), method)
-
-
-def naive_assign(kb: KnowledgeBase, instance_iri: str) -> TypingDecision:
-    """Choose the class with the most (property, domain) pair hits; the
-    score is its hit count over the instance's total pair count."""
-    rec = _instance_record(kb, instance_iri)
-    scores = class_scores(kb, instance_iri, METHOD_NAIVE)
-    return _decide(kb, instance_iri, rec.assigned_type, scores, METHOD_NAIVE)
-
-
-def pfidf_score(kb: KnowledgeBase, instance_iri: str, class_iri: str) -> float:
-    """Cosine with idf reweighting applied to the type side only. The
-    root class scores 0.0: it is never a candidate."""
-    if class_iri not in kb.classes:
-        raise UnknownEntityError(f"unknown class: {class_iri}")
-    return class_scores(kb, instance_iri, METHOD_PFIDF).get(class_iri, 0.0)
 
 
 def assign_types(kb: KnowledgeBase, method: str) -> list[TypingDecision]:

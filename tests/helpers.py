@@ -1,9 +1,12 @@
-"""Shared test builders: terms, triples, and the presidential fixture KB."""
+"""Shared test builders: terms, triples, the presidential fixture KB, and
+per-instance scorers over the typing kernel that ``assign_types`` runs."""
 
 from __future__ import annotations
 
-from kbevolve.kb import RDFS_DOMAIN, RDFS_SUBCLASSOF, KnowledgeBase, load_schema
+from kbevolve.errors import UnknownEntityError
+from kbevolve.kb import RDFS_DOMAIN, RDFS_SUBCLASSOF, InstanceRecord, KnowledgeBase, load_schema
 from kbevolve.ntriples import Triple, iri, literal
+from kbevolve.type_inference import METHOD_NAIVE, METHOD_PFIDF, TypingDecision, _decide, _Kernel
 
 EX = "http://ex/"
 CLS = EX + "class/"
@@ -95,3 +98,33 @@ def kb_instance_state(kb: KnowledgeBase) -> dict[str, tuple[str | None, tuple[st
         key: (rec.assigned_type, tuple(sorted(rec.properties)), rec.placeholder)
         for key, rec in kb.instances.items()
     }
+
+
+def _instance_record(kb: KnowledgeBase, instance_iri: str) -> InstanceRecord:
+    rec = kb.instances.get(instance_iri)
+    if rec is None:
+        raise UnknownEntityError(f"unknown instance: {instance_iri}")
+    return rec
+
+
+def class_scores(kb: KnowledgeBase, instance_iri: str, method: str) -> dict[str, float]:
+    """Score of every non-root class the instance's properties give
+    evidence for; classes missing from the result score 0.0."""
+    rec = _instance_record(kb, instance_iri)
+    return _Kernel(kb, method).scores(rec.properties)
+
+
+def naive_assign(kb: KnowledgeBase, instance_iri: str) -> TypingDecision:
+    """Choose the class with the most (property, domain) pair hits; the
+    score is its hit count over the instance's total pair count."""
+    rec = _instance_record(kb, instance_iri)
+    scores = class_scores(kb, instance_iri, METHOD_NAIVE)
+    return _decide(kb, instance_iri, rec.assigned_type, scores, METHOD_NAIVE)
+
+
+def pfidf_score(kb: KnowledgeBase, instance_iri: str, class_iri: str) -> float:
+    """Cosine with idf reweighting applied to the type side only. The
+    root class scores 0.0: it is never a candidate."""
+    if class_iri not in kb.classes:
+        raise UnknownEntityError(f"unknown class: {class_iri}")
+    return class_scores(kb, instance_iri, METHOD_PFIDF).get(class_iri, 0.0)

@@ -21,6 +21,7 @@ import re
 import string
 from dataclasses import dataclass, field
 
+from helpers import _instance_record
 from kbevolve.errors import ParseError, UnknownEntityError
 from kbevolve.generalization import (
     ACTION_ADDED,
@@ -36,7 +37,6 @@ from kbevolve.type_inference import (
     METHOD_NAIVE,
     METHODS,
     TypingDecision,
-    _instance_record,
     idf_weight,
 )
 

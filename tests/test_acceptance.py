@@ -14,20 +14,21 @@ from contextlib import contextmanager
 
 import pytest
 
-from helpers import EXPECTED_PRESIDENTIAL_COUNTS, KIM, PRESIDENT, presidential_kb
+from helpers import (
+    EXPECTED_PRESIDENTIAL_COUNTS,
+    KIM,
+    PRESIDENT,
+    class_scores,
+    naive_assign,
+    pfidf_score,
+    presidential_kb,
+)
 from kbevolve.evolution import EvolutionConfig, evolve
 from kbevolve.generalization import ThresholdPolicy, generalization_threshold, run_generalization_pass
 from kbevolve.kb import OWL_THING, RDF_TYPE, RDFS_DOMAIN, RDFS_SUBCLASSOF, load_schema
 from kbevolve.ntriples import iri, literal, read_batch, triple_to_line, Triple
 from kbevolve.synth import SynthSpec, evaluate_accuracy, generate_kb
-from kbevolve.type_inference import (
-    METHODS,
-    assign_types,
-    class_scores,
-    idf_weight,
-    naive_assign,
-    pfidf_score,
-)
+from kbevolve.type_inference import METHODS, assign_types, idf_weight
 from oracles import InstanceProfile, TypeProfile, cosine_score, domain_frequency
 
 

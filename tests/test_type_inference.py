@@ -18,8 +18,11 @@ from helpers import (
     KIM,
     PRESIDENT,
     PROP,
+    class_scores,
     domain,
     kb_instance_state,
+    naive_assign,
+    pfidf_score,
     subclass,
     t,
     t_lit,
@@ -27,14 +30,7 @@ from helpers import (
 from kbevolve.errors import UnknownEntityError
 from kbevolve.generalization import ThresholdPolicy, run_generalization_pass
 from kbevolve.kb import OWL_THING, RDF_TYPE, KnowledgeBase, load_schema
-from kbevolve.type_inference import (
-    METHODS,
-    assign_types,
-    class_scores,
-    idf_weight,
-    naive_assign,
-    pfidf_score,
-)
+from kbevolve.type_inference import METHODS, assign_types, idf_weight
 from oracles import (
     InstanceProfile,
     TypeProfile,

@@ -29,6 +29,7 @@ from kbevolve.ntriples import ParseReport, Triple, read_batch, triple_to_line
 from kbevolve.synth import SynthSpec, generate_kb
 from kbevolve.type_inference import METHODS
 
+
 def _parse_file(path: str) -> tuple[list[Triple], ParseReport]:
     with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
         return read_batch(fh, sys.maxsize)
@@ -81,6 +82,11 @@ def cmd_evolve(args: argparse.Namespace) -> int:
         )
     if report.parse_errors:
         print(f"tolerated {report.parse_errors} malformed instance lines")
+    if report.unconverged_batches:
+        print(
+            f"warning: {report.unconverged_batches} batches stopped at --max-inner-rounds before converging",
+            file=sys.stderr,
+        )
     print(f"saved {statements} statements to {args.out}; report: {args.report}")
     if report.error:
         print(f"error: {report.error}", file=sys.stderr)

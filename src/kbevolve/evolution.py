@@ -83,6 +83,7 @@ class EvolutionReport:
     coverage: CoverageStats | None = None
     domains: DomainCoverageStats | None = None
     parse_errors: int = 0
+    unconverged_batches: int = 0
     error: str | None = None
 
 
@@ -125,10 +126,12 @@ def evolve(
 
     Per batch: read batch_lines lines, add the triples, then repeat
     generalize -> assign-types until a round produces zero domain changes
-    and zero type changes, or max_inner_rounds is hit. One IterationRecord
-    is appended per non-empty batch. An I/O failure on the source stops
-    after the last completed batch and is recorded on the report. Optional
-    audit sinks receive one CSV row per typing decision / domain change.
+    and zero type changes, or max_inner_rounds is hit; a batch whose last
+    allowed round still changed something counts in unconverged_batches.
+    One IterationRecord is appended per non-empty batch. An I/O failure on
+    the source stops after the last completed batch and is recorded on the
+    report. Optional audit sinks receive one CSV row per typing decision /
+    domain change.
     """
     report = EvolutionReport()
     typing_writer = csv.writer(typing_audit) if typing_audit is not None else None
@@ -181,6 +184,8 @@ def evolve(
             type_changes += round_type_changes
             if not changes and round_type_changes == 0:
                 break
+        else:
+            report.unconverged_batches += 1
         coverage = classification_coverage(kb)
         domains = property_domain_ratio(kb)
         report.records.append(

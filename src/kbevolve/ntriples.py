@@ -12,10 +12,19 @@ IRI or one holding a space, tab, ``<`` or ``>``. Blank node labels are
 restricted to ``[A-Za-z0-9_-]+``.
 
 Parsing is pure per line, so a malformed line can never corrupt the parse
-of any other line, and parsed batches are immutable values. The CLI opens
-files with ``errors="surrogateescape"``, which keeps each byte that is not
-UTF-8 as a lone surrogate; a line holding one is a ``bad encoding`` error
-like any other malformed line, so one bad byte cannot abort a run.
+of any other line, and parsed batches are immutable values. Within one
+``read_batch`` call, each distinct IRI (keyed by its body as written), and
+each plain literal on a line the line regex accepts, is decoded and
+validated once, and every triple that uses it shares one ``Term``; an
+escape-free IRI's key is its value, so its text is held once. Only terms
+that parsed are cached, so a token that failed is scanned afresh wherever
+it appears. The line regex accepts the escape-free, ASCII-only
+``<s> <p> <o> .`` and ``<s> <p> "literal" .`` shapes; it never reports an
+error, and every other line goes through the term scanners, which own every
+error category and offset. The CLI opens files with
+``errors="surrogateescape"``, which keeps each byte that is not UTF-8 as a
+lone surrogate; a line holding one is a ``bad encoding`` error like any
+other malformed line, so one bad byte cannot abort a run.
 """
 
 from __future__ import annotations
@@ -41,6 +50,11 @@ _UCHAR = r"u[0-9A-Fa-f]{4}|U[0-9A-Fa-f]{8}"
 _IRI_RE = re.compile(rf"<([^>\\]*(?:\\(?:{_UCHAR})[^>\\]*)*)(>?)")
 _LITERAL_RE = re.compile(rf'''"([^"\\]*(?:\\(?:[tbnrf"'\\]|{_UCHAR})[^"\\]*)*)("?)''')
 _ESCAPE_RE = re.compile(rf"\\({_UCHAR}|.)")
+# The escape-free "<s> <p> <o> ." and '<s> <p> "literal" .' shapes; the
+# groups are the subject, predicate and object IRI bodies, or the literal's
+# body in place of the object's. Only ever tried on ASCII lines.
+_IRI_BODY = r"<([^<>\\ \t]+)>"
+_PLAIN_LINE_RE = re.compile(rf'{_IRI_BODY} {_IRI_BODY} (?:{_IRI_BODY}|"([^"\\]*)") \.(?:\r?\n)?')
 _ECHAR = {"t": "\t", "b": "\b", "n": "\n", "r": "\r", "f": "\f", '"': '"', "'": "'", "\\": "\\"}
 _LITERAL_ESCAPES = {c: f"\\u{c:04X}" for c in range(0x20)} | str.maketrans(
     {"\\": "\\\\", '"': '\\"', "\n": "\\n", "\r": "\\r", "\t": "\\t", "\b": "\\b", "\f": "\\f"}
@@ -151,9 +165,11 @@ def _unescape(text: str, start: int, body: str) -> str:
     return _ESCAPE_RE.sub(decode, body)
 
 
-def _read_iri(text: str, i: int) -> tuple[Term, int]:
+def _read_iri(text: str, i: int, iris: dict[str, Term]) -> tuple[Term, int]:
     m = _IRI_RE.match(text, i)
     body, closed = m.groups()
+    if closed and (term := iris.get(body)) is not None:
+        return term, m.end()
     # With no ">" left the IRI is unterminated, whatever its escapes hold.
     if not closed and text.find(">", m.end()) < 0:
         raise _err(text, i, "unterminated iri")
@@ -161,12 +177,13 @@ def _read_iri(text: str, i: int) -> tuple[Term, int]:
     if not closed:
         raise _err(text, m.end(), "bad escape")
     try:
-        return Term(TermKind.IRI, value), m.end()
+        term = iris[body] = Term(TermKind.IRI, value)
     except ValueError:
         raise _err(text, i, "bad iri") from None
+    return term, m.end()
 
 
-def _read_literal(text: str, i: int) -> tuple[Term, int]:
+def _read_literal(text: str, i: int, iris: dict[str, Term]) -> tuple[Term, int]:
     m = _LITERAL_RE.match(text, i)
     body, closed = m.groups()
     # Decoded first: an invalid code point before the stop is the error,
@@ -181,7 +198,7 @@ def _read_literal(text: str, i: int) -> tuple[Term, int]:
     if text[k : k + 2] == "^^":
         if text[k + 2 : k + 3] != "<":
             raise _err(text, k, "bad datatype")
-        datatype_term, k = _read_iri(text, k + 2)
+        datatype_term, k = _read_iri(text, k + 2, iris)
         datatype = datatype_term.value
     elif text[k : k + 1] == "@":
         tag = _LANG_CHARS_RE.match(text, k + 1).group()
@@ -192,7 +209,7 @@ def _read_literal(text: str, i: int) -> tuple[Term, int]:
     return Term(TermKind.LITERAL, value, language, datatype), k
 
 
-def _read_term(text: str, i: int, role: str) -> tuple[Term, int]:
+def _read_term(text: str, i: int, role: str, iris: dict[str, Term]) -> tuple[Term, int]:
     if i == len(text) or text[i] == ".":
         raise _err(text, i, f"missing {role}")
     ch = text[i]
@@ -201,14 +218,14 @@ def _read_term(text: str, i: int, role: str) -> tuple[Term, int]:
     if role == "predicate" and ch != "<":
         raise _err(text, i, "bad predicate")
     if ch == "<":
-        return _read_iri(text, i)
+        return _read_iri(text, i, iris)
     if ch == "_" and text[i + 1 : i + 2] == ":":
         m = _BLANK_LABEL_RE.match(text, i + 2)
         if m is None:
             raise _err(text, i, "bad blank node")
         return Term(TermKind.BLANK_NODE, text[i : m.end()]), m.end()
     if ch == '"':
-        return _read_literal(text, i)
+        return _read_literal(text, i, iris)
     raise _err(text, i, f"bad {role}")
 
 
@@ -219,19 +236,37 @@ def parse_ntriple_line(line: str) -> Triple | None:
     comment lines, and raises ParseError (with byte offset and category)
     for anything else, including a line that holds a lone surrogate.
     """
-    text = line.rstrip("\r\n")
-    if not text.isascii():
-        bad = _SURROGATE_RE.search(text)
+    return _parse_line(line, {}, {})
+
+
+def _parse_line(line: str, iris: dict[str, Term], literals: dict[str, Term]) -> Triple | None:
+    """parse_ntriple_line, sharing parsed terms through two caches: IRIs
+    keyed by their body as written, plain literals by their body."""
+    if line.isascii():
+        m = _PLAIN_LINE_RE.fullmatch(line)
+        if m is not None:
+            s, p, o, lit = m.groups()
+            get = iris.get
+            return Triple(
+                get(s) or iris.setdefault(s, Term(TermKind.IRI, s)),
+                get(p) or iris.setdefault(p, Term(TermKind.IRI, p)),
+                (get(o) or iris.setdefault(o, Term(TermKind.IRI, o)))
+                if lit is None
+                else (literals.get(lit) or literals.setdefault(lit, Term(TermKind.LITERAL, lit))),
+            )
+    else:
+        bad = _SURROGATE_RE.search(line)
         if bad is not None:
-            raise _err(text, bad.start(), "bad encoding")
+            raise _err(line, bad.start(), "bad encoding")
+    text = line.rstrip("\r\n")
     i = _skip_ws(text, 0)
     if i == len(text) or text[i] == "#":
         return None
-    subject, i = _read_term(text, i, "subject")
+    subject, i = _read_term(text, i, "subject", iris)
     i = _skip_ws(text, i)
-    predicate, i = _read_term(text, i, "predicate")
+    predicate, i = _read_term(text, i, "predicate", iris)
     i = _skip_ws(text, i)
-    obj, i = _read_term(text, i, "object")
+    obj, i = _read_term(text, i, "object", iris)
     i = _skip_ws(text, i)
     if i == len(text) or text[i] != ".":
         raise _err(text, i, "missing dot")
@@ -258,6 +293,8 @@ def read_batch(
         raise ValueError("batch_size must be >= 1")
     report = ParseReport()
     triples: list[Triple] = []
+    iris: dict[str, Term] = {}
+    literals: dict[str, Term] = {}
     it = iter(stream)
     for offset in range(batch_size):
         try:
@@ -266,7 +303,7 @@ def read_batch(
             break
         report.lines_read += 1
         try:
-            parsed = parse_ntriple_line(line)
+            parsed = _parse_line(line, iris, literals)
         except ParseError as exc:
             report.errors.append((first_line_number + offset, exc.category))
             continue

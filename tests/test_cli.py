@@ -108,6 +108,18 @@ class TestEvolveCommand:
         domain_rows = list(csv.reader(domain_audit.open()))
         assert domain_rows[0] == ["class", "property", "action", "ratio", "threshold"]
 
+    def test_inner_round_cut_off_warned_on_stderr(self, tmp_path, capsys):
+        schema, instances, _ = run_synth(tmp_path)
+        capsys.readouterr()
+        code, _, _ = self._evolve(tmp_path, schema, instances, "--max-inner-rounds", "1")
+        assert code == 0
+        captured = capsys.readouterr()
+        assert captured.err == "warning: 1 batches stopped at --max-inner-rounds before converging\n"
+        assert "warning" not in captured.out
+        code, _, _ = self._evolve(tmp_path, schema, instances)
+        assert code == 0
+        assert capsys.readouterr().err == ""
+
     def test_schema_cycle_exits_one_naming_cycle(self, tmp_path, capsys):
         schema = tmp_path / "schema.nt"
         schema.write_text(

@@ -161,6 +161,14 @@ class TestEvolve:
         report = evolve(kb, iter(lines), EvolutionConfig(batch_lines=len(lines), max_inner_rounds=1))
         assert len(report.records) == 1
 
+    @pytest.mark.parametrize("max_inner_rounds,unconverged", [(1, 1), (2, 0), (5, 0)])
+    def test_inner_round_cut_off_counted(self, max_inner_rounds, unconverged):
+        # The single batch changes types in its first round and none in its second.
+        kb, lines, _ = load_synth(SynthSpec(3, 2, 1, 6, 0.5, 0.0, seed=7))
+        config = EvolutionConfig(batch_lines=len(lines), max_inner_rounds=max_inner_rounds)
+        report = evolve(kb, iter(lines), config)
+        assert report.unconverged_batches == unconverged
+
     def test_audit_sinks_receive_rows(self):
         kb, lines, _ = load_synth(SynthSpec(3, 2, 1, 6, 0.5, 0.0, seed=8))
         typing_audit, domain_audit = io.StringIO(), io.StringIO()

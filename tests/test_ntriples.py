@@ -12,6 +12,7 @@ from kbevolve.ntriples import (
     Term,
     TermKind,
     Triple,
+    _parse_line,
     blank,
     iri,
     literal,
@@ -254,6 +255,39 @@ class TestReadBatch:
         assert consumed == [50000, 50000, 20000]
         assert sum(consumed) == oracle_lines
 
+    def test_repeated_term_is_one_object(self):
+        lines = [f"<http://ex/s> <http://ex/p> <http://ex/o{i}> .\n" for i in range(5)]
+        lines.append('<http://ex/s>\t<http://ex/p> "v"@en .\n')
+        triples, _ = read_batch(iter(lines), 10)
+        assert len(triples) == 6
+        assert all(t.subject is triples[0].subject for t in triples)
+        assert all(t.predicate is triples[0].predicate for t in triples)
+
+    def test_failed_token_is_never_shared(self):
+        bad = "<http://ex/s> <http://ex/p> <a b> .\n"
+        lines = [bad, "<http://ex/s> <http://ex/p> <http://ex/o> .\n", bad]
+        _, report = read_batch(iter(lines), 10)
+        assert report.errors == [(1, "bad iri"), (3, "bad iri")]
+        iris = {}
+        outcomes = [_outcome(lambda line: _parse_line(line, iris, {}), line) for line in lines]
+        assert outcomes[0] == outcomes[2] == ("bad iri", 28)
+        assert "a b" not in iris
+
+    def test_escaped_and_plain_spellings_equal(self):
+        lines = [
+            "<http://ex/\\u0073> <http://ex/p> <http://ex/o> .\n",
+            "<http://ex/s> <http://ex/p> <http://ex/o> .\n",
+        ]
+        triples, _ = read_batch(iter(lines), 10)
+        assert triples[0].subject == triples[1].subject == iri("http://ex/s")
+
+    def test_successive_batches_share_nothing(self):
+        stream = iter(["<http://ex/s> <http://ex/p> <http://ex/o> .\n"] * 2)
+        (first,), _ = read_batch(stream, 1)
+        (second,), _ = read_batch(stream, 1)
+        assert first == second
+        assert first.subject is not second.subject
+
 
 _IRI_TEXT = st.text(
     st.characters(
@@ -374,3 +408,48 @@ class TestMatchesWalker:
     @settings(max_examples=1000)
     def test_same_triple_or_same_error(self, line):
         assert _outcome(parse_ntriple_line, line) == _outcome(oracle_parse_line, line)
+
+
+# Term bodies for lines of the plain-line regex's shape. A body may hold one
+# piece that keeps its line off that regex.
+_PLAIN_BODY = st.lists(st.sampled_from(["a", "b", "/", ":", "#", ".", "0"]), max_size=3).map("".join)
+_AWKWARD_PIECE = st.sampled_from(
+    ['"', "\r", "\t", " ", "<", ">", "é", "\ud800", "\\", "\\u0041", "\\n", '\\"']
+)
+_NEAR_BODY = st.tuples(_PLAIN_BODY, st.one_of(st.just(""), _AWKWARD_PIECE), _PLAIN_BODY).map("".join)
+_NEAR_BODIES = st.tuples(_NEAR_BODY, _NEAR_BODY, _NEAR_BODY)
+# Endings the regex accepts, then endings it leaves to the term scanners.
+_ENDINGS = ("", "\n", "\r\n", "\r\r\n", " ", " #c")
+
+
+def _near_plain_lines(bodies):
+    """The plain-line shape over three bodies, with the object as an IRI and
+    as a literal, and with every ending."""
+    s, p, o = bodies
+    return [f"<{s}> <{p}> {obj} .{end}" for obj in (f"<{o}>", f'"{o}"') for end in _ENDINGS]
+
+
+class TestPlainLineShortcut:
+    @given(_NEAR_BODIES)
+    @settings(max_examples=1000)
+    def test_same_triple_or_same_error(self, bodies):
+        for line in _near_plain_lines(bodies):
+            assert _outcome(parse_ntriple_line, line) == _outcome(oracle_parse_line, line)
+
+    @given(st.lists(_NEAR_BODIES, max_size=3))
+    @settings(max_examples=300)
+    def test_batch_equals_line_by_line(self, line_bodies):
+        lines = [line for bodies in line_bodies for line in _near_plain_lines(bodies)]
+        expected_triples, expected = [], ParseReport(lines_read=len(lines))
+        for number, line in enumerate(lines, 1):
+            try:
+                parsed = parse_ntriple_line(line)
+            except ParseError as exc:
+                expected.errors.append((number, exc.category))
+                continue
+            if parsed is None:
+                expected.lines_skipped += 1
+            else:
+                expected_triples.append(parsed)
+        expected.triples_emitted = len(expected_triples)
+        assert read_batch(iter(lines), max(1, len(lines))) == (expected_triples, expected)

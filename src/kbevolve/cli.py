@@ -15,8 +15,6 @@ from pathlib import Path
 
 from kbevolve.errors import SchemaError
 from kbevolve.evolution import (
-    DOMAIN_AUDIT_COLUMNS,
-    TYPING_AUDIT_COLUMNS,
     EvolutionConfig,
     classification_coverage,
     evolve,
@@ -28,6 +26,10 @@ from kbevolve.kb import KnowledgeBase, load_schema
 from kbevolve.ntriples import ParseReport, Triple, read_batch, triple_to_line
 from kbevolve.synth import SynthSpec, generate_kb
 from kbevolve.type_inference import METHODS
+
+
+# Lines per read_batch call in ingest, which keeps counts and error lines, not triples.
+INGEST_BATCH_LINES = 10_000
 
 
 def _parse_file(path: str) -> tuple[list[Triple], ParseReport]:
@@ -51,8 +53,7 @@ def cmd_evolve(args: argparse.Namespace) -> int:
     if schema_report.errors:
         print(f"warning: {len(schema_report.errors)} malformed schema lines skipped", file=sys.stderr)
     kb, leftover = load_schema(schema_triples)
-    if leftover:
-        kb.add_instance_triples(leftover)
+    kb.add_instance_triples(leftover)
     config = EvolutionConfig(
         batch_lines=args.batch_lines,
         method=args.method,
@@ -65,10 +66,8 @@ def cmd_evolve(args: argparse.Namespace) -> int:
         typing_audit = domain_audit = None
         if args.typing_audit:
             typing_audit = stack.enter_context(open(args.typing_audit, "w", encoding="utf-8", newline=""))
-            csv.writer(typing_audit).writerow(TYPING_AUDIT_COLUMNS)
         if args.domain_audit:
             domain_audit = stack.enter_context(open(args.domain_audit, "w", encoding="utf-8", newline=""))
-            csv.writer(domain_audit).writerow(DOMAIN_AUDIT_COLUMNS)
         report = evolve(kb, source, config, typing_audit=typing_audit, domain_audit=domain_audit)
     with open(args.out, "w", encoding="utf-8", newline="") as fh:
         statements = kb.export_ntriples(fh)
@@ -143,7 +142,16 @@ def cmd_report(args: argparse.Namespace) -> int:
 
 
 def cmd_ingest(args: argparse.Namespace) -> int:
-    _, report = _parse_file(args.triples)
+    report = ParseReport()
+    with open(args.triples, "r", encoding="utf-8", errors="surrogateescape") as fh:
+        while True:
+            _, batch = read_batch(fh, INGEST_BATCH_LINES, report.lines_read + 1)
+            if batch.lines_read == 0:
+                break
+            report.lines_read += batch.lines_read
+            report.triples_emitted += batch.triples_emitted
+            report.lines_skipped += batch.lines_skipped
+            report.errors += batch.errors
     print(f"lines_read={report.lines_read}")
     print(f"triples_emitted={report.triples_emitted}")
     print(f"lines_skipped={report.lines_skipped}")

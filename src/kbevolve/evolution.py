@@ -130,12 +130,17 @@ def evolve(
     allowed round still changed something counts in unconverged_batches.
     One IterationRecord is appended per non-empty batch. An I/O failure on
     the source stops after the last completed batch and is recorded on the
-    report. Optional audit sinks receive one CSV row per typing decision /
-    domain change.
+    report. Optional audit sinks receive a header row, then one CSV row per
+    typing decision / domain change.
     """
     report = EvolutionReport()
-    typing_writer = csv.writer(typing_audit) if typing_audit is not None else None
-    domain_writer = csv.writer(domain_audit) if domain_audit is not None else None
+    typing_writer = domain_writer = None
+    if typing_audit is not None:
+        typing_writer = csv.writer(typing_audit)
+        typing_writer.writerow(TYPING_AUDIT_COLUMNS)
+    if domain_audit is not None:
+        domain_writer = csv.writer(domain_audit)
+        domain_writer.writerow(DOMAIN_AUDIT_COLUMNS)
     source_iter = iter(source)
     next_line = 1
     iteration = 0
@@ -153,33 +158,25 @@ def evolve(
         kb.add_instance_triples(triples)
         type_changes = domain_changes = 0
         for _ in range(config.max_inner_rounds):
-            changes = run_generalization_pass(
-                kb, config.policy, deletion_enabled=config.deletion_enabled
-            )
+            changes = run_generalization_pass(kb, config.policy, deletion_enabled=config.deletion_enabled)
             decisions = assign_types(kb, config.method)
             round_type_changes = sum(1 for d in decisions if d.chosen != d.previous)
             if domain_writer is not None:
-                for change in changes:
-                    domain_writer.writerow(
-                        [
-                            change.class_iri,
-                            change.property_iri,
-                            change.action,
-                            repr(change.support_ratio),
-                            repr(change.threshold),
-                        ]
-                    )
+                domain_writer.writerows(
+                    (c.class_iri, c.property_iri, c.action, repr(c.support_ratio), repr(c.threshold))
+                    for c in changes
+                )
             if typing_writer is not None:
-                for d in decisions:
-                    typing_writer.writerow(
-                        [
-                            d.instance,
-                            d.previous or UNCLASSIFIED_LABEL,
-                            d.chosen or UNCLASSIFIED_LABEL,
-                            repr(d.score),
-                            d.method,
-                        ]
+                typing_writer.writerows(
+                    (
+                        d.instance,
+                        d.previous or UNCLASSIFIED_LABEL,
+                        d.chosen or UNCLASSIFIED_LABEL,
+                        repr(d.score),
+                        d.method,
                     )
+                    for d in decisions
+                )
             domain_changes += len(changes)
             type_changes += round_type_changes
             if not changes and round_type_changes == 0:

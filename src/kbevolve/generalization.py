@@ -6,11 +6,10 @@ reaches 1/(1 + log10 N) (the class gains it as a domain), then drops every
 generalized domain whose support fell below a hysteresis band
 (deletion_factor times that threshold). Adding a domain cannot change
 support, so one count feeds both rules. Schema-asserted domains are never
-deleted. A pass walks the class tree leaf-first and evaluates only the
-classes the KB marked dirty since the last pass, or every class when the
-policy or the deletion switch differs from the last pass: a class's
-outcome depends only on its own direct instances and domain entries, so
-a clean class would change nothing.
+deleted. A pass walks the class tree leaf-first and evaluates exactly the
+classes the KB marked dirty, after marking every class dirty when the
+policy or the deletion switch changed: a class's outcome depends only on
+those settings and its own direct instances and domain entries.
 """
 
 from __future__ import annotations
@@ -107,15 +106,13 @@ def run_generalization_pass(
     returns an empty change list.
     """
     settings = (policy, deletion_enabled)
-    evaluate_all = kb.generalized_with != settings
+    if kb.generalized_with != settings:
+        kb.dirty_classes.update(kb.classes)
+        kb.generalized_with = settings
     changes: list[DomainChange] = []
     for class_iri in kb.leaf_first_order():
-        if not (evaluate_all or class_iri in kb.dirty_classes):
-            continue
-        if not kb.direct_instance_index.get(class_iri):
-            continue
-        changes.extend(evaluate_class(kb, class_iri, policy, deletion_enabled=deletion_enabled))
+        if class_iri in kb.dirty_classes and kb.direct_instance_index.get(class_iri):
+            changes.extend(evaluate_class(kb, class_iri, policy, deletion_enabled=deletion_enabled))
     # A class's own domain writes mark only itself, and it is now settled.
     kb.dirty_classes.clear()
-    kb.generalized_with = settings
     return changes

@@ -6,13 +6,13 @@ keeps it current on every write: the direct-instance index, a per-class
 index of generalized domains, and the dirty sets. A class is dirty when its
 direct-instance set, the properties of its direct instances, or its domain
 entries changed since the last generalization pass; an instance is dirty
-when its type or properties changed since the last typing pass. Domain
-writes therefore go through add_domain / remove_domain, and every domain
-write bumps table_version, which makes the next typing pass rescore every
-instance. The typing pass keeps its last decision per instance in
-typing_cache and its scoring tables in typing_kernel, both valid for the
-(method, table_version) in typed_against; the generalization pass records
-its (policy, deletion_enabled) in generalized_with.
+when its type or properties changed since the last typing pass. Each pass
+visits exactly its dirty set, after marking everything dirty when its
+inputs differ from the last pass's: (policy, deletion_enabled) in
+generalized_with, (method, table_version) in typed_against. Every domain
+write, through add_domain / remove_domain, bumps table_version. The typing
+pass keeps its decisions in typing_cache and its scoring tables in
+typing_kernel. deeper_class is the one tie rule of ingest and typing.
 
 An instance's type of None means unclassified; typing an instance as the
 root class is the same thing, so assertions to the root are dropped and the
@@ -173,7 +173,8 @@ class KnowledgeBase:
             self.dirty_classes.add(class_iri)
         self.dirty_instances.add(instance_iri)
 
-    def _deeper_class(self, a: str, b: str) -> str:
+    def deeper_class(self, a: str, b: str) -> str:
+        """The tie rule: the deeper class, then the smaller IRI."""
         da, db = self.classes[a].depth, self.classes[b].depth
         if da != db:
             return a if da > db else b
@@ -205,7 +206,7 @@ class KnowledgeBase:
                 cls = t.object.value
                 if cls != OWL_THING:
                     prev = asserted.get(skey)
-                    asserted[skey] = cls if prev is None else self._deeper_class(prev, cls)
+                    asserted[skey] = cls if prev is None else self.deeper_class(prev, cls)
                 continue
             ordinary.append(t)
 
@@ -220,11 +221,9 @@ class KnowledgeBase:
             if pv not in self.properties:
                 self.properties[pv] = PropertyRecord(pv)
 
-        for skey in sorted(asserted):
+        for skey, cls in sorted(asserted.items()):
             current = self.instances[skey].assigned_type
-            chosen = asserted[skey] if current is None else self._deeper_class(current, asserted[skey])
-            if chosen != current:
-                self.set_type(skey, chosen)
+            self.set_type(skey, cls if current is None else self.deeper_class(current, cls))
 
         for t in ordinary:
             if t.object.kind is not TermKind.IRI:

@@ -7,9 +7,10 @@ IRIs and literals, and the usual string escapes are decoded in literals;
 any other backslash is a ``bad escape`` at its byte offset. Each term body
 is scanned by one regex and decoded by one substitution. IRIs are
 otherwise kept verbatim: no case folding, percent decoding, or resolution,
-so distinct spellings stay distinct identifiers; ``Term`` rejects an empty
-IRI or one holding a space, tab, ``<`` or ``>``. Blank node labels are
-restricted to ``[A-Za-z0-9_-]+``.
+so distinct spellings stay distinct identifiers. ``Term`` rejects an empty
+IRI or one holding U+0000 to U+0020, ``<``, ``>`` or ``\\``, raw or escaped
+(a ``bad iri`` at its ``<``), so an IRI written back raw parses as itself.
+Blank node labels are restricted to ``[A-Za-z0-9_-]+``.
 
 Parsing is pure per line, so a malformed line can never corrupt the parse
 of any other line, and parsed batches are immutable values. Within one
@@ -36,7 +37,7 @@ from typing import Iterable, Iterator
 
 from kbevolve.errors import ParseError
 
-_IRI_FORBIDDEN = set(" \t<>")
+_IRI_FORBIDDEN = frozenset(map(chr, range(0x21))) | set("<>\\")
 # Lone surrogates: how a file opened with errors="surrogateescape" carries
 # bytes that are not UTF-8.
 _SURROGATE_RE = re.compile(r"[\ud800-\udfff]")
@@ -52,8 +53,9 @@ _LITERAL_RE = re.compile(rf'''"([^"\\]*(?:\\(?:[tbnrf"'\\]|{_UCHAR})[^"\\]*)*)("
 _ESCAPE_RE = re.compile(rf"\\({_UCHAR}|.)")
 # The escape-free "<s> <p> <o> ." and '<s> <p> "literal" .' shapes; the
 # groups are the subject, predicate and object IRI bodies, or the literal's
-# body in place of the object's. Only ever tried on ASCII lines.
-_IRI_BODY = r"<([^<>\\ \t]+)>"
+# body in place of the object's. Only ever tried on ASCII lines, so an IRI
+# body excludes exactly what Term rejects.
+_IRI_BODY = r"<([^<>\\\x00-\x20]+)>"
 _PLAIN_LINE_RE = re.compile(rf'{_IRI_BODY} {_IRI_BODY} (?:{_IRI_BODY}|"([^"\\]*)") \.(?:\r?\n)?')
 _ECHAR = {"t": "\t", "b": "\b", "n": "\n", "r": "\r", "f": "\f", '"': '"', "'": "'", "\\": "\\"}
 _LITERAL_ESCAPES = {c: f"\\u{c:04X}" for c in range(0x20)} | str.maketrans(

@@ -5,22 +5,22 @@ table: each of an instance's properties adds its weight to every domain it
 has. naive weighs every property 1 and divides a class's hits by the
 instance's total hits (the root's included); cosine weighs every property 1
 and pfidf weighs it by inverse domain frequency, and both divide by the
-class and instance norms. A full pass computes decisions against the
-pre-pass state and applies them in lexicographic instance order, so a pass
-is not order-dependent. Reassignment requires a strictly better score than
-the incumbent type; the root class is never assigned (it means
-unclassified).
+class and instance norms. Reassignment requires a strictly better score
+than the incumbent type; equal scores go to KnowledgeBase.deeper_class.
+The root class is never assigned (it means unclassified).
 
-A pass rescores only the instances the KB marked dirty while the method
-and the domain table stay what they were at the last pass; any other
-instance's decision is its cached one, which is stable: rescoring it
-against unchanged inputs would keep the type its last decision chose.
+A pass scores exactly the instances the KB marked dirty, after rebuilding
+the kernel and marking every instance dirty when the method or the domain
+table changed. A decision reads only the kernel, the class depths and the
+instance's own type and properties, which the pass does not change, so it
+is applied at once and instance order does not matter. A clean instance
+keeps its cached decision in the stable (chosen, chosen) form.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from kbevolve.errors import UnknownEntityError
 from kbevolve.kb import OWL_THING, KnowledgeBase
@@ -112,13 +112,13 @@ def _decide(
     scores: dict[str, float],
     method: str,
 ) -> TypingDecision:
-    """Argmax with ties going to the deeper class, then the smaller IRI;
-    the incumbent type is kept unless strictly beaten."""
-    best, best_score, best_depth = None, 0.0, -1
-    for cls in sorted(scores):
-        score, depth = scores[cls], kb.classes[cls].depth
-        if score > best_score or (score == best_score and depth > best_depth):
-            best, best_score, best_depth = cls, score, depth
+    """Argmax, ties going to kb.deeper_class; the incumbent stays unless strictly beaten."""
+    best, best_score = None, 0.0
+    for cls, score in scores.items():
+        if score > best_score:
+            best, best_score = cls, score
+        elif score == best_score and best is not None:
+            best = kb.deeper_class(best, cls)
     if previous is not None and scores.get(previous, 0.0) >= best_score:
         best = previous
     return TypingDecision(instance_iri, previous, best, scores.get(best, 0.0), method)
@@ -134,28 +134,24 @@ def assign_types(kb: KnowledgeBase, method: str) -> list[TypingDecision]:
     decision list in instance order.
     """
     inputs = (method, kb.table_version)
-    rescore_all = kb.typed_against != inputs
-    if rescore_all:
+    if kb.typed_against != inputs:
         kb.typing_kernel = _Kernel(kb, method)
         kb.typed_against = inputs
+        kb.dirty_instances.update(kb.instances)
     kernel, cache, dirty = kb.typing_kernel, kb.typing_cache, kb.dirty_instances
     decisions: list[TypingDecision] = []
     for ikey, rec in sorted(kb.instances.items()):
         if rec.placeholder or not rec.properties:
             continue
-        if rescore_all or ikey in dirty:
+        if ikey in dirty:
             scores = kernel.scores(rec.properties)
             decision = cache[ikey] = _decide(kb, ikey, rec.assigned_type, scores, method)
+            if decision.chosen != decision.previous:
+                kb.set_type(ikey, decision.chosen)
+                cache[ikey] = replace(decision, previous=decision.chosen)
         else:
             decision = cache[ikey]
-            if decision.chosen != decision.previous:
-                decision = cache[ikey] = TypingDecision(
-                    ikey, decision.chosen, decision.chosen, decision.score, method
-                )
         decisions.append(decision)
-    for decision in decisions:
-        if decision.chosen != decision.previous:
-            kb.set_type(decision.instance, decision.chosen)
     # Types set just above follow from stable decisions: nothing to rescore.
     dirty.clear()
     return decisions

@@ -294,11 +294,13 @@ def oracle_generalization_pass(
 
 # The N-Triples line parser kbevolve ran before its term bodies were scanned
 # by regexes: a character walker that decodes one escape at a time. It
-# differs from that walker only in requiring hex digits in \u and \U escapes
-# (``int(digits, 16)`` also took a sign, spaces, underscores and ``0x``).
+# differs from that walker in requiring hex digits in \u and \U escapes
+# (``int(digits, 16)`` also took a sign, spaces, underscores and ``0x``), and
+# in rejecting the IRI characters ``Term`` rejects: U+0000 to U+0020, ``<``,
+# ``>`` and ``\`` (the walker rejected only the space, tab, ``<`` and ``>``).
 
 _HEX_DIGITS = set(string.hexdigits)
-_IRI_FORBIDDEN = set(" \t<>")
+_IRI_FORBIDDEN = frozenset(map(chr, range(0x21))) | set("<>\\")
 # Lone surrogates: how a file opened with errors="surrogateescape" carries
 # bytes that are not UTF-8.
 _SURROGATE_RE = re.compile(r"[\ud800-\udfff]")

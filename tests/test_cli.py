@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from kbevolve import cli
 from kbevolve.cli import main
 
 
@@ -16,6 +17,14 @@ BAD_ESCAPE_LINES = (
     '<http://probe.example/i1> <http://probe.example/p> "a" .\n'
     '<http://probe.example/i2> <http://probe.example/p> "\\u-001" .\n'
     '<http://probe.example/i3> <http://probe.example/p> "c" .\n'
+)
+# Lines 2-4 hold an IRI with a backslash or a control character, escaped or
+# raw; exported raw, it would not parse back.
+UNRELOADABLE_IRI_LINES = (
+    '<http://probe.example/i1> <http://probe.example/p> "a" .\n'
+    '<http://probe.example/i\\u005Cb> <http://probe.example/p> "b" .\n'
+    "<http://probe.example/i3> <http://probe.example/p> <http://probe.example/n\\u000Ax> .\n"
+    '<http://probe.example/i4> <http://probe.example/p\x01> "d" .\n'
 )
 
 
@@ -179,6 +188,20 @@ class TestEvolveCommand:
         assert "<http://probe.example/i1>" in snapshot and "<http://probe.example/i3>" in snapshot
         assert "<http://probe.example/i2>" not in snapshot
 
+    def test_unreloadable_iris_tolerated(self, tmp_path, capsys):
+        schema = tmp_path / "schema.nt"
+        schema.write_text(WORKLOADS["PROBE_SCHEMA"], encoding="utf-8")
+        data = tmp_path / "bad_iris.nt"
+        data.write_text(UNRELOADABLE_IRI_LINES, encoding="utf-8")
+        code, out, _ = self._evolve(tmp_path, schema, data)
+        assert code == 0
+        assert "tolerated 3 malformed instance lines" in capsys.readouterr().out
+        assert main(["report", str(out)]) == 0
+        assert "instances_total=1\n" in capsys.readouterr().out
+        again = tmp_path / "again.nt"
+        assert main(["export", str(out), "--out", str(again)]) == 0
+        assert again.read_bytes() == out.read_bytes()
+
 
 class TestReportCommand:
     def test_prints_ratio_lines(self, tmp_path, capsys):
@@ -246,6 +269,23 @@ class TestIngestCommand:
 
     def test_missing_file_exits_two(self, tmp_path):
         assert main(["ingest", str(tmp_path / "nope.nt")]) == 2
+
+    def test_batches_count_like_one_pass(self, tmp_path, capsys, monkeypatch):
+        path = tmp_path / "data.nt"
+        path.write_text(
+            "<http://ex/a> <http://ex/p> <http://ex/b> .\n"
+            "# comment\n"
+            "broken\n"
+            + UNRELOADABLE_IRI_LINES
+            + "\n",
+            encoding="utf-8",
+        )
+        assert main(["ingest", str(path)]) == 0
+        whole = capsys.readouterr().out
+        assert "error line 3: bad subject\nerror line 5: bad iri\n" in whole
+        monkeypatch.setattr(cli, "INGEST_BATCH_LINES", 2)
+        assert main(["ingest", str(path)]) == 0
+        assert capsys.readouterr().out == whole
 
 
 class TestExportCommand:

@@ -6,7 +6,9 @@ import pytest
 
 from helpers import CLS, INST, PROP, kb_instance_state, subclass, t, t_lit
 from kbevolve.evolution import (
+    DOMAIN_AUDIT_COLUMNS,
     REPORT_COLUMNS,
+    TYPING_AUDIT_COLUMNS,
     EvolutionConfig,
     EvolutionReport,
     IterationRecord,
@@ -180,8 +182,10 @@ class TestEvolve:
             domain_audit=domain_audit,
         )
         typing_rows = typing_audit.getvalue().strip().splitlines()
-        assert typing_rows and all(len(row.split(",")) == 5 for row in typing_rows)
+        assert typing_rows[0] == ",".join(TYPING_AUDIT_COLUMNS)
+        assert typing_rows[1:] and all(len(row.split(",")) == 5 for row in typing_rows)
         domain_rows = domain_audit.getvalue().strip().splitlines()
+        assert domain_rows[0] == ",".join(DOMAIN_AUDIT_COLUMNS)
         assert all(len(row.split(",")) == 5 for row in domain_rows)
 
     def test_config_validation(self):

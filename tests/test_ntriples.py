@@ -26,9 +26,10 @@ from oracles import oracle_parse_line
 
 class TestTermValidation:
     def test_iri_rejects_whitespace_and_brackets(self):
-        for bad in ["", "a b", "a\tb", "a<b", "a>b"]:
+        for bad in ["", "a b", "a\tb", "a<b", "a>b", "a\\b", "a\x00b", "a\x01b", "a\nb", "a\rb", "a\x1fb"]:
             with pytest.raises(ValueError):
                 iri(bad)
+        assert iri("a!b\x7fé").value == "a!b\x7fé"
 
     def test_blank_requires_label(self):
         with pytest.raises(ValueError):
@@ -135,6 +136,22 @@ class TestParseErrors:
             parse_ntriple_line(line)
         assert exc_info.value.category == "bad escape"
         assert exc_info.value.byte_offset == line.index("\\")
+
+    @pytest.mark.parametrize(
+        "line,offset",
+        [
+            ("<http://ex/a\\u005Cb> <http://ex/p> <http://ex/b> .", 0),
+            ("<http://ex/a> <http://ex/p> <http://ex/n\\u000Ax> .", 28),
+            ("<http://ex/a> <http://ex/p\x01> <http://ex/b> .", 14),
+        ],
+    )
+    def test_iri_that_would_not_reload_is_bad_iri(self, line, offset):
+        # A backslash or a control character, escaped or raw: written back
+        # raw, it would not parse as the same IRI.
+        with pytest.raises(ParseError) as exc_info:
+            parse_ntriple_line(line)
+        assert (exc_info.value.category, exc_info.value.byte_offset) == ("bad iri", offset)
+        assert read_batch(iter([line + "\n"]), 1) == ([], ParseReport(1, 0, 0, [(1, "bad iri")]))
 
     def test_unterminated_iri(self):
         assert self._category("<http://ex/a <http://ex/p> <http://ex/b> .") == "bad iri"

@@ -30,7 +30,7 @@ from helpers import (
 from kbevolve.errors import UnknownEntityError
 from kbevolve.generalization import ThresholdPolicy, run_generalization_pass
 from kbevolve.kb import OWL_THING, RDF_TYPE, KnowledgeBase, load_schema
-from kbevolve.type_inference import METHODS, assign_types, idf_weight
+from kbevolve.type_inference import METHOD_NAIVE, METHODS, _decide, assign_types, idf_weight
 from oracles import (
     InstanceProfile,
     TypeProfile,
@@ -114,6 +114,12 @@ class TestNaiveAssign:
         )
         kb.add_instance_triples([t_lit(INST + "i", PROP + "p1"), t_lit(INST + "i", PROP + "p2")])
         assert naive_assign(kb, INST + "i").chosen == CLS + "B"
+
+    @pytest.mark.parametrize("order", [("A", "B"), ("B", "A")])
+    def test_equal_depth_tie_goes_to_smaller_iri(self, order):
+        kb, _ = load_schema([subclass(CLS + "A", OWL_THING), subclass(CLS + "B", OWL_THING)])
+        scores = {CLS + name: 0.5 for name in order}
+        assert _decide(kb, INST + "i", None, scores, METHOD_NAIVE).chosen == CLS + "A"
 
     def test_incumbent_kept_on_tied_count(self):
         kb, _ = load_schema([domain(PROP + "p1", CLS + "A"), domain(PROP + "p1", CLS + "B")])

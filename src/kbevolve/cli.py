@@ -142,21 +142,24 @@ def cmd_report(args: argparse.Namespace) -> int:
 
 
 def cmd_ingest(args: argparse.Namespace) -> int:
-    report = ParseReport()
+    if args.show_errors < 0:
+        raise ValueError(f"--show-errors must be >= 0, got {args.show_errors}")
+    total, parse_errors = ParseReport(), 0  # total.errors keeps only the errors to list
     with open(args.triples, "r", encoding="utf-8", errors="surrogateescape") as fh:
         while True:
-            _, batch = read_batch(fh, INGEST_BATCH_LINES, report.lines_read + 1)
+            _, batch = read_batch(fh, INGEST_BATCH_LINES, total.lines_read + 1)
             if batch.lines_read == 0:
                 break
-            report.lines_read += batch.lines_read
-            report.triples_emitted += batch.triples_emitted
-            report.lines_skipped += batch.lines_skipped
-            report.errors += batch.errors
-    print(f"lines_read={report.lines_read}")
-    print(f"triples_emitted={report.triples_emitted}")
-    print(f"lines_skipped={report.lines_skipped}")
-    print(f"parse_errors={len(report.errors)}")
-    for line, category in report.errors[: args.show_errors]:
+            total.lines_read += batch.lines_read
+            total.triples_emitted += batch.triples_emitted
+            total.lines_skipped += batch.lines_skipped
+            parse_errors += len(batch.errors)
+            total.errors += batch.errors[: args.show_errors - len(total.errors)]
+    print(f"lines_read={total.lines_read}")
+    print(f"triples_emitted={total.triples_emitted}")
+    print(f"lines_skipped={total.lines_skipped}")
+    print(f"parse_errors={parse_errors}")
+    for line, category in total.errors:
         print(f"error line {line}: {category}")
     return 0
 
@@ -177,13 +180,18 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     fmt = argparse.ArgumentDefaultsHelpFormatter
 
+    defaults = EvolutionConfig()
     p = sub.add_parser("evolve", formatter_class=fmt, help="run the evolution cycle over a triple file")
     p.add_argument("schema", help="N-Triples schema file")
     p.add_argument("triples", help="N-Triples instance data file")
-    p.add_argument("--batch-lines", type=int, default=50000, help="lines consumed per batch")
-    p.add_argument("--method", choices=METHODS, default="pfidf", help="typing method")
-    p.add_argument("--max-inner-rounds", type=int, default=5, help="generalize/type rounds per batch")
-    p.add_argument("--deletion-factor", type=float, default=0.5, help="deletion hysteresis factor")
+    p.add_argument("--batch-lines", type=int, default=defaults.batch_lines, help="lines consumed per batch")
+    p.add_argument("--method", choices=METHODS, default=defaults.method, help="typing method")
+    p.add_argument(
+        "--max-inner-rounds", type=int, default=defaults.max_inner_rounds, help="generalize/type rounds per batch"
+    )
+    p.add_argument(
+        "--deletion-factor", type=float, default=ThresholdPolicy().deletion_factor, help="deletion hysteresis factor"
+    )
     p.add_argument("--no-delete", action="store_true", help="disable domain deletion")
     p.add_argument("--out", default="evolved_kb.nt", help="evolved KB snapshot path")
     p.add_argument("--report", default="evolution_report.csv", help="per-batch metrics CSV path")

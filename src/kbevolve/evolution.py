@@ -131,7 +131,8 @@ def evolve(
     One IterationRecord is appended per non-empty batch. An I/O failure on
     the source stops after the last completed batch and is recorded on the
     report. Optional audit sinks receive a header row, then one CSV row per
-    typing decision / domain change.
+    domain change, and per round one row per instance in kb.typing_cache:
+    the decision made that round, or else its cached last decision.
     """
     report = EvolutionReport()
     typing_writer = domain_writer = None
@@ -167,6 +168,7 @@ def evolve(
                     for c in changes
                 )
             if typing_writer is not None:
+                made = {d.instance: d for d in decisions}
                 typing_writer.writerows(
                     (
                         d.instance,
@@ -175,7 +177,7 @@ def evolve(
                         repr(d.score),
                         d.method,
                     )
-                    for d in decisions
+                    for d in (made.get(ikey, cached) for ikey, cached in sorted(kb.typing_cache.items()))
                 )
             domain_changes += len(changes)
             type_changes += round_type_changes

@@ -6,7 +6,7 @@ reaches 1/(1 + log10 N) (the class gains it as a domain), then drops every
 generalized domain whose support fell below a hysteresis band
 (deletion_factor times that threshold). Adding a domain cannot change
 support, so one count feeds both rules. Schema-asserted domains are never
-deleted. A pass walks the class tree leaf-first and evaluates exactly the
+deleted. A pass walks kb.leaf_first_order and evaluates exactly the
 classes the KB marked dirty, after marking every class dirty when the
 policy or the deletion switch changed: a class's outcome depends only on
 those settings and its own direct instances and domain entries.
@@ -110,7 +110,7 @@ def run_generalization_pass(
         kb.dirty_classes.update(kb.classes)
         kb.generalized_with = settings
     changes: list[DomainChange] = []
-    for class_iri in kb.leaf_first_order():
+    for class_iri in kb.leaf_first_order:
         if class_iri in kb.dirty_classes and kb.direct_instance_index.get(class_iri):
             changes.extend(evaluate_class(kb, class_iri, policy, deletion_enabled=deletion_enabled))
     # A class's own domain writes mark only itself, and it is now settled.

@@ -11,8 +11,10 @@ visits exactly its dirty set, after marking everything dirty when its
 inputs differ from the last pass's: (policy, deletion_enabled) in
 generalized_with, (method, table_version) in typed_against. Every domain
 write, through add_domain / remove_domain, bumps table_version. The typing
-pass keeps its decisions in typing_cache and its scoring tables in
-typing_kernel. deeper_class is the one tie rule of ingest and typing.
+pass keeps its scoring tables in typing_kernel and each instance's last
+decision in typing_cache, which only the typing audit reads back. The
+class tree and leaf_first_order are fixed by load_schema. deeper_class is
+the one tie rule of ingest and typing.
 
 An instance's type of None means unclassified; typing an instance as the
 root class is the same thing, so assertions to the root are dropped and the
@@ -54,7 +56,6 @@ UNCLASSIFIED_LABEL = "unclassified"
 class ClassNode:
     iri: str
     parent: str | None
-    children: set[str] = field(default_factory=set)
     depth: int = 0
 
 
@@ -75,6 +76,7 @@ class InstanceRecord:
 class KnowledgeBase:
     def __init__(self):
         self.classes: dict[str, ClassNode] = {OWL_THING: ClassNode(OWL_THING, None)}
+        self.leaf_first_order: list[str] = [OWL_THING]  # set once by load_schema
         self.properties: dict[str, PropertyRecord] = {}
         self.instances: dict[str, InstanceRecord] = {}
         self.direct_instance_index: dict[str, set[str]] = {}
@@ -86,38 +88,6 @@ class KnowledgeBase:
         self.typing_kernel: _Kernel | None = None
         self.typed_against: tuple[str, int] | None = None
         self.generalized_with: tuple[ThresholdPolicy, bool] | None = None
-
-    # ---- classes ----------------------------------------------------
-
-    def add_class(self, iri: str, parent: str) -> ClassNode:
-        if iri in self.classes:
-            raise SchemaError(f"class already defined: {iri}")
-        parent_node = self.classes.get(parent)
-        if parent_node is None:
-            raise SchemaError(f"unknown parent class: {parent}")
-        node = ClassNode(iri, parent, depth=parent_node.depth + 1)
-        self.classes[iri] = node
-        parent_node.children.add(iri)
-        self.table_version += 1  # pfidf weights depend on the class count
-        return node
-
-    def leaf_first_order(self) -> list[str]:
-        """Post-order walk of the class tree.
-
-        Every class appears after all of its descendants; sibling ties are
-        broken lexicographically, so the order is deterministic.
-        """
-        order: list[str] = []
-        stack = [(OWL_THING, iter(sorted(self.classes[OWL_THING].children)))]
-        while stack:
-            iri, children = stack[-1]
-            child = next(children, None)
-            if child is None:
-                order.append(iri)
-                stack.pop()
-            else:
-                stack.append((child, iter(sorted(self.classes[child].children))))
-        return order
 
     # ---- domains -----------------------------------------------------
 
@@ -273,6 +243,20 @@ def _subject_ref(key: str) -> str:
     return key if key.startswith("_:") else f"<{key}>"
 
 
+def _leaf_first(children: dict[str, list[str]]) -> list[str]:
+    """Every class after all of its descendants, siblings in IRI order."""
+    order: list[str] = []
+    stack = [(OWL_THING, False)]
+    while stack:
+        iri, expanded = stack.pop()
+        if expanded:
+            order.append(iri)
+        else:
+            stack.append((iri, True))
+            stack.extend((child, False) for child in sorted(children.get(iri, ()), reverse=True))
+    return order
+
+
 def _require_iri(term, what: str) -> None:
     if term.kind is not TermKind.IRI:
         raise SchemaError(f"{what} must be an IRI, got {term.kind.value}")
@@ -284,8 +268,9 @@ def load_schema(triples: Iterable[Triple]) -> tuple[KnowledgeBase, list[Triple]]
     subClassOf edges build the class tree (single parent, no cycles),
     rdfs:domain fills property domains with schema provenance, and
     rdf:type owl:Class / rdf:Property register classes and properties.
-    Classes referenced but never placed get the root as parent. Non-schema
-    triples are returned untouched for later ingestion.
+    Classes referenced but never placed get the root as parent; the tree
+    and its leaf-first order are fixed here, as nothing adds a class later.
+    Non-schema triples are returned untouched for later ingestion.
     """
     kb = KnowledgeBase()
     leftover: list[Triple] = []
@@ -324,6 +309,7 @@ def load_schema(triples: Iterable[Triple]) -> tuple[KnowledgeBase, list[Triple]]
 
     class_iris.discard(OWL_THING)
 
+    children: dict[str, list[str]] = {}
     for ciri in sorted(class_iris):
         chain: list[str] = []
         on_chain: set[str] = set()
@@ -336,7 +322,10 @@ def load_schema(triples: Iterable[Triple]) -> tuple[KnowledgeBase, list[Triple]]
             on_chain.add(node)
             node = parents.get(node, OWL_THING)
         for pending in reversed(chain):
-            kb.add_class(pending, parents.get(pending, OWL_THING))
+            parent = parents.get(pending, OWL_THING)
+            kb.classes[pending] = ClassNode(pending, parent, kb.classes[parent].depth + 1)
+            children.setdefault(parent, []).append(pending)
+    kb.leaf_first_order = _leaf_first(children)
 
     for piri in sorted(prop_iris):
         kb.properties.setdefault(piri, PropertyRecord(piri))

@@ -13,8 +13,9 @@ A pass scores exactly the instances the KB marked dirty, after rebuilding
 the kernel and marking every instance dirty when the method or the domain
 table changed. A decision reads only the kernel, the class depths and the
 instance's own type and properties, which the pass does not change, so it
-is applied at once and instance order does not matter. A clean instance
-keeps its cached decision in the stable (chosen, chosen) form.
+is applied at once and instance order does not matter. The pass returns
+only the decisions it made; kb.typing_cache keeps each scored instance's
+last decision, in the stable (chosen, chosen) form, for the typing audit.
 """
 
 from __future__ import annotations
@@ -125,33 +126,32 @@ def _decide(
 
 
 def assign_types(kb: KnowledgeBase, method: str) -> list[TypingDecision]:
-    """One typing pass over every non-placeholder instance with properties.
+    """One typing pass over the dirty instances that have properties.
 
     An unclassified instance takes the best class when its score is
     positive; a classified one is reassigned only when some class strictly
     beats the incumbent's score under the same method. Instances with no
-    scorable evidence yield a no-change decision. Returns the applied
-    decision list in instance order.
+    scorable evidence yield a no-change decision. Returns the decisions
+    this pass made, applied, in instance order; a clean instance keeps its
+    last decision in kb.typing_cache and is not listed.
     """
     inputs = (method, kb.table_version)
     if kb.typed_against != inputs:
         kb.typing_kernel = _Kernel(kb, method)
         kb.typed_against = inputs
         kb.dirty_instances.update(kb.instances)
-    kernel, cache, dirty = kb.typing_kernel, kb.typing_cache, kb.dirty_instances
+    kernel, cache = kb.typing_kernel, kb.typing_cache
     decisions: list[TypingDecision] = []
-    for ikey, rec in sorted(kb.instances.items()):
-        if rec.placeholder or not rec.properties:
+    for ikey in sorted(kb.dirty_instances):
+        rec = kb.instances[ikey]
+        if not rec.properties:
             continue
-        if ikey in dirty:
-            scores = kernel.scores(rec.properties)
-            decision = cache[ikey] = _decide(kb, ikey, rec.assigned_type, scores, method)
-            if decision.chosen != decision.previous:
-                kb.set_type(ikey, decision.chosen)
-                cache[ikey] = replace(decision, previous=decision.chosen)
-        else:
-            decision = cache[ikey]
+        scores = kernel.scores(rec.properties)
+        decision = cache[ikey] = _decide(kb, ikey, rec.assigned_type, scores, method)
+        if decision.chosen != decision.previous:
+            kb.set_type(ikey, decision.chosen)
+            cache[ikey] = replace(decision, previous=decision.chosen)
         decisions.append(decision)
     # Types set just above follow from stable decisions: nothing to rescore.
-    dirty.clear()
+    kb.dirty_instances.clear()
     return decisions

@@ -100,6 +100,22 @@ def kb_instance_state(kb: KnowledgeBase) -> dict[str, tuple[str | None, tuple[st
     }
 
 
+def assert_typing_matches_oracle(
+    kb: KnowledgeBase, made: list[TypingDecision], expected: list[TypingDecision]
+) -> None:
+    """``made`` is what ``assign_types`` returned and ``expected`` what the
+    dense oracle pass returned on an equal KB. Every decision made equals
+    the oracle's, the changed ones are exactly the oracle's changed ones,
+    and the typing cache holds the oracle's (chosen, score, method) for
+    every instance the oracle decided."""
+    oracle = {d.instance: d for d in expected}
+    assert all(oracle[d.instance] == d for d in made)
+    assert [d for d in made if d.chosen != d.previous] == [d for d in expected if d.chosen != d.previous]
+    assert {k: (d.chosen, d.score, d.method) for k, d in kb.typing_cache.items()} == {
+        k: (d.chosen, d.score, d.method) for k, d in oracle.items()
+    }
+
+
 def _instance_record(kb: KnowledgeBase, instance_iri: str) -> InstanceRecord:
     rec = kb.instances.get(instance_iri)
     if rec is None:

@@ -283,7 +283,7 @@ def oracle_generalization_pass(
     """Generalize then delete for every class with direct instances,
     leaf-first."""
     changes: list[DomainChange] = []
-    for class_iri in kb.leaf_first_order():
+    for class_iri in kb.leaf_first_order:
         if not kb.direct_instance_index.get(class_iri):
             continue
         changes.extend(_oracle_generalize(kb, class_iri))

@@ -287,6 +287,23 @@ class TestIngestCommand:
         assert main(["ingest", str(path)]) == 0
         assert capsys.readouterr().out == whole
 
+    def test_listed_errors_capped_across_batches(self, tmp_path, capsys, monkeypatch):
+        path = tmp_path / "data.nt"
+        path.write_text("broken\n# comment\n<http://ex/a> <http://ex/p> .\nbroken\n", encoding="utf-8")
+        monkeypatch.setattr(cli, "INGEST_BATCH_LINES", 2)
+        assert main(["ingest", str(path), "--show-errors", "1"]) == 0
+        out = capsys.readouterr().out
+        assert "parse_errors=3\nerror line 1: bad subject\n" in out
+        assert out.count("error line") == 1
+        assert main(["ingest", str(path), "--show-errors", "0"]) == 0
+        assert "error line" not in capsys.readouterr().out
+
+    def test_negative_show_errors_rejected_before_reading(self, tmp_path, capsys):
+        assert main(["ingest", str(tmp_path / "nope.nt"), "--show-errors", "-1"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and "--show-errors" in captured.err
+
 
 class TestExportCommand:
     def test_normalization_fixed_point(self, tmp_path, capsys):

@@ -1,6 +1,7 @@
 """Orchestrator, coverage metrics, and report serialization tests."""
 
 import io
+from collections import Counter
 
 import pytest
 
@@ -119,8 +120,7 @@ class TestEvolve:
         assert len(report.records) == 1
         # Fixed point: re-running the two passes changes nothing.
         assert run_generalization_pass(kb, config.policy) == []
-        decisions = assign_types(kb, "pfidf")
-        assert all(d.chosen == d.previous for d in decisions)
+        assert assign_types(kb, "pfidf") == []
 
     def test_three_batches_monotone(self):
         kb, lines, _ = load_synth(SynthSpec(6, 3, 1, 12, 0.5, 0.0, seed=4))
@@ -184,9 +184,24 @@ class TestEvolve:
         typing_rows = typing_audit.getvalue().strip().splitlines()
         assert typing_rows[0] == ",".join(TYPING_AUDIT_COLUMNS)
         assert typing_rows[1:] and all(len(row.split(",")) == 5 for row in typing_rows)
+        # Every round lists every instance with properties, the final quiet round included.
+        listed = Counter(row.split(",")[0] for row in typing_rows[1:])
+        assert set(listed) == {k for k, rec in kb.instances.items() if rec.properties}
+        assert len(set(listed.values())) == 1 and min(listed.values()) >= 2
         domain_rows = domain_audit.getvalue().strip().splitlines()
         assert domain_rows[0] == ",".join(DOMAIN_AUDIT_COLUMNS)
         assert all(len(row.split(",")) == 5 for row in domain_rows)
+
+    def test_typing_audit_lists_instances_typed_before(self):
+        kb, lines, _ = load_synth(SynthSpec(3, 2, 1, 6, 0.5, 0.0, seed=8))
+        config = EvolutionConfig(batch_lines=len(lines))
+        evolve(kb, iter(lines), config)
+        typing_audit = io.StringIO()
+        # A repeated usage line changes nothing, so its one round makes no decision.
+        repeated = next(line for line in lines if RDF_TYPE not in line)
+        evolve(kb, iter([repeated]), config, typing_audit=typing_audit)
+        listed = [row.split(",")[0] for row in typing_audit.getvalue().strip().splitlines()[1:]]
+        assert listed == sorted(k for k, rec in kb.instances.items() if rec.properties)
 
     def test_config_validation(self):
         with pytest.raises(ValueError):

@@ -237,7 +237,7 @@ class TestLeafFirstOrder:
                 subclass(CLS + "A2", CLS + "A"),
             ]
         )
-        assert kb.leaf_first_order() == [
+        assert kb.leaf_first_order == [
             CLS + "A1",
             CLS + "A2",
             CLS + "A",
@@ -246,7 +246,7 @@ class TestLeafFirstOrder:
         ]
 
     def test_single_root(self):
-        assert kb_default().leaf_first_order() == [OWL_THING]
+        assert kb_default().leaf_first_order == [OWL_THING]
 
     def test_random_tree_children_precede_parents(self):
         # Oracle: child map rebuilt directly from the generated edges.
@@ -258,7 +258,7 @@ class TestLeafFirstOrder:
             edges.append((node, rng.choice(created)))
             created.append(node)
         kb, _ = load_schema([subclass(c, p) for c, p in edges])
-        order = kb.leaf_first_order()
+        order = kb.leaf_first_order
         position = {cls: k for k, cls in enumerate(order)}
         assert sorted(position) == sorted([OWL_THING] + nodes)
         for child, parent in edges:

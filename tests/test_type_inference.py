@@ -18,6 +18,7 @@ from helpers import (
     KIM,
     PRESIDENT,
     PROP,
+    assert_typing_matches_oracle,
     class_scores,
     domain,
     kb_instance_state,
@@ -501,7 +502,7 @@ class TestKernelMatchesOracle:
                         tprof = build_type_profile(oracle_kb, cls, "pfidf")
                         expected = cosine_score(tprof, iprof) if cls != OWL_THING else 0.0
                         assert pfidf_score(kb, ikey, cls) == expected
-            assert assign_types(kb, method) == oracle_assign_types(oracle_kb, method)
+            assert_typing_matches_oracle(kb, assign_types(kb, method), oracle_assign_types(oracle_kb, method))
             assert kb_instance_state(kb) == kb_instance_state(oracle_kb)
             run_generalization_pass(kb, ThresholdPolicy())
             run_generalization_pass(oracle_kb, ThresholdPolicy())

@@ -12,7 +12,7 @@ from typing import IO, Iterable, Iterator
 from kbevolve.generalization import ThresholdPolicy, run_generalization_pass
 from kbevolve.kb import UNCLASSIFIED_LABEL, KnowledgeBase
 from kbevolve.ntriples import read_batch
-from kbevolve.type_inference import METHODS, assign_types
+from kbevolve.type_inference import METHODS, TypingDecision, assign_types
 
 TYPING_AUDIT_COLUMNS = ("instance", "previous", "chosen", "score", "method")
 DOMAIN_AUDIT_COLUMNS = ("class", "property", "action", "ratio", "threshold")
@@ -132,7 +132,8 @@ def evolve(
     the source stops after the last completed batch and is recorded on the
     report. Optional audit sinks receive a header row, then one CSV row per
     domain change, and per round one row per instance in kb.typing_cache:
-    the decision made that round, or else its cached last decision.
+    the decision made that round, or else its cached (chosen, score) as a
+    no-change row under the pass's method.
     """
     report = EvolutionReport()
     typing_writer = domain_writer = None
@@ -169,6 +170,7 @@ def evolve(
                 )
             if typing_writer is not None:
                 made = {d.instance: d for d in decisions}
+                method = kb.typed_against[0]  # every cached entry was scored under it
                 typing_writer.writerows(
                     (
                         d.instance,
@@ -177,7 +179,10 @@ def evolve(
                         repr(d.score),
                         d.method,
                     )
-                    for d in (made.get(ikey, cached) for ikey, cached in sorted(kb.typing_cache.items()))
+                    for d in (
+                        made.get(ikey) or TypingDecision(ikey, chosen, chosen, score, method)
+                        for ikey, (chosen, score) in sorted(kb.typing_cache.items())
+                    )
                 )
             domain_changes += len(changes)
             type_changes += round_type_changes

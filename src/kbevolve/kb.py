@@ -2,19 +2,22 @@
 table with per-domain provenance, and instance records.
 
 The KB also owns the state derived from them that the passes read, and
-keeps it current on every write: the direct-instance index, a per-class
-index of generalized domains, and the dirty sets. A class is dirty when its
-direct-instance set, the properties of its direct instances, or its domain
-entries changed since the last generalization pass; an instance is dirty
-when its type or properties changed since the last typing pass. Each pass
-visits exactly its dirty set, after marking everything dirty when its
-inputs differ from the last pass's: (policy, deletion_enabled) in
-generalized_with, (method, table_version) in typed_against. Every domain
-write, through add_domain / remove_domain, bumps table_version. The typing
-pass keeps its scoring tables in typing_kernel and each instance's last
-decision in typing_cache, which only the typing audit reads back. The
-class tree and leaf_first_order are fixed by load_schema. deeper_class is
-the one tie rule of ingest and typing.
+keeps it current on every write: the direct-instance index, the property
+-> users index, a per-class index of generalized domains, and the dirty
+sets. A class is dirty when its direct-instance set, the properties of its
+direct instances, or its domain entries changed since the last
+generalization pass; an instance is dirty when its type or properties
+changed since the last typing pass. Each pass visits exactly its dirty
+set. A change of its inputs first marks more: a new (policy,
+deletion_enabled) in generalized_with marks every class, a new method in
+typed_against every instance, and a new table_version alone the instances
+the typing pass finds affected by diffing its rebuilt kernel against
+typing_kernel. Every domain write, through add_domain / remove_domain,
+bumps table_version. The typing pass keeps each instance's last (chosen,
+score) in typing_cache, scored under typed_against's method, which only
+the typing audit reads back. The class tree and leaf_first_order are
+fixed by load_schema. deeper_class is the one tie rule of ingest and
+typing.
 
 An instance's type of None means unclassified; typing an instance as the
 root class is the same thing, so assertions to the root are dropped and the
@@ -32,7 +35,7 @@ from kbevolve.ntriples import TermKind, Triple
 
 if TYPE_CHECKING:
     from kbevolve.generalization import ThresholdPolicy
-    from kbevolve.type_inference import TypingDecision, _Kernel
+    from kbevolve.type_inference import _Kernel
 
 RDF_TYPE = "http://www.w3.org/1999/02/22-rdf-syntax-ns#type"
 RDF_PROPERTY = "http://www.w3.org/1999/02/22-rdf-syntax-ns#Property"
@@ -80,11 +83,13 @@ class KnowledgeBase:
         self.properties: dict[str, PropertyRecord] = {}
         self.instances: dict[str, InstanceRecord] = {}
         self.direct_instance_index: dict[str, set[str]] = {}
+        # property -> instances carrying it, each once: properties never leave
+        self.property_users: dict[str, list[str]] = {}
         self.generalized_index: dict[str, set[str]] = {}  # class iri -> properties
         self.dirty_classes: set[str] = set()
         self.dirty_instances: set[str] = set()
         self.table_version = 0
-        self.typing_cache: dict[str, TypingDecision] = {}
+        self.typing_cache: dict[str, tuple[str | None, float]] = {}  # instance -> (chosen, score)
         self.typing_kernel: _Kernel | None = None
         self.typed_against: tuple[str, int] | None = None
         self.generalized_with: tuple[ThresholdPolicy, bool] | None = None
@@ -185,6 +190,7 @@ class KnowledgeBase:
             rec = self.instances[t.subject.value]
             if pv not in rec.properties:
                 rec.properties.add(pv)
+                self.property_users.setdefault(pv, []).append(rec.iri)
                 self.dirty_instances.add(rec.iri)
                 if rec.assigned_type is not None:
                     self.dirty_classes.add(rec.assigned_type)

@@ -9,19 +9,21 @@ class and instance norms. Reassignment requires a strictly better score
 than the incumbent type; equal scores go to KnowledgeBase.deeper_class.
 The root class is never assigned (it means unclassified).
 
-A pass scores exactly the instances the KB marked dirty, after rebuilding
-the kernel and marking every instance dirty when the method or the domain
-table changed. A decision reads only the kernel, the class depths and the
-instance's own type and properties, which the pass does not change, so it
-is applied at once and instance order does not matter. The pass returns
-only the decisions it made; kb.typing_cache keeps each scored instance's
-last decision, in the stable (chosen, chosen) form, for the typing audit.
+A pass scores exactly the instances the KB marked dirty. When the method
+changed, it first rebuilds the kernel and marks every instance dirty; when
+only the domain table changed, it rebuilds the kernel, diffs it against
+the last one and marks only the instances the diff can affect. A decision
+reads only the kernel, the class depths and the instance's own type and
+properties, which the pass does not change, so it is applied at once and
+instance order does not matter. The pass returns only the decisions it
+made; kb.typing_cache keeps each scored instance's last (chosen, score),
+which only the typing audit reads back.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from kbevolve.errors import UnknownEntityError
 from kbevolve.kb import OWL_THING, KnowledgeBase
@@ -125,21 +127,56 @@ def _decide(
     return TypingDecision(instance_iri, previous, best, scores.get(best, 0.0), method)
 
 
+def _affected(kb: KnowledgeBase, old: _Kernel, new: _Kernel) -> set[str]:
+    """Instances whose decision or score can differ between two kernels of
+    one method: the users of every property whose table entry changed;
+    under cosine and pfidf also the direct instances of every class whose
+    norm changed, and the users of every property with a domain among the
+    classes whose norm fell. Any other instance keeps its dot sums and
+    hits, and every class it hits keeps or raises its norm, so its
+    incumbent keeps its score and no rival gains."""
+    users = kb.property_users
+    dirty: set[str] = set()
+    for prop in old.table.keys() | new.table.keys():
+        if old.table.get(prop) != new.table.get(prop):
+            dirty.update(users.get(prop, ()))
+    if new.norms is None:
+        return dirty
+    fell: set[str] = set()
+    for cls in old.norms.keys() | new.norms.keys():
+        before, after = old.norms.get(cls, 0.0), new.norms.get(cls, 0.0)
+        if before != after:
+            dirty.update(kb.direct_instance_index.get(cls, ()))
+            if after < before:
+                fell.add(cls)
+    if fell:
+        for prop, (_, domains) in new.table.items():
+            if not fell.isdisjoint(domains):
+                dirty.update(users.get(prop, ()))
+    return dirty
+
+
 def assign_types(kb: KnowledgeBase, method: str) -> list[TypingDecision]:
     """One typing pass over the dirty instances that have properties.
 
     An unclassified instance takes the best class when its score is
     positive; a classified one is reassigned only when some class strictly
     beats the incumbent's score under the same method. Instances with no
-    scorable evidence yield a no-change decision. Returns the decisions
-    this pass made, applied, in instance order; a clean instance keeps its
-    last decision in kb.typing_cache and is not listed.
+    scorable evidence yield a no-change decision. A new method marks every
+    instance dirty; a domain write under the same method marks only the
+    instances _affected by the rebuilt kernel. Returns the decisions this
+    pass made, applied, in instance order; a clean instance keeps its last
+    (chosen, score) in kb.typing_cache and is not listed.
     """
     inputs = (method, kb.table_version)
     if kb.typed_against != inputs:
-        kb.typing_kernel = _Kernel(kb, method)
+        kernel = _Kernel(kb, method)
+        if kb.typed_against is not None and kb.typed_against[0] == method:
+            kb.dirty_instances.update(_affected(kb, kb.typing_kernel, kernel))
+        else:
+            kb.dirty_instances.update(kb.instances)
+        kb.typing_kernel = kernel
         kb.typed_against = inputs
-        kb.dirty_instances.update(kb.instances)
     kernel, cache = kb.typing_kernel, kb.typing_cache
     decisions: list[TypingDecision] = []
     for ikey in sorted(kb.dirty_instances):
@@ -147,10 +184,10 @@ def assign_types(kb: KnowledgeBase, method: str) -> list[TypingDecision]:
         if not rec.properties:
             continue
         scores = kernel.scores(rec.properties)
-        decision = cache[ikey] = _decide(kb, ikey, rec.assigned_type, scores, method)
+        decision = _decide(kb, ikey, rec.assigned_type, scores, method)
+        cache[ikey] = (decision.chosen, decision.score)
         if decision.chosen != decision.previous:
             kb.set_type(ikey, decision.chosen)
-            cache[ikey] = replace(decision, previous=decision.chosen)
         decisions.append(decision)
     # Types set just above follow from stable decisions: nothing to rescore.
     kb.dirty_instances.clear()

@@ -25,6 +25,7 @@ from kbevolve.kb import (
     OWL_THING,
     PROV_GENERALIZED,
     PROV_SCHEMA,
+    RDF_PROPERTY,
     RDF_TYPE,
     KnowledgeBase,
     load_schema,
@@ -33,6 +34,7 @@ from kbevolve.type_inference import METHODS, assign_types
 from oracles import oracle_assign_types, oracle_generalization_pass
 
 POLICIES = tuple(ThresholdPolicy(deletion_factor=f) for f in (0.5, 1.0, 0.25))
+Q = PROP + "q"  # its domains are written only by the "fall" step of churn_inputs
 
 
 def domain_table(kb: KnowledgeBase) -> dict[str, dict[str, str]]:
@@ -105,6 +107,39 @@ def evolving_inputs(draw):
     return schema, batches
 
 
+@st.composite
+def churn_inputs(draw):
+    """One method, a schema and one batch of data, then steps of domain
+    writes between typing passes, drift-like: random writes of both
+    provenances, plus three scripted steps in a drawn order. "fall" gives
+    Q, whose domains no other step writes, a class and then takes it back,
+    so that class's norm falls; "cover" narrows a property to one class and
+    then grows its domains to every class (pfidf weight 0); "strip" takes
+    every domain from a property."""
+    classes, schema = draw(class_tree())
+    everything = [OWL_THING] + classes
+    props = [PROP + f"p{k}" for k in range(draw(st.integers(1, 6)))]
+    schema.extend(t(prop, RDF_TYPE, RDF_PROPERTY) for prop in props + [Q])
+    for prop in props:
+        for cls in sorted(draw(st.sets(st.sampled_from(everything), max_size=3))):
+            schema.append(domain(prop, cls))
+    data = []
+    for k in range(draw(st.integers(1, 12))):
+        inst = INST + f"i{k}"
+        used = draw(st.sets(st.sampled_from(props + [Q]), min_size=1, max_size=4))
+        data.extend(t_lit(inst, prop) for prop in sorted(used))
+        asserted = draw(st.none() | st.sampled_from(everything))
+        if asserted is not None:
+            data.append(t(inst, RDF_TYPE, asserted))
+    provenance = st.sampled_from([PROV_SCHEMA, PROV_GENERALIZED])
+    write = st.tuples(st.sampled_from(props), st.sampled_from(everything), st.none() | provenance)
+    steps = [("random", w) for w in draw(st.lists(st.lists(write, min_size=1, max_size=4), max_size=3))]
+    for kind in ("fall", "cover", "strip"):
+        prop = Q if kind == "fall" else draw(st.sampled_from(props))
+        steps.append((kind, (prop, draw(st.sampled_from(classes)), draw(provenance))))
+    return schema, data, draw(st.sampled_from(METHODS)), draw(st.permutations(steps))
+
+
 class TestMatchesFullRecompute:
     @given(evolving_inputs())
     @settings(max_examples=300, deadline=None)
@@ -127,6 +162,54 @@ class TestMatchesFullRecompute:
                 assert kb_instance_state(kb) == kb_instance_state(oracle_kb)
                 observed = {cls: props for cls, props in kb.generalized_index.items() if props}
                 assert observed == generalized_index_from_table(kb)
+
+    @given(churn_inputs())
+    @settings(max_examples=300, deadline=None)
+    def test_domain_churn_equals_oracle_passes(self, inputs):
+        schema, data, method, steps = inputs
+        kb, oracle_kb = build(schema), build(schema)
+        for each in (kb, oracle_kb):
+            each.add_instance_triples(data)
+
+        def write(prop, cls, provenance):  # no provenance: remove, if present
+            for each in (kb, oracle_kb):
+                if provenance is not None:
+                    each.add_domain(prop, cls, provenance)
+                elif cls in each.properties[prop].domains:
+                    each.remove_domain(prop, cls)
+
+        def typing_pass():
+            assert_typing_matches_oracle(
+                kb, assign_types(kb, method), oracle_assign_types(oracle_kb, method)
+            )
+            assert kb_instance_state(kb) == kb_instance_state(oracle_kb)
+            return kb.typing_kernel
+
+        typing_pass()
+        for kind, args in steps:
+            if kind == "random":
+                for prop, cls, provenance in args:
+                    write(prop, cls, provenance)
+                typing_pass()
+                continue
+            prop, cls, provenance = args
+            for other in list(kb.properties[prop].domains):
+                write(prop, other, None)
+            write(prop, cls, provenance)
+            narrowed = typing_pass()
+            assert prop in narrowed.table  # one class of at least two: weight > 0
+            if kind == "fall":
+                write(prop, cls, None)
+                kernel = typing_pass()
+                if method != "naive":
+                    assert kernel.norms.get(cls, 0.0) < narrowed.norms[cls]
+            elif kind == "cover":
+                for other in kb.classes:
+                    write(prop, other, provenance)
+                assert (prop in typing_pass().table) == (method != "pfidf")
+            else:
+                write(prop, cls, None)
+                assert prop not in typing_pass().table
 
 
 @st.composite
@@ -176,8 +259,8 @@ class TestClassOrder:
         assert domain_table(leaf_first) == domain_table(shuffled)
 
 
-A, B = CLS + "A", CLS + "B"
-I1, I2, I3 = INST + "i1", INST + "i2", INST + "i3"
+A, B, C = CLS + "A", CLS + "B", CLS + "C"
+I1, I2, I3, I4 = INST + "i1", INST + "i2", INST + "i3", INST + "i4"
 
 
 def small_kb() -> KnowledgeBase:
@@ -240,21 +323,55 @@ class TestTypingPass:
         scored.clear()
         assert assign_types(kb, "cosine") == []
         assert scored == []
-        assert [(k, d.previous, d.chosen, d.score) for k, d in sorted(kb.typing_cache.items())] == [
-            (d.instance, d.chosen, d.chosen, d.score) for d in first
+        assert kb.typed_against[0] == "cosine"
+        assert [(k, chosen, score) for k, (chosen, score) in sorted(kb.typing_cache.items())] == [
+            (d.instance, d.chosen, d.score) for d in first
         ]
 
-    @pytest.mark.parametrize("write", ["add", "remove"])
-    def test_domain_change_rescores_every_instance(self, scored, write):
+    @pytest.mark.parametrize(
+        "method, write, expected",
+        [
+            # a gains B: a's users i1 and i3; B's norm rises, so its incumbent i2 too
+            ("naive", "add", [I1, I3]),
+            ("cosine", "add", [I1, I2, I3]),
+            ("pfidf", "add", [I1, I2, I3]),
+            # c leaves B: c's user i2; B's norm falls, so B's incumbent and b's user: i2 again
+            ("naive", "remove", [I2]),
+            ("cosine", "remove", [I2]),
+            ("pfidf", "remove", [I2]),
+        ],
+    )
+    def test_domain_change_rescores_affected_instances(self, scored, method, write, expected):
         kb = small_kb()
-        assign_types(kb, "pfidf")
+        kb.add_instance_triples([t_lit(I4, PROP + "d")])  # d has no domain: never affected
+        assign_types(kb, method)
+        assert scored == [I1, I2, I3, I4]
         scored.clear()
         if write == "add":
             kb.add_domain(PROP + "a", B, PROV_GENERALIZED)
         else:
             kb.remove_domain(PROP + "c", B)
-        assign_types(kb, "pfidf")
-        assert scored == [I1, I2, I3]
+        assign_types(kb, method)
+        assert scored == expected
+        scored.clear()
+        kb.add_domain(PROP + "a", A, PROV_GENERALIZED)  # a new provenance, the same table
+        assign_types(kb, method)
+        assert scored == []
+
+    @pytest.mark.parametrize("method", ["cosine", "pfidf"])
+    def test_falling_norm_rescores_users_of_its_other_properties(self, scored, method):
+        kb = build(
+            [subclass(A, OWL_THING), subclass(C, OWL_THING)]
+            + [domain(PROP + p, A) for p in "xw"]
+            + [domain(PROP + p, C) for p in "yz"]
+        )
+        kb.add_instance_triples([t_lit(I1, PROP + "x"), t_lit(I1, PROP + "y")])
+        assign_types(kb, method)  # A and C tie at 1/2: the smaller IRI, A
+        assert kb.instances[I1].assigned_type == A
+        scored.clear()
+        kb.remove_domain(PROP + "z", C)  # nobody uses z, but C's norm falls
+        assert [(d.previous, d.chosen) for d in assign_types(kb, method)] == [(A, C)]
+        assert scored == [I1]
 
     def test_method_change_rescores_every_instance(self, scored):
         kb = small_kb()

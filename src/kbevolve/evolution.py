@@ -12,7 +12,7 @@ from typing import IO, Iterable, Iterator
 from kbevolve.generalization import ThresholdPolicy, run_generalization_pass
 from kbevolve.kb import UNCLASSIFIED_LABEL, KnowledgeBase
 from kbevolve.ntriples import read_batch
-from kbevolve.type_inference import METHODS, TypingDecision, assign_types
+from kbevolve.type_inference import METHODS, assign_types
 
 TYPING_AUDIT_COLUMNS = ("instance", "previous", "chosen", "score", "method")
 DOMAIN_AUDIT_COLUMNS = ("class", "property", "action", "ratio", "threshold")
@@ -131,9 +131,9 @@ def evolve(
     One IterationRecord is appended per non-empty batch. An I/O failure on
     the source stops after the last completed batch and is recorded on the
     report. Optional audit sinks receive a header row, then one CSV row per
-    domain change, and per round one row per instance in kb.typing_cache:
-    the decision made that round, or else its cached (chosen, score) as a
-    no-change row under the pass's method.
+    domain change, and per round one row per instance a typing pass has
+    scored, in IRI order: its type and type_score, with the type before
+    this round's decision when the round made one for it.
     """
     report = EvolutionReport()
     typing_writer = domain_writer = None
@@ -169,20 +169,17 @@ def evolve(
                     for c in changes
                 )
             if typing_writer is not None:
-                made = {d.instance: d for d in decisions}
-                method = kb.typed_against[0]  # every cached entry was scored under it
+                previous = {d.instance: d.previous for d in decisions}
                 typing_writer.writerows(
                     (
-                        d.instance,
-                        d.previous or UNCLASSIFIED_LABEL,
-                        d.chosen or UNCLASSIFIED_LABEL,
-                        repr(d.score),
-                        d.method,
+                        ikey,
+                        previous.get(ikey, rec.assigned_type) or UNCLASSIFIED_LABEL,
+                        rec.assigned_type or UNCLASSIFIED_LABEL,
+                        repr(rec.type_score),
+                        config.method,
                     )
-                    for d in (
-                        made.get(ikey) or TypingDecision(ikey, chosen, chosen, score, method)
-                        for ikey, (chosen, score) in sorted(kb.typing_cache.items())
-                    )
+                    for ikey, rec in sorted(kb.instances.items())
+                    if rec.type_score is not None
                 )
             domain_changes += len(changes)
             type_changes += round_type_changes

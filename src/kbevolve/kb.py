@@ -13,11 +13,10 @@ deletion_enabled) in generalized_with marks every class, a new method in
 typed_against every instance, and a new table_version alone the instances
 the typing pass finds affected by diffing its rebuilt kernel against
 typing_kernel. Every domain write, through add_domain / remove_domain,
-bumps table_version. The typing pass keeps each instance's last (chosen,
-score) in typing_cache, scored under typed_against's method, which only
-the typing audit reads back. The class tree and leaf_first_order are
-fixed by load_schema. deeper_class is the one tie rule of ingest and
-typing.
+bumps table_version. An instance record's type_score is the score its
+type earned in the typing pass that last scored it, under typed_against's
+method. The class tree and leaf_first_order are fixed by load_schema.
+deeper_class is the one tie rule of ingest and typing.
 
 An instance's type of None means unclassified; typing an instance as the
 root class is the same thing, so assertions to the root are dropped and the
@@ -57,28 +56,26 @@ UNCLASSIFIED_LABEL = "unclassified"
 
 @dataclass
 class ClassNode:
-    iri: str
     parent: str | None
     depth: int = 0
 
 
 @dataclass
 class PropertyRecord:
-    iri: str
     domains: dict[str, str] = field(default_factory=dict)  # class iri -> provenance
 
 
 @dataclass
 class InstanceRecord:
-    iri: str
     assigned_type: str | None = None
     properties: set[str] = field(default_factory=set)
     placeholder: bool = False
+    type_score: float | None = None  # None until a typing pass scores the instance
 
 
 class KnowledgeBase:
     def __init__(self):
-        self.classes: dict[str, ClassNode] = {OWL_THING: ClassNode(OWL_THING, None)}
+        self.classes: dict[str, ClassNode] = {OWL_THING: ClassNode(None)}
         self.leaf_first_order: list[str] = [OWL_THING]  # set once by load_schema
         self.properties: dict[str, PropertyRecord] = {}
         self.instances: dict[str, InstanceRecord] = {}
@@ -89,7 +86,6 @@ class KnowledgeBase:
         self.dirty_classes: set[str] = set()
         self.dirty_instances: set[str] = set()
         self.table_version = 0
-        self.typing_cache: dict[str, tuple[str | None, float]] = {}  # instance -> (chosen, score)
         self.typing_kernel: _Kernel | None = None
         self.typed_against: tuple[str, int] | None = None
         self.generalized_with: tuple[ThresholdPolicy, bool] | None = None
@@ -103,7 +99,7 @@ class KnowledgeBase:
             raise UnknownEntityError(f"unknown class: {cls}")
         record = self.properties.get(prop)
         if record is None:
-            record = self.properties[prop] = PropertyRecord(prop)
+            record = self.properties[prop] = PropertyRecord()
         if record.domains.get(cls) == provenance:
             return
         record.domains[cls] = provenance
@@ -170,7 +166,7 @@ class KnowledgeBase:
             skey = t.subject.value
             rec = self.instances.get(skey)
             if rec is None:
-                rec = self.instances[skey] = InstanceRecord(skey)
+                rec = self.instances[skey] = InstanceRecord()
             elif rec.placeholder:
                 rec.placeholder = False  # first statement of its own
             if (
@@ -187,15 +183,16 @@ class KnowledgeBase:
 
         for t in ordinary:
             pv = t.predicate.value
-            rec = self.instances[t.subject.value]
+            skey = t.subject.value
+            rec = self.instances[skey]
             if pv not in rec.properties:
                 rec.properties.add(pv)
-                self.property_users.setdefault(pv, []).append(rec.iri)
-                self.dirty_instances.add(rec.iri)
+                self.property_users.setdefault(pv, []).append(skey)
+                self.dirty_instances.add(skey)
                 if rec.assigned_type is not None:
                     self.dirty_classes.add(rec.assigned_type)
             if pv not in self.properties:
-                self.properties[pv] = PropertyRecord(pv)
+                self.properties[pv] = PropertyRecord()
 
         for skey, cls in sorted(asserted.items()):
             current = self.instances[skey].assigned_type
@@ -207,7 +204,7 @@ class KnowledgeBase:
             okey = t.object.value
             if okey in self.classes or okey in self.properties or okey in self.instances:
                 continue
-            self.instances[okey] = InstanceRecord(okey, placeholder=True)
+            self.instances[okey] = InstanceRecord(placeholder=True)
 
     # ---- export ------------------------------------------------------
 
@@ -233,15 +230,19 @@ class KnowledgeBase:
             for dom in sorted(self.properties[piri].domains):
                 sink.write(f"<{piri}> <{RDFS_DOMAIN}> <{dom}> .\n")
                 written += 1
-        for ikey in sorted(self.instances):
-            rec = self.instances[ikey]
-            if rec.assigned_type is not None:
-                sink.write(f"{_subject_ref(ikey)} <{RDF_TYPE}> <{rec.assigned_type}> .\n")
+        instances = sorted(self.instances)
+        for ikey in instances:
+            cls = self.instances[ikey].assigned_type
+            if cls is not None:
+                sink.write(f"{_subject_ref(ikey)} <{RDF_TYPE}> <{cls}> .\n")
                 written += 1
-        for ikey in sorted(self.instances):
-            for prop in sorted(self.instances[ikey].properties):
-                sink.write(f"{_subject_ref(ikey)} <{prop}> {EXPORT_USAGE_OBJECT} .\n")
-                written += 1
+        for ikey in instances:
+            props = self.instances[ikey].properties
+            if props:
+                ref = _subject_ref(ikey)
+                for prop in sorted(props):
+                    sink.write(f"{ref} <{prop}> {EXPORT_USAGE_OBJECT} .\n")
+                written += len(props)
         return written
 
 
@@ -329,12 +330,12 @@ def load_schema(triples: Iterable[Triple]) -> tuple[KnowledgeBase, list[Triple]]
             node = parents.get(node, OWL_THING)
         for pending in reversed(chain):
             parent = parents.get(pending, OWL_THING)
-            kb.classes[pending] = ClassNode(pending, parent, kb.classes[parent].depth + 1)
+            kb.classes[pending] = ClassNode(parent, kb.classes[parent].depth + 1)
             children.setdefault(parent, []).append(pending)
     kb.leaf_first_order = _leaf_first(children)
 
     for piri in sorted(prop_iris):
-        kb.properties.setdefault(piri, PropertyRecord(piri))
+        kb.properties.setdefault(piri, PropertyRecord())
     for piri, dom in domain_pairs:
         kb.add_domain(piri, dom, PROV_SCHEMA)
 

@@ -68,7 +68,9 @@ def generate_kb(spec: SynthSpec) -> tuple[list[Triple], list[Triple], GroundTrut
     """Build (schema triples, instance triples, ground truth).
 
     Identical specs (same seed included) produce byte-identical triple
-    lists. Instance blocks are shuffled so batches mix classes.
+    lists. Instance blocks are shuffled so batches mix classes. The truth's
+    hidden set holds the instances emitted without a type assertion, each
+    the subject of at least one triple.
     """
     rng = random.Random(spec.seed)
     classes = [f"{CLASS_NS}C{k:03d}" for k in range(spec.class_count)]
@@ -98,8 +100,6 @@ def generate_kb(spec: SynthSpec) -> tuple[list[Triple], list[Triple], GroundTrut
             inst = f"{INST_NS}c{k:03d}_i{i:03d}"
             truth.true_classes[inst] = cls
             is_hidden = i < hidden_per_class
-            if is_hidden:
-                truth.hidden.add(inst)
             rows: list[Triple] = []
             for prop in signatures[cls]:
                 if rng.random() < 1.0 - spec.noise_rate:
@@ -109,6 +109,8 @@ def generate_kb(spec: SynthSpec) -> tuple[list[Triple], list[Triple], GroundTrut
                     rows.append(Triple(iri(inst), iri(prop), value))
             if not is_hidden:
                 rows.append(Triple(iri(inst), iri(RDF_TYPE), iri(cls)))
+            elif rows:  # noise can drop every triple; such an instance never reaches the KB
+                truth.hidden.add(inst)
             blocks.append(rows)
     rng.shuffle(blocks)
     instance_triples = [t for block in blocks for t in block]

@@ -16,8 +16,7 @@ the last one and marks only the instances the diff can affect. A decision
 reads only the kernel, the class depths and the instance's own type and
 properties, which the pass does not change, so it is applied at once and
 instance order does not matter. The pass returns only the decisions it
-made; kb.typing_cache keeps each scored instance's last (chosen, score),
-which only the typing audit reads back.
+made, and leaves on each instance it scored the score of its type.
 """
 
 from __future__ import annotations
@@ -40,7 +39,6 @@ class TypingDecision:
     previous: str | None
     chosen: str | None
     score: float
-    method: str
 
 
 def idf_weight(kb: KnowledgeBase, property_iri: str) -> float:
@@ -109,11 +107,7 @@ class _Kernel:
 
 
 def _decide(
-    kb: KnowledgeBase,
-    instance_iri: str,
-    previous: str | None,
-    scores: dict[str, float],
-    method: str,
+    kb: KnowledgeBase, instance_iri: str, previous: str | None, scores: dict[str, float]
 ) -> TypingDecision:
     """Argmax, ties going to kb.deeper_class; the incumbent stays unless strictly beaten."""
     best, best_score = None, 0.0
@@ -124,7 +118,7 @@ def _decide(
             best = kb.deeper_class(best, cls)
     if previous is not None and scores.get(previous, 0.0) >= best_score:
         best = previous
-    return TypingDecision(instance_iri, previous, best, scores.get(best, 0.0), method)
+    return TypingDecision(instance_iri, previous, best, scores.get(best, 0.0))
 
 
 def _affected(kb: KnowledgeBase, old: _Kernel, new: _Kernel) -> set[str]:
@@ -164,9 +158,10 @@ def assign_types(kb: KnowledgeBase, method: str) -> list[TypingDecision]:
     beats the incumbent's score under the same method. Instances with no
     scorable evidence yield a no-change decision. A new method marks every
     instance dirty; a domain write under the same method marks only the
-    instances _affected by the rebuilt kernel. Returns the decisions this
-    pass made, applied, in instance order; a clean instance keeps its last
-    (chosen, score) in kb.typing_cache and is not listed.
+    instances _affected by the rebuilt kernel. Sets type_score on every
+    instance it scores, and returns the decisions this pass made, applied,
+    in instance order; a clean instance keeps its type_score and is not
+    listed.
     """
     inputs = (method, kb.table_version)
     if kb.typed_against != inputs:
@@ -177,15 +172,15 @@ def assign_types(kb: KnowledgeBase, method: str) -> list[TypingDecision]:
             kb.dirty_instances.update(kb.instances)
         kb.typing_kernel = kernel
         kb.typed_against = inputs
-    kernel, cache = kb.typing_kernel, kb.typing_cache
+    kernel = kb.typing_kernel
     decisions: list[TypingDecision] = []
     for ikey in sorted(kb.dirty_instances):
         rec = kb.instances[ikey]
         if not rec.properties:
             continue
         scores = kernel.scores(rec.properties)
-        decision = _decide(kb, ikey, rec.assigned_type, scores, method)
-        cache[ikey] = (decision.chosen, decision.score)
+        decision = _decide(kb, ikey, rec.assigned_type, scores)
+        rec.type_score = decision.score
         if decision.chosen != decision.previous:
             kb.set_type(ikey, decision.chosen)
         decisions.append(decision)

@@ -106,16 +106,15 @@ def assert_typing_matches_oracle(
     """``made`` is what ``assign_types`` returned and ``expected`` what the
     dense oracle pass returned on an equal KB. Every decision made equals
     the oracle's, the changed ones are exactly the oracle's changed ones,
-    and the typing cache holds the oracle's (chosen, score, method) for
-    every instance the oracle decided; a cached entry's method is the last
-    pass's."""
+    and the instances with a type_score are exactly those the oracle
+    decided, each holding the oracle's (chosen, score) as its (type,
+    type_score)."""
     oracle = {d.instance: d for d in expected}
     assert all(oracle[d.instance] == d for d in made)
     assert [d for d in made if d.chosen != d.previous] == [d for d in expected if d.chosen != d.previous]
-    method = kb.typed_against[0]
-    assert {k: (chosen, score, method) for k, (chosen, score) in kb.typing_cache.items()} == {
-        k: (d.chosen, d.score, d.method) for k, d in oracle.items()
-    }
+    assert {
+        k: (rec.assigned_type, rec.type_score) for k, rec in kb.instances.items() if rec.type_score is not None
+    } == {k: (d.chosen, d.score) for k, d in oracle.items()}
 
 
 def _instance_record(kb: KnowledgeBase, instance_iri: str) -> InstanceRecord:
@@ -137,7 +136,7 @@ def naive_assign(kb: KnowledgeBase, instance_iri: str) -> TypingDecision:
     score is its hit count over the instance's total pair count."""
     rec = _instance_record(kb, instance_iri)
     scores = class_scores(kb, instance_iri, METHOD_NAIVE)
-    return _decide(kb, instance_iri, rec.assigned_type, scores, METHOD_NAIVE)
+    return _decide(kb, instance_iri, rec.assigned_type, scores)
 
 
 def pfidf_score(kb: KnowledgeBase, instance_iri: str, class_iri: str) -> float:

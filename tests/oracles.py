@@ -9,13 +9,18 @@ before its passes kept dirty sets: it evaluates every class with direct
 instances, counts its support with its own code once to add and again to
 drop, and scans the whole property table for the class's generalized
 domains, writing the domain table directly. Neither reads nor updates the
-KB's incremental state. The tests compare ``kbevolve.type_inference`` and
-``kbevolve.generalization`` against them for exact equality, and
-``kbevolve.ntriples.parse_ntriple_line`` against ``oracle_parse_line``.
+KB's incremental state. ``oracle_evolve_audits`` replays ``evolve``'s batch
+and round loop with the two passes and writes both audits from what they
+return. The tests compare ``kbevolve.type_inference``,
+``kbevolve.generalization`` and ``evolve``'s audits against them for exact
+equality, and ``kbevolve.ntriples.parse_ntriple_line`` against
+``oracle_parse_line``.
 """
 
 from __future__ import annotations
 
+import csv
+import io
 import math
 import re
 import string
@@ -23,6 +28,7 @@ from dataclasses import dataclass, field
 
 from helpers import _instance_record
 from kbevolve.errors import ParseError, UnknownEntityError
+from kbevolve.evolution import DOMAIN_AUDIT_COLUMNS, TYPING_AUDIT_COLUMNS, EvolutionConfig
 from kbevolve.generalization import (
     ACTION_ADDED,
     ACTION_REMOVED,
@@ -30,8 +36,8 @@ from kbevolve.generalization import (
     ThresholdPolicy,
     generalization_threshold,
 )
-from kbevolve.kb import OWL_THING, PROV_GENERALIZED, KnowledgeBase
-from kbevolve.ntriples import Term, TermKind, Triple
+from kbevolve.kb import OWL_THING, PROV_GENERALIZED, UNCLASSIFIED_LABEL, KnowledgeBase
+from kbevolve.ntriples import Term, TermKind, Triple, read_batch
 from kbevolve.type_inference import (
     METHOD_COSINE,
     METHOD_NAIVE,
@@ -102,14 +108,14 @@ def oracle_naive_assign(kb: KnowledgeBase, instance_iri: str) -> TypingDecision:
     prev = kb.instances[instance_iri].assigned_type
     candidates = {cls: float(n) for cls, n in table.entries.items() if cls != OWL_THING}
     if not candidates:
-        return TypingDecision(instance_iri, prev, prev, 0.0, METHOD_NAIVE)
+        return TypingDecision(instance_iri, prev, prev, 0.0)
     best = _pick_best(kb, candidates)
     if prev is not None and candidates.get(prev, 0.0) >= candidates[best]:
         chosen = prev
     else:
         chosen = best
     score = candidates.get(chosen, 0.0) / table.total()
-    return TypingDecision(instance_iri, prev, chosen, score, METHOD_NAIVE)
+    return TypingDecision(instance_iri, prev, chosen, score)
 
 
 def build_instance_profile(kb: KnowledgeBase, instance_iri: str) -> InstanceProfile:
@@ -205,14 +211,14 @@ def oracle_assign_types(kb: KnowledgeBase, method: str) -> list[TypingDecision]:
                     scores[cls] = score
             prev = rec.assigned_type
             if not scores:
-                decisions.append(TypingDecision(ikey, prev, prev, 0.0, method))
+                decisions.append(TypingDecision(ikey, prev, prev, 0.0))
                 continue
             best = _pick_best(kb, scores)
             if prev is None or scores[best] > scores.get(prev, 0.0):
                 chosen = best
             else:
                 chosen = prev
-            decisions.append(TypingDecision(ikey, prev, chosen, scores.get(chosen, 0.0), method))
+            decisions.append(TypingDecision(ikey, prev, chosen, scores.get(chosen, 0.0)))
     for decision in decisions:
         if decision.chosen != decision.previous:
             kb.set_type(decision.instance, decision.chosen)
@@ -290,6 +296,42 @@ def oracle_generalization_pass(
         if deletion_enabled:
             changes.extend(_oracle_delete(kb, class_iri, policy))
     return changes
+
+
+def oracle_evolve_audits(kb: KnowledgeBase, lines: list[str], config: EvolutionConfig) -> tuple[str, str]:
+    """The typing and domain audits of ``evolve`` over lines, replayed with
+    the oracle passes on kb: per round, one domain row per change and one
+    typing row per decision of the dense pass."""
+    typing_audit, domain_audit = io.StringIO(), io.StringIO()
+    typing_writer, domain_writer = csv.writer(typing_audit), csv.writer(domain_audit)
+    typing_writer.writerow(TYPING_AUDIT_COLUMNS)
+    domain_writer.writerow(DOMAIN_AUDIT_COLUMNS)
+    source = iter(lines)
+    while True:
+        triples, parse_report = read_batch(source, config.batch_lines)
+        if parse_report.lines_read == 0:
+            break
+        kb.add_instance_triples(triples)
+        for _ in range(config.max_inner_rounds):
+            changes = oracle_generalization_pass(kb, config.policy, deletion_enabled=config.deletion_enabled)
+            decisions = oracle_assign_types(kb, config.method)
+            for c in changes:
+                domain_writer.writerow(
+                    (c.class_iri, c.property_iri, c.action, repr(c.support_ratio), repr(c.threshold))
+                )
+            for d in decisions:
+                typing_writer.writerow(
+                    (
+                        d.instance,
+                        d.previous or UNCLASSIFIED_LABEL,
+                        d.chosen or UNCLASSIFIED_LABEL,
+                        repr(d.score),
+                        config.method,
+                    )
+                )
+            if not changes and all(d.chosen == d.previous for d in decisions):
+                break
+    return typing_audit.getvalue(), domain_audit.getvalue()
 
 
 # The N-Triples line parser kbevolve ran before its term bodies were scanned

@@ -1,6 +1,8 @@
 """Incremental evolve rounds: the dirty sets, the generalized-domain index
-and the typing cache the KB keeps, against full-recompute oracles."""
+and the type scores the KB keeps, and the audits evolve writes from them,
+against full-recompute oracles."""
 
+import io
 from collections import Counter
 
 import pytest
@@ -20,6 +22,7 @@ from helpers import (
 )
 from kbevolve import generalization, type_inference
 from kbevolve.errors import UnknownEntityError
+from kbevolve.evolution import EvolutionConfig, evolve
 from kbevolve.generalization import ThresholdPolicy, evaluate_class, run_generalization_pass
 from kbevolve.kb import (
     OWL_THING,
@@ -30,8 +33,9 @@ from kbevolve.kb import (
     KnowledgeBase,
     load_schema,
 )
+from kbevolve.ntriples import triple_to_line
 from kbevolve.type_inference import METHODS, assign_types
-from oracles import oracle_assign_types, oracle_generalization_pass
+from oracles import oracle_assign_types, oracle_evolve_audits, oracle_generalization_pass
 
 POLICIES = tuple(ThresholdPolicy(deletion_factor=f) for f in (0.5, 1.0, 0.25))
 Q = PROP + "q"  # its domains are written only by the "fall" step of churn_inputs
@@ -108,6 +112,22 @@ def evolving_inputs(draw):
 
 
 @st.composite
+def evolve_inputs(draw):
+    """The schema and batches of evolving_inputs as one line stream, with
+    an evolve config."""
+    schema, batches = draw(evolving_inputs())
+    lines = [triple_to_line(triple) + "\n" for batch, _ in batches for triple in batch]
+    config = EvolutionConfig(
+        batch_lines=draw(st.integers(1, max(1, len(lines)))),
+        method=draw(st.sampled_from(METHODS)),
+        max_inner_rounds=draw(st.integers(1, 5)),
+        policy=draw(st.sampled_from(POLICIES)),
+        deletion_enabled=draw(st.booleans()),
+    )
+    return schema, lines, config
+
+
+@st.composite
 def churn_inputs(draw):
     """One method, a schema and one batch of data, then steps of domain
     writes between typing passes, drift-like: random writes of both
@@ -162,6 +182,15 @@ class TestMatchesFullRecompute:
                 assert kb_instance_state(kb) == kb_instance_state(oracle_kb)
                 observed = {cls: props for cls, props in kb.generalized_index.items() if props}
                 assert observed == generalized_index_from_table(kb)
+
+    @given(evolve_inputs())
+    @settings(max_examples=200, deadline=None)
+    def test_audits_equal_oracle_replay(self, inputs):
+        schema, lines, config = inputs
+        typing_audit, domain_audit = io.StringIO(), io.StringIO()
+        evolve(build(schema), iter(lines), config, typing_audit=typing_audit, domain_audit=domain_audit)
+        expected = oracle_evolve_audits(build(schema), lines, config)
+        assert (typing_audit.getvalue(), domain_audit.getvalue()) == expected
 
     @given(churn_inputs())
     @settings(max_examples=300, deadline=None)
@@ -323,8 +352,7 @@ class TestTypingPass:
         scored.clear()
         assert assign_types(kb, "cosine") == []
         assert scored == []
-        assert kb.typed_against[0] == "cosine"
-        assert [(k, chosen, score) for k, (chosen, score) in sorted(kb.typing_cache.items())] == [
+        assert [(k, rec.assigned_type, rec.type_score) for k, rec in sorted(kb.instances.items())] == [
             (d.instance, d.chosen, d.score) for d in first
         ]
 

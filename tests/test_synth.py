@@ -1,5 +1,6 @@
 """Synthetic generator and accuracy evaluation tests."""
 
+import math
 import statistics
 
 import pytest
@@ -8,7 +9,7 @@ from kbevolve.errors import ConfigError, ConsistencyError
 from kbevolve.evolution import EvolutionConfig, evolve
 from kbevolve.kb import RDF_TYPE, load_schema
 from kbevolve.ntriples import triple_to_line
-from kbevolve.synth import SynthSpec, evaluate_accuracy, generate_kb
+from kbevolve.synth import INST_NS, SynthSpec, evaluate_accuracy, generate_kb
 from kbevolve.type_inference import idf_weight
 
 
@@ -120,6 +121,19 @@ class TestEvaluateAccuracy:
         kb, _ = load_schema([])
         with pytest.raises(ConsistencyError):
             evaluate_accuracy(kb, truth)
+
+    @pytest.mark.parametrize("noise", [0.8, 0.9])
+    def test_instance_with_no_emitted_triple_is_not_hidden(self, noise):
+        # Noise drops every triple of c022_i010, one of its class's hidden-type instances.
+        schema, instances, truth = generate_kb(SynthSpec(50, 5, 3, 40, 0.5, noise, 7))
+        subjects = {t.subject.value for t in instances}
+        assert INST_NS + "c022_i010" in truth.true_classes.keys() - subjects
+        assert truth.hidden <= subjects
+        kb, _ = load_schema(schema)
+        lines = [triple_to_line(t) + "\n" for t in instances]
+        evolve(kb, iter(lines), EvolutionConfig(batch_lines=500, method="pfidf"))
+        accuracy, _ = evaluate_accuracy(kb, truth)
+        assert math.isfinite(accuracy)
 
     def test_paired_seeds_pfidf_at_least_cosine(self):
         # Paired-run comparison under identical seeds.

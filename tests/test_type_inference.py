@@ -31,7 +31,7 @@ from helpers import (
 from kbevolve.errors import UnknownEntityError
 from kbevolve.generalization import ThresholdPolicy, run_generalization_pass
 from kbevolve.kb import OWL_THING, RDF_TYPE, KnowledgeBase, load_schema
-from kbevolve.type_inference import METHOD_NAIVE, METHODS, _decide, assign_types, idf_weight
+from kbevolve.type_inference import METHODS, _decide, assign_types, idf_weight
 from oracles import (
     InstanceProfile,
     TypeProfile,
@@ -120,7 +120,7 @@ class TestNaiveAssign:
     def test_equal_depth_tie_goes_to_smaller_iri(self, order):
         kb, _ = load_schema([subclass(CLS + "A", OWL_THING), subclass(CLS + "B", OWL_THING)])
         scores = {CLS + name: 0.5 for name in order}
-        assert _decide(kb, INST + "i", None, scores, METHOD_NAIVE).chosen == CLS + "A"
+        assert _decide(kb, INST + "i", None, scores).chosen == CLS + "A"
 
     def test_incumbent_kept_on_tied_count(self):
         kb, _ = load_schema([domain(PROP + "p1", CLS + "A"), domain(PROP + "p1", CLS + "B")])

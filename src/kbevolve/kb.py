@@ -160,51 +160,45 @@ class KnowledgeBase:
         instance become placeholder records. Idempotent, and processed in
         phases so any permutation of a batch yields the same state.
         """
-        ordinary: list[Triple] = []
+        instances = self.instances
+        classes = self.classes
+        properties = self.properties
         asserted: dict[str, str] = {}
-        for t in batch:
-            skey = t.subject.value
-            rec = self.instances.get(skey)
+        # The IRI objects of the statements that are not type assertions,
+        # checked for placeholders once the batch's types are set.
+        objects: list[str] = []
+        for s, p, o in batch:
+            skey = s.value
+            rec = instances.get(skey)
             if rec is None:
-                rec = self.instances[skey] = InstanceRecord()
+                rec = instances[skey] = InstanceRecord()
             elif rec.placeholder:
                 rec.placeholder = False  # first statement of its own
-            if (
-                t.predicate.value == RDF_TYPE
-                and t.object.kind is TermKind.IRI
-                and t.object.value in self.classes
-            ):
-                cls = t.object.value
-                if cls != OWL_THING:
-                    prev = asserted.get(skey)
-                    asserted[skey] = cls if prev is None else self.deeper_class(prev, cls)
-                continue
-            ordinary.append(t)
-
-        for t in ordinary:
-            pv = t.predicate.value
-            skey = t.subject.value
-            rec = self.instances[skey]
+            pv = p.value
+            if o.kind is TermKind.IRI:
+                okey = o.value
+                if pv == RDF_TYPE and okey in classes:
+                    if okey != OWL_THING:
+                        prev = asserted.get(skey)
+                        asserted[skey] = okey if prev is None else self.deeper_class(prev, okey)
+                    continue
+                objects.append(okey)
             if pv not in rec.properties:
                 rec.properties.add(pv)
                 self.property_users.setdefault(pv, []).append(skey)
                 self.dirty_instances.add(skey)
                 if rec.assigned_type is not None:
                     self.dirty_classes.add(rec.assigned_type)
-            if pv not in self.properties:
-                self.properties[pv] = PropertyRecord()
+            if pv not in properties:
+                properties[pv] = PropertyRecord()
 
         for skey, cls in sorted(asserted.items()):
-            current = self.instances[skey].assigned_type
+            current = instances[skey].assigned_type
             self.set_type(skey, cls if current is None else self.deeper_class(current, cls))
 
-        for t in ordinary:
-            if t.object.kind is not TermKind.IRI:
-                continue
-            okey = t.object.value
-            if okey in self.classes or okey in self.properties or okey in self.instances:
-                continue
-            self.instances[okey] = InstanceRecord(placeholder=True)
+        for okey in objects:
+            if okey not in classes and okey not in properties and okey not in instances:
+                instances[okey] = InstanceRecord(placeholder=True)
 
     # ---- export ------------------------------------------------------
 

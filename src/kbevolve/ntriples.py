@@ -26,6 +26,18 @@ error category and offset. The CLI opens files with
 ``errors="surrogateescape"``, which keeps each byte that is not UTF-8 as a
 lone surrogate; a line holding one is a ``bad encoding`` error like any
 other malformed line, so one bad byte cannot abort a run.
+
+``Term`` and ``Triple`` are immutable tuples. Their public constructors
+(``Term(...)``, ``Triple(...)``, ``iri``, ``literal``, ``blank``, and the
+tuple API's ``_make`` and ``_replace``) check every invariant above, and
+``Triple`` also checks that its subject is not a literal and its
+predicate is an IRI. The parser builds a value without those checks only
+where it has already established them: every term of a line the line
+regex accepts (its IRI bodies exclude exactly what ``Term`` rejects, and
+its literal has no tag or datatype), and every triple (the regex admits
+only IRI subjects and predicates, and ``_read_term`` rejects a literal
+subject and a non-IRI predicate). An IRI read by ``_read_iri`` keeps the
+checked constructor, whose ``ValueError`` is its ``bad iri``.
 """
 
 from __future__ import annotations
@@ -33,7 +45,9 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterable, Iterator
+from functools import partial
+from itertools import islice
+from typing import Iterable, Iterator, NamedTuple
 
 from kbevolve.errors import ParseError
 
@@ -69,31 +83,38 @@ class TermKind(Enum):
     BLANK_NODE = "blank"
 
 
-@dataclass(frozen=True)
-class Term:
+class _TermFields(NamedTuple):
+    kind: TermKind
+    value: str
+    language_tag: str | None = None
+    datatype_iri: str | None = None
+
+
+class Term(_TermFields):
     """One RDF term: IRI, literal, or blank node.
 
     Blank node values include the ``_:`` prefix. Language tag and datatype
     are literal-only and mutually exclusive.
     """
 
-    kind: TermKind
-    value: str
-    language_tag: str | None = None
-    datatype_iri: str | None = None
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.kind is not TermKind.LITERAL:
-            if self.language_tag is not None or self.datatype_iri is not None:
+    def __new__(cls, kind, value, language_tag=None, datatype_iri=None):
+        if kind is not TermKind.LITERAL:
+            if language_tag is not None or datatype_iri is not None:
                 raise ValueError("only literals carry a language tag or datatype")
-        elif self.language_tag is not None and self.datatype_iri is not None:
+        elif language_tag is not None and datatype_iri is not None:
             raise ValueError("language tag and datatype are mutually exclusive")
-        if self.kind is TermKind.IRI and (not self.value or not _IRI_FORBIDDEN.isdisjoint(self.value)):
-            raise ValueError(f"invalid IRI: {self.value!r}")
-        if self.kind is TermKind.BLANK_NODE and (
-            not self.value.startswith("_:") or len(self.value) == 2
-        ):
-            raise ValueError(f"invalid blank node: {self.value!r}")
+        if kind is TermKind.IRI and (not value or not _IRI_FORBIDDEN.isdisjoint(value)):
+            raise ValueError(f"invalid IRI: {value!r}")
+        if kind is TermKind.BLANK_NODE and (not value.startswith("_:") or len(value) == 2):
+            raise ValueError(f"invalid blank node: {value!r}")
+        return tuple.__new__(cls, (kind, value, language_tag, datatype_iri))
+
+    @classmethod
+    def _make(cls, iterable):
+        # NamedTuple's _make, and _replace through it, would skip __new__.
+        return cls(*iterable)
 
 
 def iri(value: str) -> Term:
@@ -108,17 +129,31 @@ def blank(label: str) -> Term:
     return Term(TermKind.BLANK_NODE, f"_:{label}")
 
 
-@dataclass(frozen=True)
-class Triple:
+class _TripleFields(NamedTuple):
     subject: Term
     predicate: Term
     object: Term
 
-    def __post_init__(self):
-        if self.predicate.kind is not TermKind.IRI:
+
+class Triple(_TripleFields):
+    __slots__ = ()
+
+    def __new__(cls, subject, predicate, object):
+        if predicate.kind is not TermKind.IRI:
             raise ValueError("predicate must be an IRI")
-        if self.subject.kind is TermKind.LITERAL:
+        if subject.kind is TermKind.LITERAL:
             raise ValueError("subject must not be a literal")
+        return tuple.__new__(cls, (subject, predicate, object))
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
+
+
+# The parser's constructors: no checks, one tuple of every field. Only for
+# values whose invariants the parser has already established.
+_new_term = partial(tuple.__new__, Term)
+_new_triple = partial(tuple.__new__, Triple)
 
 
 @dataclass
@@ -249,12 +284,17 @@ def _parse_line(line: str, iris: dict[str, Term], literals: dict[str, Term]) -> 
         if m is not None:
             s, p, o, lit = m.groups()
             get = iris.get
-            return Triple(
-                get(s) or iris.setdefault(s, Term(TermKind.IRI, s)),
-                get(p) or iris.setdefault(p, Term(TermKind.IRI, p)),
-                (get(o) or iris.setdefault(o, Term(TermKind.IRI, o)))
-                if lit is None
-                else (literals.get(lit) or literals.setdefault(lit, Term(TermKind.LITERAL, lit))),
+            return _new_triple(
+                (
+                    get(s) or iris.setdefault(s, _new_term((TermKind.IRI, s, None, None))),
+                    get(p) or iris.setdefault(p, _new_term((TermKind.IRI, p, None, None))),
+                    (get(o) or iris.setdefault(o, _new_term((TermKind.IRI, o, None, None))))
+                    if lit is None
+                    else (
+                        literals.get(lit)
+                        or literals.setdefault(lit, _new_term((TermKind.LITERAL, lit, None, None)))
+                    ),
+                )
             )
     else:
         bad = _SURROGATE_RE.search(line)
@@ -275,7 +315,7 @@ def _parse_line(line: str, iris: dict[str, Term], literals: dict[str, Term]) -> 
     i = _skip_ws(text, i + 1)
     if i < len(text) and text[i] != "#":
         raise _err(text, i, "trailing garbage")
-    return Triple(subject, predicate, obj)
+    return _new_triple((subject, predicate, obj))
 
 
 def read_batch(
@@ -293,28 +333,24 @@ def read_batch(
     """
     if batch_size < 1:
         raise ValueError("batch_size must be >= 1")
-    report = ParseReport()
     triples: list[Triple] = []
+    errors: list[tuple[int, str]] = []
+    skipped = 0
     iris: dict[str, Term] = {}
     literals: dict[str, Term] = {}
-    it = iter(stream)
-    for offset in range(batch_size):
-        try:
-            line = next(it)
-        except StopIteration:
-            break
-        report.lines_read += 1
+    number = first_line_number - 1
+    for number, line in enumerate(islice(stream, batch_size), first_line_number):
         try:
             parsed = _parse_line(line, iris, literals)
         except ParseError as exc:
-            report.errors.append((first_line_number + offset, exc.category))
+            errors.append((number, exc.category))
             continue
         if parsed is None:
-            report.lines_skipped += 1
+            skipped += 1
         else:
             triples.append(parsed)
-    report.triples_emitted = len(triples)
-    return triples, report
+    lines_read = number - first_line_number + 1
+    return triples, ParseReport(lines_read, len(triples), skipped, errors)
 
 
 def term_to_ntriples(term: Term) -> str:

@@ -178,6 +178,7 @@ class TestAddInstanceTriples:
             t(INST + "a", RDF_TYPE, CLS + "Y"),
             t_lit(INST + "c2", PROP + "r"),
             t(INST + "d", RDF_TYPE, INST + "b"),
+            t(INST + "e", PROP + "s", PROP + "p"),  # a property of the batch, never a placeholder
         ]
         shuffled = list(batch)
         rnd.shuffle(shuffled)

@@ -470,3 +470,81 @@ class TestPlainLineShortcut:
                 expected_triples.append(parsed)
         expected.triples_emitted = len(expected_triples)
         assert read_batch(iter(lines), max(1, len(lines))) == (expected_triples, expected)
+
+
+def _parsed_values(lines):
+    """Every triple that parse_ntriple_line and read_batch return for lines."""
+    values = []
+    for line in lines:
+        try:
+            values.append(parse_ntriple_line(line))
+        except ParseError:
+            pass
+    values += read_batch(iter(lines), len(lines))[0]
+    return [v for v in values if v is not None]
+
+
+def _assert_checked_constructors_agree(triples):
+    for t in triples:
+        assert type(t) is Triple
+        assert Triple(*t) == t
+        for term in t:
+            assert type(term) is Term
+            assert Term(*term) == term
+
+
+class TestParsedValues:
+    """The parser builds terms and triples without the constructors' checks;
+    each must still be a value the checked constructors accept."""
+
+    @given(_LINES)
+    @settings(max_examples=1000)
+    def test_walker_lines(self, line):
+        _assert_checked_constructors_agree(_parsed_values([line]))
+
+    @given(_NEAR_BODIES)
+    @settings(max_examples=1000)
+    def test_near_plain_lines(self, bodies):
+        _assert_checked_constructors_agree(_parsed_values(_near_plain_lines(bodies)))
+
+    # One line per path: the line regex, and the term scanners.
+    LINES = [
+        '<http://ex/a> <http://ex/p> "v" .\n',
+        '<http://ex/a>\t<http://ex/p> "v" .\n',
+        "<http://ex/a> <http://ex/p> <http://ex/o> .\n",
+        "<http://ex/a>\t<http://ex/p> <http://ex/o> .\n",
+    ]
+
+    @pytest.mark.parametrize("line", LINES)
+    def test_immutable(self, line):
+        t = parse_ntriple_line(line)
+        with pytest.raises(AttributeError):
+            t.subject = iri("http://ex/b")
+        with pytest.raises(AttributeError):
+            t.subject.value = "http://ex/b"
+        with pytest.raises(AttributeError):
+            t.object.value = "w"
+
+    @pytest.mark.parametrize("line", LINES)
+    def test_equal_and_hash_like_built_values(self, line):
+        t = parse_ntriple_line(line)
+        built = Triple(
+            iri("http://ex/a"),
+            iri("http://ex/p"),
+            literal("v") if '"' in line else iri("http://ex/o"),
+        )
+        assert t == built and hash(t) == hash(built)
+        for term, built_term in zip(t, built):
+            assert term == built_term and hash(term) == hash(built_term)
+        assert {built.subject: 1}[t.subject] == 1
+
+    def test_tuple_api_keeps_the_checks(self):
+        with pytest.raises(ValueError):
+            iri("http://ex/a")._replace(value="a b")
+        with pytest.raises(ValueError):
+            Term._make((TermKind.BLANK_NODE, "_:"))
+        t = Triple(iri("http://ex/s"), iri("http://ex/p"), literal("x"))
+        with pytest.raises(ValueError):
+            t._replace(subject=literal("x"))
+        with pytest.raises(ValueError):
+            Triple._make((iri("http://ex/s"), blank("p"), iri("http://ex/o")))

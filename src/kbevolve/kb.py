@@ -2,21 +2,23 @@
 table with per-domain provenance, and instance records.
 
 The KB also owns the state derived from them that the passes read, and
-keeps it current on every write: the direct-instance index, the property
--> users index, a per-class index of generalized domains, and the dirty
-sets. A class is dirty when its direct-instance set, the properties of its
-direct instances, or its domain entries changed since the last
-generalization pass; an instance is dirty when its type or properties
-changed since the last typing pass. Each pass visits exactly its dirty
-set. A change of its inputs first marks more: a new (policy,
-deletion_enabled) in generalized_with marks every class, a new method in
-typed_against every instance, and a new table_version alone the instances
-the typing pass finds affected by diffing its rebuilt kernel against
-typing_kernel. Every domain write, through add_domain / remove_domain,
-bumps table_version. An instance record's type_score is the score its
-type earned in the typing pass that last scored it, under typed_against's
-method. The class tree and leaf_first_order are fixed by load_schema.
-deeper_class is the one tie rule of ingest and typing.
+keeps it current on every write: the direct-instance index, the property ->
+users index, a per-class index of generalized domains, and the dirty sets.
+A class is dirty when its direct-instance set, the properties of its direct
+instances, or its domain entries changed since the last generalization
+pass; an instance is dirty when its type or properties changed since the
+last typing pass. Each pass visits exactly its dirty set. A change of its
+inputs first marks more: a new (policy, deletion_enabled) in
+generalized_with marks every class, a new method in typed_against every
+instance, and a new table_version alone the instances the typing pass finds
+affected by diffing its rebuilt kernel against typing_kernel, some to
+rescore in full and some only against the classes whose norm fell. Every
+domain write, through add_domain / remove_domain, bumps table_version. An
+instance record's type_score is the score its type earned in the typing
+pass that last scored it, under typed_against's method. The class tree,
+leaf_first_order and class_rank (deeper classes first, then smaller IRIs)
+are fixed by load_schema; class_rank is the one tie rule of ingest
+(deeper_class) and typing.
 
 An instance's type of None means unclassified; typing an instance as the
 root class is the same thing, so assertions to the root are dropped and the
@@ -77,6 +79,7 @@ class KnowledgeBase:
     def __init__(self):
         self.classes: dict[str, ClassNode] = {OWL_THING: ClassNode(None)}
         self.leaf_first_order: list[str] = [OWL_THING]  # set once by load_schema
+        self.class_rank: dict[str, int] = {OWL_THING: 0}  # set once by load_schema
         self.properties: dict[str, PropertyRecord] = {}
         self.instances: dict[str, InstanceRecord] = {}
         self.direct_instance_index: dict[str, set[str]] = {}
@@ -145,11 +148,9 @@ class KnowledgeBase:
         self.dirty_instances.add(instance_iri)
 
     def deeper_class(self, a: str, b: str) -> str:
-        """The tie rule: the deeper class, then the smaller IRI."""
-        da, db = self.classes[a].depth, self.classes[b].depth
-        if da != db:
-            return a if da > db else b
-        return min(a, b)
+        """The tie rule: the deeper class, then the smaller IRI, which is
+        the class with the smaller class_rank."""
+        return a if self.class_rank[a] < self.class_rank[b] else b
 
     def add_instance_triples(self, batch: Iterable[Triple]) -> None:
         """Fold a batch of instance triples into the KB.
@@ -281,11 +282,12 @@ def load_schema(triples: Iterable[Triple]) -> tuple[KnowledgeBase, list[Triple]]
     domain_pairs: list[tuple[str, str]] = []
 
     for t in triples:
-        pv = t.predicate.value
+        s, p, o = t
+        pv = p.value
         if pv == RDFS_SUBCLASSOF:
-            _require_iri(t.subject, "subClassOf subject")
-            _require_iri(t.object, "subClassOf object")
-            child, parent = t.subject.value, t.object.value
+            _require_iri(s, "subClassOf subject")
+            _require_iri(o, "subClassOf object")
+            child, parent = s.value, o.value
             if child == OWL_THING:
                 raise SchemaError(f"the root class cannot have a parent: {OWL_THING}")
             prev = parents.get(child)
@@ -294,17 +296,17 @@ def load_schema(triples: Iterable[Triple]) -> tuple[KnowledgeBase, list[Triple]]
             parents[child] = parent
             class_iris.update((child, parent))
         elif pv == RDFS_DOMAIN:
-            _require_iri(t.subject, "domain subject")
-            _require_iri(t.object, "domain object")
-            domain_pairs.append((t.subject.value, t.object.value))
-            prop_iris.add(t.subject.value)
-            class_iris.add(t.object.value)
-        elif pv == RDF_TYPE and t.object.kind is TermKind.IRI and t.object.value == OWL_CLASS:
-            _require_iri(t.subject, "class declaration subject")
-            class_iris.add(t.subject.value)
-        elif pv == RDF_TYPE and t.object.kind is TermKind.IRI and t.object.value == RDF_PROPERTY:
-            _require_iri(t.subject, "property declaration subject")
-            prop_iris.add(t.subject.value)
+            _require_iri(s, "domain subject")
+            _require_iri(o, "domain object")
+            domain_pairs.append((s.value, o.value))
+            prop_iris.add(s.value)
+            class_iris.add(o.value)
+        elif pv == RDF_TYPE and o.kind is TermKind.IRI and o.value == OWL_CLASS:
+            _require_iri(s, "class declaration subject")
+            class_iris.add(s.value)
+        elif pv == RDF_TYPE and o.kind is TermKind.IRI and o.value == RDF_PROPERTY:
+            _require_iri(s, "property declaration subject")
+            prop_iris.add(s.value)
         else:
             leftover.append(t)
 
@@ -327,6 +329,8 @@ def load_schema(triples: Iterable[Triple]) -> tuple[KnowledgeBase, list[Triple]]
             kb.classes[pending] = ClassNode(parent, kb.classes[parent].depth + 1)
             children.setdefault(parent, []).append(pending)
     kb.leaf_first_order = _leaf_first(children)
+    ranked = sorted(kb.classes, key=lambda c: (-kb.classes[c].depth, c))
+    kb.class_rank = {cls: k for k, cls in enumerate(ranked)}
 
     for piri in sorted(prop_iris):
         kb.properties.setdefault(piri, PropertyRecord())

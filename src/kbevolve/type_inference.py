@@ -5,16 +5,18 @@ table: each of an instance's properties adds its weight to every domain it
 has. naive weighs every property 1 and divides a class's hits by the
 instance's total hits (the root's included); cosine weighs every property 1
 and pfidf weighs it by inverse domain frequency, and both divide by the
-class and instance norms. Reassignment requires a strictly better score
-than the incumbent type; equal scores go to KnowledgeBase.deeper_class.
-The root class is never assigned (it means unclassified).
+class and instance norms. One pass over the classes hit keeps the best.
+Reassignment requires a strictly better score than the incumbent type;
+equal scores go to the smaller KnowledgeBase.class_rank. The root class is
+never assigned.
 
 A pass scores exactly the instances the KB marked dirty. When the method
 changed, it first rebuilds the kernel and marks every instance dirty; when
-only the domain table changed, it rebuilds the kernel, diffs it against
-the last one and marks only the instances the diff can affect. A decision
-reads only the kernel, the class depths and the instance's own type and
-properties, which the pass does not change, so it is applied at once and
+only the domain table changed, it rebuilds the kernel and diffs it against
+the last one. An instance the diff can affect is rescored in full or, when
+only classes whose norm fell can beat its type, challenged: scored against
+those classes alone and compared with its type_score. A decision reads only
+the kernel and the instance's own record, so it is applied at once and
 instance order does not matter. The pass returns only the decisions it
 made, and leaves on each instance it scored the score of its type.
 """
@@ -71,7 +73,7 @@ class _Kernel:
 
     table maps every property with domains and a positive weight, in
     sorted order, to its weight and domains; norms holds the class norms
-    cosine and pfidf divide by.
+    cosine and pfidf divide by, and rank is the KB's class_rank.
     """
 
     def __init__(self, kb: KnowledgeBase, method: str):
@@ -85,69 +87,81 @@ class _Kernel:
                 if weight > 0.0:
                     self.table[prop] = (weight, domains)
         self.norms = None if method == METHOD_NAIVE else _class_norms(self.table)
+        self.rank = kb.class_rank
 
-    def scores(self, properties: set[str]) -> dict[str, float]:
-        """Positive score of every non-root class the properties hit."""
+    def decide(self, properties: set[str], previous: str | None) -> tuple[str | None, float]:
+        """(type, score): the best non-root class, ties going to the smaller
+        class_rank, unless the incumbent previous scores at least as high."""
+        return self._best(self.table, properties, previous, 0.0)
+
+    def challenge(self, properties: set[str], previous: str | None, score: float, challengers: dict):
+        """decide for an instance whose incumbent keeps its score and whose only
+        possible rivals are the classes in challengers, a restricted table."""
+        return self._best(challengers, properties, previous, score)
+
+    def _best(self, table: dict, properties: set[str], previous: str | None, kept: float):
         dot: dict[str, float] = {}
         hits = 0
         for prop in sorted(properties):
-            entry = self.table.get(prop)
-            if entry is None:
-                continue
-            weight, domains = entry
-            hits += len(domains)
-            for cls in domains:
-                dot[cls] = dot.get(cls, 0.0) + weight
+            entry = table.get(prop)
+            if entry is not None:
+                weight, domains = entry
+                hits += len(domains)
+                for cls in domains:
+                    dot[cls] = dot.get(cls, 0.0) + weight
         dot.pop(OWL_THING, None)
-        if self.norms is None:
-            return {cls: d / hits for cls, d in dot.items()}
-        n_props = len(properties)
-        # sqrt of the product keeps identical binary supports at exactly 1.0
-        return {cls: min(1.0, d / math.sqrt(self.norms[cls] * n_props)) for cls, d in dot.items()}
+        norms, rank, n_props = self.norms, self.rank, len(properties)
+        best, best_score = None, 0.0
+        for cls, d in dot.items():
+            if norms is None:
+                score = d / hits
+            else:
+                # sqrt of the product keeps identical binary supports at exactly 1.0
+                score = d / math.sqrt(norms[cls] * n_props)
+                if score > 1.0:
+                    score = 1.0
+            if score > best_score:
+                best, best_score = cls, score
+            elif score == best_score and rank[cls] < rank[best]:
+                best = cls
+            if cls == previous:
+                kept = score
+        if previous is not None and kept >= best_score:
+            return previous, kept
+        return best, best_score
 
 
-def _decide(
-    kb: KnowledgeBase, instance_iri: str, previous: str | None, scores: dict[str, float]
-) -> TypingDecision:
-    """Argmax, ties going to kb.deeper_class; the incumbent stays unless strictly beaten."""
-    best, best_score = None, 0.0
-    for cls, score in scores.items():
-        if score > best_score:
-            best, best_score = cls, score
-        elif score == best_score and best is not None:
-            best = kb.deeper_class(best, cls)
-    if previous is not None and scores.get(previous, 0.0) >= best_score:
-        best = previous
-    return TypingDecision(instance_iri, previous, best, scores.get(best, 0.0))
-
-
-def _affected(kb: KnowledgeBase, old: _Kernel, new: _Kernel) -> set[str]:
-    """Instances whose decision or score can differ between two kernels of
-    one method: the users of every property whose table entry changed;
-    under cosine and pfidf also the direct instances of every class whose
-    norm changed, and the users of every property with a domain among the
-    classes whose norm fell. Any other instance keeps its dot sums and
-    hits, and every class it hits keeps or raises its norm, so its
-    incumbent keeps its score and no rival gains."""
+def _affected(kb: KnowledgeBase, old: _Kernel, new: _Kernel) -> tuple[set[str], set[str], dict]:
+    """Instances whose decision or score can differ between two kernels of one
+    method. full: the users of every property whose table entry changed and,
+    under cosine and pfidf, the direct instances of every class whose norm
+    changed. challenged: the other users of every property with a domain among
+    the non-root classes whose norm fell; challengers is new's table restricted
+    to those classes. A challenged instance keeps its dot sums and its
+    incumbent's score, and every other class keeps or lowers its score: only a
+    challenger can beat the incumbent. Any other instance keeps its incumbent's
+    score, and no rival gains."""
     users = kb.property_users
-    dirty: set[str] = set()
+    full: set[str] = set()
     for prop in old.table.keys() | new.table.keys():
         if old.table.get(prop) != new.table.get(prop):
-            dirty.update(users.get(prop, ()))
+            full.update(users.get(prop, ()))
     if new.norms is None:
-        return dirty
+        return full, set(), {}
     fell: set[str] = set()
     for cls in old.norms.keys() | new.norms.keys():
         before, after = old.norms.get(cls, 0.0), new.norms.get(cls, 0.0)
         if before != after:
-            dirty.update(kb.direct_instance_index.get(cls, ()))
-            if after < before:
+            full.update(kb.direct_instance_index.get(cls, ()))
+            if after < before and cls != OWL_THING:
                 fell.add(cls)
-    if fell:
-        for prop, (_, domains) in new.table.items():
-            if not fell.isdisjoint(domains):
-                dirty.update(users.get(prop, ()))
-    return dirty
+    challengers = {
+        prop: (weight, tuple(cls for cls in domains if cls in fell))
+        for prop, (weight, domains) in new.table.items()
+        if not fell.isdisjoint(domains)
+    }
+    challenged = {ikey for prop in challengers for ikey in users.get(prop, ())} - full
+    return full, challenged, challengers
 
 
 def assign_types(kb: KnowledgeBase, method: str) -> list[TypingDecision]:
@@ -157,33 +171,39 @@ def assign_types(kb: KnowledgeBase, method: str) -> list[TypingDecision]:
     positive; a classified one is reassigned only when some class strictly
     beats the incumbent's score under the same method. Instances with no
     scorable evidence yield a no-change decision. A new method marks every
-    instance dirty; a domain write under the same method marks only the
-    instances _affected by the rebuilt kernel. Sets type_score on every
-    instance it scores, and returns the decisions this pass made, applied,
-    in instance order; a clean instance keeps its type_score and is not
-    listed.
+    instance dirty; a domain write under the same method rescores only the
+    instances _affected by the rebuilt kernel, in full or challenged. Sets
+    type_score on every instance it scores, and returns the decisions this
+    pass made, applied, in instance order; a clean instance keeps its
+    type_score and is not listed.
     """
     inputs = (method, kb.table_version)
+    challenged, challengers = set(), {}
     if kb.typed_against != inputs:
         kernel = _Kernel(kb, method)
         if kb.typed_against is not None and kb.typed_against[0] == method:
-            kb.dirty_instances.update(_affected(kb, kb.typing_kernel, kernel))
+            full, challenged, challengers = _affected(kb, kb.typing_kernel, kernel)
+            kb.dirty_instances.update(full)
+            challenged -= kb.dirty_instances
         else:
             kb.dirty_instances.update(kb.instances)
         kb.typing_kernel = kernel
         kb.typed_against = inputs
     kernel = kb.typing_kernel
     decisions: list[TypingDecision] = []
-    for ikey in sorted(kb.dirty_instances):
+    for ikey in sorted(kb.dirty_instances | challenged):
         rec = kb.instances[ikey]
         if not rec.properties:
             continue
-        scores = kernel.scores(rec.properties)
-        decision = _decide(kb, ikey, rec.assigned_type, scores)
-        rec.type_score = decision.score
-        if decision.chosen != decision.previous:
-            kb.set_type(ikey, decision.chosen)
-        decisions.append(decision)
+        previous = rec.assigned_type
+        if ikey in challenged and rec.type_score is not None:
+            chosen, score = kernel.challenge(rec.properties, previous, rec.type_score, challengers)
+        else:
+            chosen, score = kernel.decide(rec.properties, previous)
+        rec.type_score = score
+        if chosen != previous:
+            kb.set_type(ikey, chosen)
+        decisions.append(TypingDecision(ikey, previous, chosen, score))
     # Types set just above follow from stable decisions: nothing to rescore.
     kb.dirty_instances.clear()
     return decisions

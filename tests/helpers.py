@@ -1,12 +1,16 @@
 """Shared test builders: terms, triples, the presidential fixture KB, and
-per-instance scorers over the typing kernel that ``assign_types`` runs."""
+per-instance scorers over the tables of the typing kernel that
+``assign_types`` runs: every class's score in a dict, then a separate
+argmax, which ``_Kernel.decide`` fuses into one pass."""
 
 from __future__ import annotations
 
+import math
+
 from kbevolve.errors import UnknownEntityError
-from kbevolve.kb import RDFS_DOMAIN, RDFS_SUBCLASSOF, InstanceRecord, KnowledgeBase, load_schema
+from kbevolve.kb import OWL_THING, RDFS_DOMAIN, RDFS_SUBCLASSOF, InstanceRecord, KnowledgeBase, load_schema
 from kbevolve.ntriples import Triple, iri, literal
-from kbevolve.type_inference import METHOD_NAIVE, METHOD_PFIDF, TypingDecision, _decide, _Kernel
+from kbevolve.type_inference import METHOD_NAIVE, METHOD_PFIDF, TypingDecision, _Kernel
 
 EX = "http://ex/"
 CLS = EX + "class/"
@@ -124,11 +128,45 @@ def _instance_record(kb: KnowledgeBase, instance_iri: str) -> InstanceRecord:
     return rec
 
 
+def kernel_scores(kernel: _Kernel, properties: set[str]) -> dict[str, float]:
+    """Positive score of every non-root class the properties hit."""
+    dot: dict[str, float] = {}
+    hits = 0
+    for prop in sorted(properties):
+        entry = kernel.table.get(prop)
+        if entry is None:
+            continue
+        weight, domains = entry
+        hits += len(domains)
+        for cls in domains:
+            dot[cls] = dot.get(cls, 0.0) + weight
+    dot.pop(OWL_THING, None)
+    if kernel.norms is None:
+        return {cls: d / hits for cls, d in dot.items()}
+    n_props = len(properties)
+    return {cls: min(1.0, d / math.sqrt(kernel.norms[cls] * n_props)) for cls, d in dot.items()}
+
+
+def decide(
+    kb: KnowledgeBase, instance_iri: str, previous: str | None, scores: dict[str, float]
+) -> TypingDecision:
+    """Argmax, ties going to kb.deeper_class; the incumbent stays unless strictly beaten."""
+    best, best_score = None, 0.0
+    for cls, score in scores.items():
+        if score > best_score:
+            best, best_score = cls, score
+        elif score == best_score and best is not None:
+            best = kb.deeper_class(best, cls)
+    if previous is not None and scores.get(previous, 0.0) >= best_score:
+        best = previous
+    return TypingDecision(instance_iri, previous, best, scores.get(best, 0.0))
+
+
 def class_scores(kb: KnowledgeBase, instance_iri: str, method: str) -> dict[str, float]:
     """Score of every non-root class the instance's properties give
     evidence for; classes missing from the result score 0.0."""
     rec = _instance_record(kb, instance_iri)
-    return _Kernel(kb, method).scores(rec.properties)
+    return kernel_scores(_Kernel(kb, method), rec.properties)
 
 
 def naive_assign(kb: KnowledgeBase, instance_iri: str) -> TypingDecision:
@@ -136,7 +174,7 @@ def naive_assign(kb: KnowledgeBase, instance_iri: str) -> TypingDecision:
     score is its hit count over the instance's total pair count."""
     rec = _instance_record(kb, instance_iri)
     scores = class_scores(kb, instance_iri, METHOD_NAIVE)
-    return _decide(kb, instance_iri, rec.assigned_type, scores)
+    return decide(kb, instance_iri, rec.assigned_type, scores)
 
 
 def pfidf_score(kb: KnowledgeBase, instance_iri: str, class_iri: str) -> float:

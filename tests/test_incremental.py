@@ -14,6 +14,7 @@ from helpers import (
     INST,
     PROP,
     assert_typing_matches_oracle,
+    class_scores,
     domain,
     kb_instance_state,
     subclass,
@@ -158,6 +159,61 @@ def churn_inputs(draw):
         prop = Q if kind == "fall" else draw(st.sampled_from(props))
         steps.append((kind, (prop, draw(st.sampled_from(classes)), draw(provenance))))
     return schema, data, draw(st.sampled_from(METHODS)), draw(st.permutations(steps))
+
+
+@st.composite
+def removal_inputs(draw):
+    """A KB typed under cosine or pfidf, then domain entries to remove.
+    The spare properties have domains but no users, so removing one of
+    their domains lowers a class's norm and changes no user's dot sums."""
+    classes, schema = draw(class_tree())
+    everything = [OWL_THING] + classes
+    props = [PROP + f"p{k}" for k in range(draw(st.integers(1, 6)))]
+    spare = [PROP + f"s{k}" for k in range(draw(st.integers(1, 3)))]
+    pairs = []
+    for prop in props + spare:
+        for cls in sorted(draw(st.sets(st.sampled_from(everything), max_size=4))):
+            schema.append(domain(prop, cls))
+            pairs.append((prop, cls))
+    spare_pairs = [(prop, cls) for prop, cls in pairs if prop in spare]
+    data = []
+    for k in range(draw(st.integers(1, 12))):
+        inst = INST + f"i{k}"
+        data.extend(t_lit(inst, prop) for prop in sorted(draw(st.sets(st.sampled_from(props), min_size=1))))
+        asserted = draw(st.none() | st.sampled_from(everything))
+        if asserted is not None:
+            data.append(t(inst, RDF_TYPE, asserted))
+    removed = draw(st.sets(st.sampled_from(spare_pairs), max_size=2)) if spare_pairs else set()
+    if pairs:
+        removed |= draw(st.sets(st.sampled_from(pairs), max_size=2))
+    return schema, data, draw(st.sampled_from(["cosine", "pfidf"])), sorted(removed)
+
+
+class TestChallengedRescore:
+    @given(removal_inputs())
+    @settings(max_examples=300, deadline=None)
+    def test_challenge_equals_full_decide(self, inputs):
+        """After domain removals, a challenged instance's (type, score) is
+        what a full decide gives, and an instance in neither set keeps its
+        own."""
+        schema, data, method, removed = inputs
+        kb = build(schema)
+        kb.add_instance_triples(data)
+        assign_types(kb, method)
+        old = kb.typing_kernel
+        for prop, cls in removed:
+            kb.remove_domain(prop, cls)
+        new = type_inference._Kernel(kb, method)
+        full, challenged, challengers = type_inference._affected(kb, old, new)
+        assert full.isdisjoint(challenged)
+        for ikey, rec in sorted(kb.instances.items()):
+            if not rec.properties or ikey in full:
+                continue
+            expected = new.decide(rec.properties, rec.assigned_type)
+            if ikey in challenged:
+                assert new.challenge(rec.properties, rec.assigned_type, rec.type_score, challengers) == expected
+            else:
+                assert (rec.assigned_type, rec.type_score) == expected
 
 
 class TestMatchesFullRecompute:
@@ -315,18 +371,39 @@ def small_kb() -> KnowledgeBase:
     return kb
 
 
+FULL, CHALLENGED = "full", "challenged"
+
+
+class ScoredSpy:
+    """Calls of the kernel's two per-instance entry points: decide, a full
+    rescore, and challenge, a rescore against the classes whose norm
+    fell. Both receive the record's own property set, which names the
+    instance."""
+
+    def __init__(self):
+        self.calls: list[tuple[set[str], str]] = []
+
+    def of(self, kb: KnowledgeBase) -> list[tuple[str, str]]:
+        """(instance, FULL | CHALLENGED) per call, in order."""
+        owner = {id(rec.properties): ikey for ikey, rec in kb.instances.items()}
+        return [(owner[id(properties)], kind) for properties, kind in self.calls]
+
+    def clear(self) -> None:
+        self.calls.clear()
+
+
 @pytest.fixture
 def scored(monkeypatch):
-    """Instances the typing pass scores, in order."""
-    seen = []
-    real = type_inference._decide
+    spy = ScoredSpy()
+    for name, kind in (("decide", FULL), ("challenge", CHALLENGED)):
+        real = getattr(type_inference._Kernel, name)
 
-    def spy(kb, instance_iri, *args):
-        seen.append(instance_iri)
-        return real(kb, instance_iri, *args)
+        def entry(kernel, properties, *args, real=real, kind=kind):
+            spy.calls.append((properties, kind))
+            return real(kernel, properties, *args)
 
-    monkeypatch.setattr(type_inference, "_decide", spy)
-    return seen
+        monkeypatch.setattr(type_inference._Kernel, name, entry)
+    return spy
 
 
 @pytest.fixture
@@ -347,11 +424,11 @@ class TestTypingPass:
     def test_own_decisions_are_not_rescored(self, scored):
         kb = small_kb()
         first = assign_types(kb, "cosine")
-        assert scored == [I1, I2, I3]
+        assert scored.of(kb) == [(I1, FULL), (I2, FULL), (I3, FULL)]
         assert [(d.previous, d.chosen) for d in first] == [(A, A), (None, B), (None, A)]
         scored.clear()
         assert assign_types(kb, "cosine") == []
-        assert scored == []
+        assert scored.of(kb) == []
         assert [(k, rec.assigned_type, rec.type_score) for k, rec in sorted(kb.instances.items())] == [
             (d.instance, d.chosen, d.score) for d in first
         ]
@@ -360,56 +437,73 @@ class TestTypingPass:
         "method, write, expected",
         [
             # a gains B: a's users i1 and i3; B's norm rises, so its incumbent i2 too
-            ("naive", "add", [I1, I3]),
-            ("cosine", "add", [I1, I2, I3]),
-            ("pfidf", "add", [I1, I2, I3]),
+            ("naive", "add", [(I1, FULL), (I3, FULL)]),
+            ("cosine", "add", [(I1, FULL), (I2, FULL), (I3, FULL)]),
+            ("pfidf", "add", [(I1, FULL), (I2, FULL), (I3, FULL)]),
             # c leaves B: c's user i2; B's norm falls, so B's incumbent and b's user: i2 again
-            ("naive", "remove", [I2]),
-            ("cosine", "remove", [I2]),
-            ("pfidf", "remove", [I2]),
+            ("naive", "remove", [(I2, FULL)]),
+            ("cosine", "remove", [(I2, FULL)]),
+            ("pfidf", "remove", [(I2, FULL)]),
         ],
     )
     def test_domain_change_rescores_affected_instances(self, scored, method, write, expected):
         kb = small_kb()
         kb.add_instance_triples([t_lit(I4, PROP + "d")])  # d has no domain: never affected
         assign_types(kb, method)
-        assert scored == [I1, I2, I3, I4]
+        assert scored.of(kb) == [(I1, FULL), (I2, FULL), (I3, FULL), (I4, FULL)]
         scored.clear()
         if write == "add":
             kb.add_domain(PROP + "a", B, PROV_GENERALIZED)
         else:
             kb.remove_domain(PROP + "c", B)
         assign_types(kb, method)
-        assert scored == expected
+        assert scored.of(kb) == expected
         scored.clear()
         kb.add_domain(PROP + "a", A, PROV_GENERALIZED)  # a new provenance, the same table
         assign_types(kb, method)
-        assert scored == []
+        assert scored.of(kb) == []
 
-    @pytest.mark.parametrize("method", ["cosine", "pfidf"])
-    def test_falling_norm_rescores_users_of_its_other_properties(self, scored, method):
+    @staticmethod
+    def _tied_kb(method: str) -> KnowledgeBase:
+        """i1 in A, which ties with C at 1/2; z, which nobody uses, holds up C's norm."""
         kb = build(
             [subclass(A, OWL_THING), subclass(C, OWL_THING)]
             + [domain(PROP + p, A) for p in "xw"]
             + [domain(PROP + p, C) for p in "yz"]
         )
         kb.add_instance_triples([t_lit(I1, PROP + "x"), t_lit(I1, PROP + "y")])
-        assign_types(kb, method)  # A and C tie at 1/2: the smaller IRI, A
+        assign_types(kb, method)  # the tie goes to the smaller IRI, A
         assert kb.instances[I1].assigned_type == A
+        return kb
+
+    @pytest.mark.parametrize("method", ["cosine", "pfidf"])
+    def test_falling_norm_rescores_users_of_its_other_properties(self, scored, method):
+        kb = self._tied_kb(method)
         scored.clear()
         kb.remove_domain(PROP + "z", C)  # nobody uses z, but C's norm falls
         assert [(d.previous, d.chosen) for d in assign_types(kb, method)] == [(A, C)]
-        assert scored == [I1]
+        assert scored.of(kb) == [(I1, CHALLENGED)]
+        assert kb.instances[I1].type_score == class_scores(kb, I1, method)[C]
+
+    @pytest.mark.parametrize("method", ["cosine", "pfidf"])
+    def test_challenged_without_type_score_is_rescored_in_full(self, scored, method):
+        kb = self._tied_kb(method)
+        kb.instances[I1].type_score = None
+        scored.clear()
+        kb.remove_domain(PROP + "z", C)
+        assert [(d.previous, d.chosen) for d in assign_types(kb, method)] == [(A, C)]
+        assert scored.of(kb) == [(I1, FULL)]
+        assert kb.instances[I1].type_score == class_scores(kb, I1, method)[C]
 
     def test_method_change_rescores_every_instance(self, scored):
         kb = small_kb()
         assign_types(kb, "cosine")
         scored.clear()
         assign_types(kb, "naive")
-        assert scored == [I1, I2, I3]
+        assert scored.of(kb) == [(I1, FULL), (I2, FULL), (I3, FULL)]
         scored.clear()
         assign_types(kb, "naive")
-        assert scored == []
+        assert scored.of(kb) == []
 
     def test_ingest_marks_only_touched_instances(self, scored):
         kb = small_kb()
@@ -417,15 +511,15 @@ class TestTypingPass:
         scored.clear()
         kb.add_instance_triples([t_lit(I3, PROP + "b")])
         assign_types(kb, "cosine")
-        assert scored == [I3]
+        assert scored.of(kb) == [(I3, FULL)]
         scored.clear()
         kb.add_instance_triples([t(I1, RDF_TYPE, B)])  # deeper than its A: replaces it
         assign_types(kb, "cosine")
-        assert scored == [I1]
+        assert scored.of(kb) == [(I1, FULL)]
         scored.clear()
         kb.add_instance_triples([t_lit(I2, PROP + "b")])  # already carried: no change
         assign_types(kb, "cosine")
-        assert scored == []
+        assert scored.of(kb) == []
 
 
 class TestGeneralizationPass:

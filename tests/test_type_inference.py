@@ -20,8 +20,10 @@ from helpers import (
     PROP,
     assert_typing_matches_oracle,
     class_scores,
+    decide,
     domain,
     kb_instance_state,
+    kernel_scores,
     naive_assign,
     pfidf_score,
     subclass,
@@ -31,7 +33,7 @@ from helpers import (
 from kbevolve.errors import UnknownEntityError
 from kbevolve.generalization import ThresholdPolicy, run_generalization_pass
 from kbevolve.kb import OWL_THING, RDF_TYPE, KnowledgeBase, load_schema
-from kbevolve.type_inference import METHODS, _decide, assign_types, idf_weight
+from kbevolve.type_inference import METHODS, _Kernel, assign_types, idf_weight
 from oracles import (
     InstanceProfile,
     TypeProfile,
@@ -120,7 +122,7 @@ class TestNaiveAssign:
     def test_equal_depth_tie_goes_to_smaller_iri(self, order):
         kb, _ = load_schema([subclass(CLS + "A", OWL_THING), subclass(CLS + "B", OWL_THING)])
         scores = {CLS + name: 0.5 for name in order}
-        assert _decide(kb, INST + "i", None, scores).chosen == CLS + "A"
+        assert decide(kb, INST + "i", None, scores).chosen == CLS + "A"
 
     def test_incumbent_kept_on_tied_count(self):
         kb, _ = load_schema([domain(PROP + "p1", CLS + "A"), domain(PROP + "p1", CLS + "B")])
@@ -471,6 +473,79 @@ def random_kb_triples(draw):
         if incumbent is not None:
             data.append(t(inst, RDF_TYPE, incumbent))
     return schema, data
+
+
+@st.composite
+def decide_inputs(draw):
+    """A method, a KB's schema, a property set and an incumbent for
+    _Kernel.decide. A class may copy the domains of another, so equal
+    scores are common, among siblings too; the property set may be exactly
+    one class's support, which cosine scores 1.0 and pfidf may round above
+    1.0 before the cap. The set is built in a shuffled insertion order and
+    may hold a property without domains."""
+    classes = [CLS + f"C{k}" for k in range(draw(st.integers(1, 8)))]
+    schema = [
+        subclass(cls, draw(st.sampled_from([OWL_THING] + classes[:k])))
+        for k, cls in enumerate(classes)
+    ]
+    props = [PROP + f"p{k}" for k in range(draw(st.integers(1, 8)))]
+    support = {}
+    for cls in [OWL_THING] + classes:
+        twin = draw(st.none() | st.sampled_from(sorted(support))) if support else None
+        support[cls] = support[twin] if twin is not None else draw(st.sets(st.sampled_from(props)))
+        schema.extend(domain(prop, cls) for prop in sorted(support[cls]))
+    if draw(st.booleans()):
+        chosen = set(support[draw(st.sampled_from(classes))])
+    else:
+        chosen = draw(st.sets(st.sampled_from(props + [PROP + "free"]), min_size=1))
+    properties = set()
+    for prop in draw(st.permutations(sorted(chosen))):
+        properties.add(prop)
+    previous = draw(st.none() | st.sampled_from([OWL_THING] + classes))
+    return draw(st.sampled_from(METHODS)), schema, properties, previous
+
+
+class TestKernelDecide:
+    """_Kernel.decide fuses scoring and the argmax into one pass; it must
+    equal the per-class scores followed by the separate argmax of
+    helpers.decide, bit for bit."""
+
+    @given(decide_inputs())
+    @settings(max_examples=500, deadline=None)
+    def test_equals_scores_then_argmax(self, inputs):
+        method, schema, properties, previous = inputs
+        kb, _ = load_schema(schema)
+        kernel = _Kernel(kb, method)
+        expected = decide(kb, INST + "i", previous, kernel_scores(kernel, properties))
+        assert kernel.decide(properties, previous) == (expected.chosen, expected.score)
+
+    def test_score_rounded_above_one_is_capped(self):
+        # The root, C and D: each of p0..p4 has C as its only domain, so
+        # weight ln 3, and the quotient rounds to just above 1.0.
+        kb, _ = load_schema(
+            [subclass(CLS + "C", OWL_THING), subclass(CLS + "D", OWL_THING)]
+            + [domain(PROP + f"p{k}", CLS + "C") for k in range(5)]
+        )
+        properties = {PROP + f"p{k}" for k in range(5)}
+        kernel = _Kernel(kb, "pfidf")
+        dot = 0.0
+        for _ in range(5):
+            dot += math.log(3)
+        assert dot / math.sqrt(kernel.norms[CLS + "C"] * 5) > 1.0
+        assert kernel.decide(properties, None) == (CLS + "C", 1.0)
+        assert kernel_scores(kernel, properties) == {CLS + "C": 1.0}
+
+    @pytest.mark.parametrize("method", METHODS)
+    def test_equal_depth_tie_goes_to_smaller_iri(self, method):
+        kb, _ = load_schema(
+            [subclass(CLS + name, OWL_THING) for name in "BA"]
+            + [domain(PROP + "p", CLS + name) for name in "BA"]
+            + [domain(PROP + "q", CLS + "C")]
+        )
+        kernel = _Kernel(kb, method)
+        assert kernel.decide({PROP + "p"}, None)[0] == CLS + "A"
+        assert kernel.decide({PROP + "p"}, CLS + "B")[0] == CLS + "B"  # the incumbent keeps a tie
+        assert kernel.decide({PROP + "p"}, CLS + "C") == (CLS + "A", kernel_scores(kernel, {PROP + "p"})[CLS + "A"])
 
 
 class TestKernelMatchesOracle:

@@ -88,27 +88,25 @@ class EvolutionReport:
 
 
 def classification_coverage(kb: KnowledgeBase) -> CoverageStats:
-    total = len(kb.instances)
-    with_properties = classified = classified_with_properties = placeholder = 0
-    for rec in kb.instances.values():
-        if rec.properties:
-            with_properties += 1
-        if rec.assigned_type is not None:
-            classified += 1
-            if rec.properties:
-                classified_with_properties += 1
-        if rec.placeholder:
-            placeholder += 1
+    """Read from the counters the KB keeps on every write."""
+    with_properties = kb.instances_with_properties
     defined = with_properties > 0
-    ratio = classified_with_properties / with_properties if defined else 0.0
+    ratio = kb.classified_with_properties / with_properties if defined else 0.0
     return CoverageStats(
-        total, with_properties, classified, classified_with_properties, placeholder, ratio, defined
+        len(kb.instances),
+        with_properties,
+        kb.instances_classified,
+        kb.classified_with_properties,
+        kb.placeholders,
+        ratio,
+        defined,
     )
 
 
 def property_domain_ratio(kb: KnowledgeBase) -> DomainCoverageStats:
+    """Read from the counter the KB keeps on every domain write."""
     total = len(kb.properties)
-    with_domain = sum(1 for rec in kb.properties.values() if rec.domains)
+    with_domain = kb.properties_with_domain
     defined = total > 0
     ratio = with_domain / total if defined else 0.0
     return DomainCoverageStats(total, with_domain, ratio, defined)

@@ -1,15 +1,16 @@
 """Property-domain generalization and deletion from instance evidence.
 
-One step per class: evaluate_class counts the properties of the class's N
-direct instances once, generalizes every property whose support ratio
-reaches 1/(1 + log10 N) (the class gains it as a domain), then drops every
-generalized domain whose support fell below a hysteresis band
-(deletion_factor times that threshold). Adding a domain cannot change
-support, so one count feeds both rules. Schema-asserted domains are never
-deleted. A pass walks kb.leaf_first_order and evaluates exactly the
-classes the KB marked dirty, after marking every class dirty when the
-policy or the deletion switch changed: a class's outcome depends only on
-those settings and its own direct instances and domain entries.
+One step per class: evaluate_class reads the per-property counts of the
+class's N direct instances that the KB keeps (kb.class_property_counts),
+generalizes every property whose support ratio reaches 1/(1 + log10 N) (the
+class gains it as a domain), then drops every generalized domain whose
+support fell below a hysteresis band (deletion_factor times that
+threshold). Adding a domain cannot change support, so the same counts feed
+both rules. Schema-asserted domains are never deleted. A pass walks
+kb.leaf_first_order and evaluates exactly the classes the KB marked dirty,
+after marking every class dirty when the policy or the deletion switch
+changed: a class's outcome depends only on those settings and its own
+direct instances and domain entries.
 """
 
 from __future__ import annotations
@@ -64,21 +65,17 @@ def evaluate_class(
 ) -> list[DomainChange]:
     """Generalize, then drop, the domains of one class.
 
-    Counts the properties of the class's direct instances once. Adds the
-    class as a generalized domain of every property whose support ratio
-    reaches the generalization threshold; with deletion enabled, then
-    drops every generalized domain of the class whose ratio is below the
-    deletion threshold. Schema-provenance domains stay, and a class with
-    no direct instances changes nothing.
+    Reads the KB's counts of the properties of the class's direct
+    instances. Adds the class as a generalized domain of every property
+    whose support ratio reaches the generalization threshold; with
+    deletion enabled, then drops every generalized domain of the class
+    whose ratio is below the deletion threshold. Schema-provenance domains
+    stay, and a class with no direct instances changes nothing.
     """
-    instances = kb.direct_instances(class_iri)
-    n = len(instances)
+    n = len(kb.direct_instances(class_iri))
     if n == 0:
         return []
-    counts: dict[str, int] = {}
-    for ikey in instances:
-        for prop in kb.instances[ikey].properties:
-            counts[prop] = counts.get(prop, 0) + 1
+    counts = kb.class_property_counts[class_iri]
     threshold = generalization_threshold(n)
     changes: list[DomainChange] = []
     for prop in sorted(counts):

@@ -3,7 +3,10 @@ table with per-domain provenance, and instance records.
 
 The KB also owns the state derived from them that the passes read, and
 keeps it current on every write: the direct-instance index, the property ->
-users index, a per-class index of generalized domains, and the dirty sets.
+users index, a per-class index of generalized domains, per-class counts of
+the direct instances carrying each property, the coverage counters the
+report reads (instances with properties, classified, classified with
+properties, placeholders; properties with a domain), and the dirty sets.
 A class is dirty when its direct-instance set, the properties of its direct
 instances, or its domain entries changed since the last generalization
 pass; an instance is dirty when its type or properties changed since the
@@ -21,8 +24,9 @@ are fixed by load_schema; class_rank is the one tie rule of ingest
 (deeper_class) and typing.
 
 An instance's type of None means unclassified; typing an instance as the
-root class is the same thing, so assertions to the root are dropped and the
-root is never handed out as an assignment. The KB is single-writer:
+root class is the same thing, so assertions to the root are dropped,
+set_type stores the root as None, and the root is never handed out as an
+assignment. The KB is single-writer:
 read-only scoring may fan out, mutations happen between phases.
 """
 
@@ -86,6 +90,13 @@ class KnowledgeBase:
         # property -> instances carrying it, each once: properties never leave
         self.property_users: dict[str, list[str]] = {}
         self.generalized_index: dict[str, set[str]] = {}  # class iri -> properties
+        # class iri -> property -> direct instances carrying it; no zero entries
+        self.class_property_counts: dict[str, dict[str, int]] = {}
+        self.instances_with_properties = 0
+        self.instances_classified = 0
+        self.classified_with_properties = 0
+        self.placeholders = 0
+        self.properties_with_domain = 0
         self.dirty_classes: set[str] = set()
         self.dirty_instances: set[str] = set()
         self.table_version = 0
@@ -105,6 +116,8 @@ class KnowledgeBase:
             record = self.properties[prop] = PropertyRecord()
         if record.domains.get(cls) == provenance:
             return
+        if not record.domains:
+            self.properties_with_domain += 1
         record.domains[cls] = provenance
         if provenance == PROV_GENERALIZED:
             self.generalized_index.setdefault(cls, set()).add(prop)
@@ -120,6 +133,8 @@ class KnowledgeBase:
             raise UnknownEntityError(f"{cls} is not a domain of {prop}")
         if record.domains.pop(cls) == PROV_GENERALIZED:
             self.generalized_index[cls].discard(prop)
+        if not record.domains:
+            self.properties_with_domain -= 1
         self.table_version += 1
         self.dirty_classes.add(cls)
 
@@ -133,18 +148,40 @@ class KnowledgeBase:
         return self.direct_instance_index.get(class_iri, set())
 
     def set_type(self, instance_iri: str, class_iri: str | None) -> None:
+        """Type the instance as class_iri; None or the root unclassifies it."""
         rec = self.instances.get(instance_iri)
         if rec is None:
             raise UnknownEntityError(f"unknown instance: {instance_iri}")
-        if rec.assigned_type == class_iri:
+        if class_iri == OWL_THING:
+            class_iri = None
+        elif class_iri is not None and class_iri not in self.classes:
+            raise UnknownEntityError(f"unknown class: {class_iri}")
+        old = rec.assigned_type
+        if old == class_iri:
             return
-        if rec.assigned_type is not None:
-            self.direct_instance_index[rec.assigned_type].discard(instance_iri)
-            self.dirty_classes.add(rec.assigned_type)
+        props = rec.properties
+        if old is None:
+            self.instances_classified += 1
+            self.classified_with_properties += bool(props)
+        else:
+            self.direct_instance_index[old].discard(instance_iri)
+            self.dirty_classes.add(old)
+            counts = self.class_property_counts[old]
+            for prop in props:
+                if counts[prop] == 1:
+                    del counts[prop]
+                else:
+                    counts[prop] -= 1
         rec.assigned_type = class_iri
-        if class_iri is not None:
+        if class_iri is None:
+            self.instances_classified -= 1
+            self.classified_with_properties -= bool(props)
+        else:
             self.direct_instance_index.setdefault(class_iri, set()).add(instance_iri)
             self.dirty_classes.add(class_iri)
+            counts = self.class_property_counts.setdefault(class_iri, {})
+            for prop in props:
+                counts[prop] = counts.get(prop, 0) + 1
         self.dirty_instances.add(instance_iri)
 
     def deeper_class(self, a: str, b: str) -> str:
@@ -175,6 +212,7 @@ class KnowledgeBase:
                 rec = instances[skey] = InstanceRecord()
             elif rec.placeholder:
                 rec.placeholder = False  # first statement of its own
+                self.placeholders -= 1
             pv = p.value
             if o.kind is TermKind.IRI:
                 okey = o.value
@@ -184,12 +222,20 @@ class KnowledgeBase:
                         asserted[skey] = okey if prev is None else self.deeper_class(prev, okey)
                     continue
                 objects.append(okey)
-            if pv not in rec.properties:
-                rec.properties.add(pv)
+            props = rec.properties
+            if pv not in props:
+                cls = rec.assigned_type
+                if not props:
+                    self.instances_with_properties += 1
+                    if cls is not None:
+                        self.classified_with_properties += 1
+                props.add(pv)
                 self.property_users.setdefault(pv, []).append(skey)
                 self.dirty_instances.add(skey)
-                if rec.assigned_type is not None:
-                    self.dirty_classes.add(rec.assigned_type)
+                if cls is not None:
+                    self.dirty_classes.add(cls)
+                    counts = self.class_property_counts[cls]
+                    counts[pv] = counts.get(pv, 0) + 1
             if pv not in properties:
                 properties[pv] = PropertyRecord()
 
@@ -200,6 +246,7 @@ class KnowledgeBase:
         for okey in objects:
             if okey not in classes and okey not in properties and okey not in instances:
                 instances[okey] = InstanceRecord(placeholder=True)
+                self.placeholders += 1
 
     # ---- export ------------------------------------------------------
 

@@ -11,10 +11,11 @@ drop, and scans the whole property table for the class's generalized
 domains, writing the domain table directly. Neither reads nor updates the
 KB's incremental state. ``oracle_evolve_audits`` replays ``evolve``'s batch
 and round loop with the two passes and writes both audits from what they
-return. The tests compare ``kbevolve.type_inference``,
-``kbevolve.generalization`` and ``evolve``'s audits against them for exact
-equality, and ``kbevolve.ntriples.parse_ntriple_line`` against
-``oracle_parse_line``.
+return. ``property_support`` and the two coverage scans recount what the
+KB keeps as counters. The tests compare ``kbevolve.type_inference``,
+``kbevolve.generalization``, the coverage functions and ``evolve``'s audits
+against them for exact equality, and ``kbevolve.ntriples.parse_ntriple_line``
+against ``oracle_parse_line``.
 """
 
 from __future__ import annotations
@@ -28,7 +29,13 @@ from dataclasses import dataclass, field
 
 from helpers import _instance_record
 from kbevolve.errors import ParseError, UnknownEntityError
-from kbevolve.evolution import DOMAIN_AUDIT_COLUMNS, TYPING_AUDIT_COLUMNS, EvolutionConfig
+from kbevolve.evolution import (
+    DOMAIN_AUDIT_COLUMNS,
+    TYPING_AUDIT_COLUMNS,
+    CoverageStats,
+    DomainCoverageStats,
+    EvolutionConfig,
+)
 from kbevolve.generalization import (
     ACTION_ADDED,
     ACTION_REMOVED,
@@ -243,6 +250,35 @@ def property_support(kb: KnowledgeBase, class_iri: str) -> SupportStats:
             counts[prop] = counts.get(prop, 0) + 1
     per_property = {prop: (c, c / n) for prop, c in counts.items()} if n else {}
     return SupportStats(class_iri, n, per_property)
+
+
+def oracle_classification_coverage(kb: KnowledgeBase) -> CoverageStats:
+    """classification_coverage by a scan of every instance record."""
+    total = len(kb.instances)
+    with_properties = classified = classified_with_properties = placeholder = 0
+    for rec in kb.instances.values():
+        if rec.properties:
+            with_properties += 1
+        if rec.assigned_type is not None:
+            classified += 1
+            if rec.properties:
+                classified_with_properties += 1
+        if rec.placeholder:
+            placeholder += 1
+    defined = with_properties > 0
+    ratio = classified_with_properties / with_properties if defined else 0.0
+    return CoverageStats(
+        total, with_properties, classified, classified_with_properties, placeholder, ratio, defined
+    )
+
+
+def oracle_property_domain_ratio(kb: KnowledgeBase) -> DomainCoverageStats:
+    """property_domain_ratio by a scan of the property table."""
+    total = len(kb.properties)
+    with_domain = sum(1 for rec in kb.properties.values() if rec.domains)
+    defined = total > 0
+    ratio = with_domain / total if defined else 0.0
+    return DomainCoverageStats(total, with_domain, ratio, defined)
 
 
 def _oracle_generalize(kb: KnowledgeBase, class_iri: str) -> list[DomainChange]:

@@ -23,7 +23,7 @@ from helpers import (
 )
 from kbevolve import generalization, type_inference
 from kbevolve.errors import UnknownEntityError
-from kbevolve.evolution import EvolutionConfig, evolve
+from kbevolve.evolution import EvolutionConfig, classification_coverage, evolve, property_domain_ratio
 from kbevolve.generalization import ThresholdPolicy, evaluate_class, run_generalization_pass
 from kbevolve.kb import (
     OWL_THING,
@@ -34,9 +34,16 @@ from kbevolve.kb import (
     KnowledgeBase,
     load_schema,
 )
-from kbevolve.ntriples import triple_to_line
+from kbevolve.ntriples import read_batch, triple_to_line
 from kbevolve.type_inference import METHODS, assign_types
-from oracles import oracle_assign_types, oracle_evolve_audits, oracle_generalization_pass
+from oracles import (
+    oracle_assign_types,
+    oracle_classification_coverage,
+    oracle_evolve_audits,
+    oracle_generalization_pass,
+    oracle_property_domain_ratio,
+    property_support,
+)
 
 POLICIES = tuple(ThresholdPolicy(deletion_factor=f) for f in (0.5, 1.0, 0.25))
 Q = PROP + "q"  # its domains are written only by the "fall" step of churn_inputs
@@ -295,6 +302,104 @@ class TestMatchesFullRecompute:
             else:
                 write(prop, cls, None)
                 assert prop not in typing_pass().table
+
+
+def assert_counters_equal_recount(kb: KnowledgeBase) -> None:
+    for cls in kb.classes:
+        support = property_support(kb, cls).per_property
+        assert kb.class_property_counts.get(cls, {}) == {prop: c for prop, (c, _) in support.items()}
+    assert set(kb.class_property_counts) <= set(kb.classes)
+    assert classification_coverage(kb) == oracle_classification_coverage(kb)
+    assert property_domain_ratio(kb) == oracle_property_domain_ratio(kb)
+
+
+@st.composite
+def counter_inputs(draw):
+    """A schema and a sequence of steps that write what the KB counts:
+    ingest batches (with type assertions, deeper ones among them, and IRI
+    objects that become placeholders), direct set_type calls (to None and
+    to the root too), typing passes, generalization passes and direct
+    domain writes of both provenances or removals."""
+    classes, schema = draw(class_tree())
+    everything = [OWL_THING] + classes
+    props = [PROP + f"p{k}" for k in range(draw(st.integers(1, 6)))]
+    for prop in props:
+        for cls in sorted(draw(st.sets(st.sampled_from(everything), max_size=2))):
+            schema.append(domain(prop, cls))
+    instances = [INST + f"i{k}" for k in range(8)]
+    triple = st.one_of(
+        st.builds(t_lit, st.sampled_from(instances), st.sampled_from(props)),
+        st.builds(t, st.sampled_from(instances), st.sampled_from(props), st.sampled_from(instances)),
+        st.builds(t, st.sampled_from(instances), st.just(RDF_TYPE), st.sampled_from(everything)),
+    )
+    step = st.one_of(
+        st.tuples(st.just("ingest"), st.lists(triple, min_size=1, max_size=10)),
+        st.tuples(
+            st.just("set_type"),
+            st.sampled_from(instances),
+            st.none() | st.sampled_from(everything),
+        ),
+        st.tuples(st.just("typing"), st.sampled_from(METHODS)),
+        st.tuples(st.just("generalize"), st.sampled_from(POLICIES), st.booleans()),
+        st.tuples(
+            st.just("domain"),
+            st.sampled_from(props),
+            st.sampled_from(everything),
+            st.none() | st.sampled_from([PROV_SCHEMA, PROV_GENERALIZED]),
+        ),
+    )
+    return schema, draw(st.lists(step, min_size=1, max_size=12))
+
+
+def apply_step(kb: KnowledgeBase, step) -> None:
+    kind, *args = step
+    if kind == "ingest":
+        kb.add_instance_triples(args[0])
+    elif kind == "set_type":
+        if args[0] in kb.instances:
+            kb.set_type(*args)
+    elif kind == "typing":
+        assign_types(kb, args[0])
+    elif kind == "generalize":
+        run_generalization_pass(kb, args[0], deletion_enabled=args[1])
+    else:
+        prop, cls, provenance = args
+        if provenance is not None:
+            kb.add_domain(prop, cls, provenance)
+        elif prop in kb.properties and cls in kb.properties[prop].domains:
+            kb.remove_domain(prop, cls)
+
+
+class TestCountersEqualRecount:
+    @given(counter_inputs())
+    @settings(max_examples=300, deadline=None)
+    def test_after_every_step(self, inputs):
+        schema, steps = inputs
+        kb = build(schema)
+        assert_counters_equal_recount(kb)
+        for step in steps:
+            apply_step(kb, step)
+            assert_counters_equal_recount(kb)
+
+    @given(counter_inputs())
+    @settings(max_examples=150, deadline=None)
+    def test_rebuilt_on_reload(self, inputs):
+        """A KB rebuilt from its own snapshot counts what it holds, and
+        reports the kept columns the snapshot carries."""
+        schema, steps = inputs
+        kb = build(schema)
+        for step in steps:
+            apply_step(kb, step)
+        snapshot = io.StringIO()
+        kb.export_ntriples(snapshot)
+        triples, report = read_batch(io.StringIO(snapshot.getvalue()), 1 << 20)
+        assert not report.errors
+        reloaded, leftover = load_schema(triples)
+        reloaded.add_instance_triples(leftover)
+        assert_counters_equal_recount(reloaded)
+        kept, rebuilt = classification_coverage(kb), classification_coverage(reloaded)
+        assert (rebuilt.with_properties, rebuilt.classified) == (kept.with_properties, kept.classified)
+        assert property_domain_ratio(reloaded) == property_domain_ratio(kb)
 
 
 @st.composite

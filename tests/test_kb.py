@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from helpers import CLS, INST, PROP, kb_instance_state, subclass, domain, t, t_lit
 from kbevolve.errors import SchemaError, UnknownEntityError
+from kbevolve.generalization import ThresholdPolicy, run_generalization_pass
 from kbevolve.kb import (
     OWL_CLASS,
     OWL_THING,
@@ -226,6 +227,26 @@ class TestDirectInstancesAndIndex:
                 rebuilt.setdefault(rec.assigned_type, set()).add(key)
         observed = {c: s for c, s in kb.direct_instance_index.items() if s}
         assert observed == rebuilt
+
+
+class TestSetType:
+    def test_root_unclassifies(self):
+        kb = simple_kb(CLS + "A")
+        kb.add_instance_triples([t(INST + "i", RDF_TYPE, CLS + "A"), t_lit(INST + "i", PROP + "p")])
+        kb.set_type(INST + "i", OWL_THING)
+        assert kb.instances[INST + "i"].assigned_type is None
+        assert kb.direct_instances(OWL_THING) == set()
+        assert kb.instances_classified == 0
+        assert run_generalization_pass(kb, ThresholdPolicy()) == []
+        assert kb.properties[PROP + "p"].domains == {}
+
+    def test_unknown_class_rejected(self):
+        kb = simple_kb(CLS + "A")
+        kb.add_instance_triples([t(INST + "i", RDF_TYPE, CLS + "A")])
+        with pytest.raises(UnknownEntityError):
+            kb.set_type(INST + "i", CLS + "Nope")
+        assert kb.instances[INST + "i"].assigned_type == CLS + "A"
+        assert kb.direct_instances(CLS + "A") == {INST + "i"}
 
 
 class TestLeafFirstOrder:

@@ -6,11 +6,11 @@ generalizes every property whose support ratio reaches 1/(1 + log10 N) (the
 class gains it as a domain), then drops every generalized domain whose
 support fell below a hysteresis band (deletion_factor times that
 threshold). Adding a domain cannot change support, so the same counts feed
-both rules. Schema-asserted domains are never deleted. A pass walks
-kb.leaf_first_order and evaluates exactly the classes the KB marked dirty,
-after marking every class dirty when the policy or the deletion switch
-changed: a class's outcome depends only on those settings and its own
-direct instances and domain entries.
+both rules. Schema-asserted domains are never deleted. A pass evaluates
+exactly the classes the KB marked dirty, in kb.class_rank order (every
+class before its ancestors), after marking every class dirty when the
+policy or the deletion switch changed: a class's outcome depends only on
+those settings and its own direct instances and domain entries.
 """
 
 from __future__ import annotations
@@ -96,7 +96,7 @@ def evaluate_class(
 def run_generalization_pass(
     kb: KnowledgeBase, policy: ThresholdPolicy, *, deletion_enabled: bool = True
 ) -> list[DomainChange]:
-    """Evaluate every dirty class with direct instances, leaf-first.
+    """Evaluate every dirty class with direct instances, in class_rank order.
 
     Each class is evaluated against the KB state current at its turn.
     With unchanged instance data the pass is idempotent: a second run
@@ -107,8 +107,8 @@ def run_generalization_pass(
         kb.dirty_classes.update(kb.classes)
         kb.generalized_with = settings
     changes: list[DomainChange] = []
-    for class_iri in kb.leaf_first_order:
-        if class_iri in kb.dirty_classes and kb.direct_instance_index.get(class_iri):
+    for class_iri in sorted(kb.dirty_classes, key=kb.class_rank.__getitem__):
+        if kb.direct_instance_index.get(class_iri):
             changes.extend(evaluate_class(kb, class_iri, policy, deletion_enabled=deletion_enabled))
     # A class's own domain writes mark only itself, and it is now settled.
     kb.dirty_classes.clear()

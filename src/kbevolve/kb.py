@@ -7,21 +7,24 @@ users index, a per-class index of generalized domains, per-class counts of
 the direct instances carrying each property, the coverage counters the
 report reads (instances with properties, classified, classified with
 properties, placeholders; properties with a domain), and the dirty sets.
-A class is dirty when its direct-instance set, the properties of its direct
-instances, or its domain entries changed since the last generalization
-pass; an instance is dirty when its type or properties changed since the
-last typing pass. Each pass visits exactly its dirty set. A change of its
-inputs first marks more: a new (policy, deletion_enabled) in
-generalized_with marks every class, a new method in typed_against every
-instance, and a new table_version alone the instances the typing pass finds
-affected by diffing its rebuilt kernel against typing_kernel, some to
-rescore in full and some only against the classes whose norm fell. Every
-domain write, through add_domain / remove_domain, bumps table_version. An
-instance record's type_score is the score its type earned in the typing
-pass that last scored it, under typed_against's method. The class tree,
-leaf_first_order and class_rank (deeper classes first, then smaller IRIs)
-are fixed by load_schema; class_rank is the one tie rule of ingest
-(deeper_class) and typing.
+There are three dirty sets. A class is dirty when its direct-instance set,
+the properties of its direct instances, or its domain entries changed since
+the last generalization pass; an instance is dirty when its type or
+properties changed since the last typing pass; a property is dirty when its
+set of domains changed since the last typing pass (a provenance-only
+rewrite marks the class, not the property). Each pass visits exactly its
+dirty set. A change of its inputs first marks more: a new (policy,
+deletion_enabled) in generalized_with marks every class, a method other
+than typing_kernel's every instance, and the dirty properties the instances
+the typing pass finds affected among their users and among the direct
+instances of classes whose norm changed, some to rescore in full and some
+only against the classes whose norm fell.
+An instance record's type_score is the score its type earned in the typing
+pass that last scored it, under typing_kernel's method. The class tree and
+class_rank (deeper classes first, then smaller IRIs) are fixed by
+load_schema. class_rank is the one class order: every class ranks before
+its ancestors, generalization walks its dirty classes in rank order, and it
+is the one tie rule of ingest (deeper_class) and typing.
 
 An instance's type of None means unclassified; typing an instance as the
 root class is the same thing, so assertions to the root are dropped,
@@ -82,7 +85,6 @@ class InstanceRecord:
 class KnowledgeBase:
     def __init__(self):
         self.classes: dict[str, ClassNode] = {OWL_THING: ClassNode(None)}
-        self.leaf_first_order: list[str] = [OWL_THING]  # set once by load_schema
         self.class_rank: dict[str, int] = {OWL_THING: 0}  # set once by load_schema
         self.properties: dict[str, PropertyRecord] = {}
         self.instances: dict[str, InstanceRecord] = {}
@@ -99,9 +101,8 @@ class KnowledgeBase:
         self.properties_with_domain = 0
         self.dirty_classes: set[str] = set()
         self.dirty_instances: set[str] = set()
-        self.table_version = 0
+        self.dirty_properties: set[str] = set()
         self.typing_kernel: _Kernel | None = None
-        self.typed_against: tuple[str, int] | None = None
         self.generalized_with: tuple[ThresholdPolicy, bool] | None = None
 
     # ---- domains -----------------------------------------------------
@@ -114,16 +115,18 @@ class KnowledgeBase:
         record = self.properties.get(prop)
         if record is None:
             record = self.properties[prop] = PropertyRecord()
-        if record.domains.get(cls) == provenance:
+        previous = record.domains.get(cls)
+        if previous == provenance:
             return
-        if not record.domains:
-            self.properties_with_domain += 1
+        if previous is None:
+            if not record.domains:
+                self.properties_with_domain += 1
+            self.dirty_properties.add(prop)
         record.domains[cls] = provenance
         if provenance == PROV_GENERALIZED:
             self.generalized_index.setdefault(cls, set()).add(prop)
         else:
             self.generalized_index.get(cls, set()).discard(prop)
-        self.table_version += 1
         self.dirty_classes.add(cls)
 
     def remove_domain(self, prop: str, cls: str) -> None:
@@ -135,7 +138,7 @@ class KnowledgeBase:
             self.generalized_index[cls].discard(prop)
         if not record.domains:
             self.properties_with_domain -= 1
-        self.table_version += 1
+        self.dirty_properties.add(prop)
         self.dirty_classes.add(cls)
 
     # ---- instances ---------------------------------------------------
@@ -292,20 +295,6 @@ def _subject_ref(key: str) -> str:
     return key if key.startswith("_:") else f"<{key}>"
 
 
-def _leaf_first(children: dict[str, list[str]]) -> list[str]:
-    """Every class after all of its descendants, siblings in IRI order."""
-    order: list[str] = []
-    stack = [(OWL_THING, False)]
-    while stack:
-        iri, expanded = stack.pop()
-        if expanded:
-            order.append(iri)
-        else:
-            stack.append((iri, True))
-            stack.extend((child, False) for child in sorted(children.get(iri, ()), reverse=True))
-    return order
-
-
 def _require_iri(term, what: str) -> None:
     if term.kind is not TermKind.IRI:
         raise SchemaError(f"{what} must be an IRI, got {term.kind.value}")
@@ -318,7 +307,7 @@ def load_schema(triples: Iterable[Triple]) -> tuple[KnowledgeBase, list[Triple]]
     rdfs:domain fills property domains with schema provenance, and
     rdf:type owl:Class / rdf:Property register classes and properties.
     Classes referenced but never placed get the root as parent; the tree
-    and its leaf-first order are fixed here, as nothing adds a class later.
+    and class_rank are fixed here, as nothing adds a class later.
     Non-schema triples are returned untouched for later ingestion.
     """
     kb = KnowledgeBase()
@@ -359,7 +348,6 @@ def load_schema(triples: Iterable[Triple]) -> tuple[KnowledgeBase, list[Triple]]
 
     class_iris.discard(OWL_THING)
 
-    children: dict[str, list[str]] = {}
     for ciri in sorted(class_iris):
         chain: list[str] = []
         on_chain: set[str] = set()
@@ -374,8 +362,6 @@ def load_schema(triples: Iterable[Triple]) -> tuple[KnowledgeBase, list[Triple]]
         for pending in reversed(chain):
             parent = parents.get(pending, OWL_THING)
             kb.classes[pending] = ClassNode(parent, kb.classes[parent].depth + 1)
-            children.setdefault(parent, []).append(pending)
-    kb.leaf_first_order = _leaf_first(children)
     ranked = sorted(kb.classes, key=lambda c: (-kb.classes[c].depth, c))
     kb.class_rank = {cls: k for k, cls in enumerate(ranked)}
 

@@ -12,13 +12,15 @@ never assigned.
 
 A pass scores exactly the instances the KB marked dirty. When the method
 changed, it first rebuilds the kernel and marks every instance dirty; when
-only the domain table changed, it rebuilds the kernel and diffs it against
-the last one. An instance the diff can affect is rescored in full or, when
-only classes whose norm fell can beat its type, challenged: scored against
-those classes alone and compared with its type_score. A decision reads only
-the kernel and the instance's own record, so it is applied at once and
-instance order does not matter. The pass returns only the decisions it
-made, and leaves on each instance it scored the score of its type.
+some properties' domains changed (kb.dirty_properties), it rebuilds the
+kernel and compares the table entries of those properties and the class
+norms with the last kernel's. An instance the change can affect is
+rescored in full or, when only classes whose norm fell can beat its type,
+challenged: scored against those classes alone and compared with its
+type_score. A decision reads only the kernel and the instance's own
+record, so it is applied at once and instance order does not matter. The
+pass returns only the decisions it made, and leaves on each instance it
+scored the score of its type.
 """
 
 from __future__ import annotations
@@ -79,6 +81,7 @@ class _Kernel:
     def __init__(self, kb: KnowledgeBase, method: str):
         if method not in METHODS:
             raise ValueError(f"unknown method: {method}")
+        self.method = method
         self.table: dict[str, tuple[float, tuple[str, ...]]] = {}
         for prop in sorted(kb.properties):
             domains = tuple(kb.properties[prop].domains)
@@ -133,17 +136,20 @@ class _Kernel:
 
 def _affected(kb: KnowledgeBase, old: _Kernel, new: _Kernel) -> tuple[set[str], set[str], dict]:
     """Instances whose decision or score can differ between two kernels of one
-    method. full: the users of every property whose table entry changed and,
-    under cosine and pfidf, the direct instances of every class whose norm
-    changed. challenged: the other users of every property with a domain among
-    the non-root classes whose norm fell; challengers is new's table restricted
-    to those classes. A challenged instance keeps its dot sums and its
-    incumbent's score, and every other class keeps or lowers its score: only a
-    challenger can beat the incumbent. Any other instance keeps its incumbent's
-    score, and no rival gains."""
+    method, old built before and new after the domain writes that marked
+    kb.dirty_properties. Only those properties' table entries can differ, as
+    the class count idf reads is fixed. full: the users of every dirty
+    property whose table entry changed and, under cosine and pfidf, the
+    direct instances of every class whose norm changed. challenged: the other
+    users of every property with a domain among the non-root classes whose
+    norm fell; challengers is new's table restricted to those classes. A
+    challenged instance keeps its dot sums and its incumbent's score, and
+    every other class keeps or lowers its score: only a challenger can beat
+    the incumbent. Any other instance keeps its incumbent's score, and no
+    rival gains."""
     users = kb.property_users
     full: set[str] = set()
-    for prop in old.table.keys() | new.table.keys():
+    for prop in kb.dirty_properties:
         if old.table.get(prop) != new.table.get(prop):
             full.update(users.get(prop, ()))
     if new.norms is None:
@@ -171,24 +177,24 @@ def assign_types(kb: KnowledgeBase, method: str) -> list[TypingDecision]:
     positive; a classified one is reassigned only when some class strictly
     beats the incumbent's score under the same method. Instances with no
     scorable evidence yield a no-change decision. A new method marks every
-    instance dirty; a domain write under the same method rescores only the
-    instances _affected by the rebuilt kernel, in full or challenged. Sets
-    type_score on every instance it scores, and returns the decisions this
-    pass made, applied, in instance order; a clean instance keeps its
-    type_score and is not listed.
+    instance dirty; dirty properties under the same method rescore only the
+    instances _affected by the rebuilt kernel, in full or challenged; a
+    provenance-only domain rewrite marks no property and keeps the kernel.
+    Sets type_score on every instance it scores, clears kb.dirty_properties,
+    and returns the decisions this pass made, applied, in instance order; a
+    clean instance keeps its type_score and is not listed.
     """
-    inputs = (method, kb.table_version)
+    old = kb.typing_kernel
     challenged, challengers = set(), {}
-    if kb.typed_against != inputs:
-        kernel = _Kernel(kb, method)
-        if kb.typed_against is not None and kb.typed_against[0] == method:
-            full, challenged, challengers = _affected(kb, kb.typing_kernel, kernel)
-            kb.dirty_instances.update(full)
-            challenged -= kb.dirty_instances
-        else:
-            kb.dirty_instances.update(kb.instances)
-        kb.typing_kernel = kernel
-        kb.typed_against = inputs
+    if old is None or old.method != method:
+        kb.typing_kernel = _Kernel(kb, method)
+        kb.dirty_instances.update(kb.instances)
+    elif kb.dirty_properties:
+        kb.typing_kernel = _Kernel(kb, method)
+        full, challenged, challengers = _affected(kb, old, kb.typing_kernel)
+        kb.dirty_instances.update(full)
+        challenged -= kb.dirty_instances
+    kb.dirty_properties.clear()
     kernel = kb.typing_kernel
     decisions: list[TypingDecision] = []
     for ikey in sorted(kb.dirty_instances | challenged):

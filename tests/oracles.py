@@ -9,10 +9,12 @@ before its passes kept dirty sets: it evaluates every class with direct
 instances, counts its support with its own code once to add and again to
 drop, and scans the whole property table for the class's generalized
 domains, writing the domain table directly. Neither reads nor updates the
-KB's incremental state. ``oracle_evolve_audits`` replays ``evolve``'s batch
-and round loop with the two passes and writes both audits from what they
-return. ``property_support`` and the two coverage scans recount what the
-KB keeps as counters. The tests compare ``kbevolve.type_inference``,
+KB's incremental state. ``oracle_affected`` finds the instances a domain
+write can affect by comparing two typing kernels' whole tables.
+``oracle_evolve_audits`` replays ``evolve``'s batch and round loop with the
+two passes and writes both audits from what they return.
+``property_support`` and the two coverage scans recount what the KB keeps
+as counters. The tests compare ``kbevolve.type_inference``,
 ``kbevolve.generalization``, the coverage functions and ``evolve``'s audits
 against them for exact equality, and ``kbevolve.ntriples.parse_ntriple_line``
 against ``oracle_parse_line``.
@@ -50,6 +52,7 @@ from kbevolve.type_inference import (
     METHOD_NAIVE,
     METHODS,
     TypingDecision,
+    _Kernel,
     idf_weight,
 )
 
@@ -232,6 +235,33 @@ def oracle_assign_types(kb: KnowledgeBase, method: str) -> list[TypingDecision]:
     return decisions
 
 
+def oracle_affected(kb: KnowledgeBase, old: _Kernel, new: _Kernel) -> tuple[set[str], set[str], dict]:
+    """``type_inference._affected`` as it ran before the KB marked dirty
+    properties: it compares every table entry of the two kernels, not only
+    those of the properties whose domains changed."""
+    users = kb.property_users
+    full: set[str] = set()
+    for prop in old.table.keys() | new.table.keys():
+        if old.table.get(prop) != new.table.get(prop):
+            full.update(users.get(prop, ()))
+    if new.norms is None:
+        return full, set(), {}
+    fell: set[str] = set()
+    for cls in old.norms.keys() | new.norms.keys():
+        before, after = old.norms.get(cls, 0.0), new.norms.get(cls, 0.0)
+        if before != after:
+            full.update(kb.direct_instance_index.get(cls, ()))
+            if after < before and cls != OWL_THING:
+                fell.add(cls)
+    challengers = {
+        prop: (weight, tuple(cls for cls in domains if cls in fell))
+        for prop, (weight, domains) in new.table.items()
+        if not fell.isdisjoint(domains)
+    }
+    challenged = {ikey for prop in challengers for ikey in users.get(prop, ())} - full
+    return full, challenged, challengers
+
+
 @dataclass
 class SupportStats:
     """Per-property support among a class's direct instances."""
@@ -322,10 +352,10 @@ def _oracle_delete(
 def oracle_generalization_pass(
     kb: KnowledgeBase, policy: ThresholdPolicy, *, deletion_enabled: bool = True
 ) -> list[DomainChange]:
-    """Generalize then delete for every class with direct instances,
-    leaf-first."""
+    """Generalize then delete for every class with direct instances, in
+    class_rank order (every class before its ancestors)."""
     changes: list[DomainChange] = []
-    for class_iri in kb.leaf_first_order:
+    for class_iri in sorted(kb.classes, key=kb.class_rank.__getitem__):
         if not kb.direct_instance_index.get(class_iri):
             continue
         changes.extend(_oracle_generalize(kb, class_iri))

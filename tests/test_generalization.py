@@ -248,6 +248,27 @@ class TestPass:
         changes = run_generalization_pass(kb, ThresholdPolicy())
         assert [c.class_iri for c in changes] == [CLS + "Leaf", CLS + "Mid"]
 
+    def test_uneven_tree_passes_deepest_first(self):
+        # class_rank order: B1 (depth 2) before A and B (depth 1), then A before B
+        a, b, b1 = CLS + "A", CLS + "B", CLS + "B1"
+        kb, _ = load_schema([subclass(a, OWL_THING), subclass(b, OWL_THING), subclass(b1, b)])
+        kb.add_instance_triples(
+            [
+                t(INST + "a", RDF_TYPE, a),
+                t_lit(INST + "a", PROP + "p"),
+                t(INST + "b", RDF_TYPE, b),
+                t_lit(INST + "b", PROP + "r"),
+                t(INST + "b1", RDF_TYPE, b1),
+                t_lit(INST + "b1", PROP + "q"),
+            ]
+        )
+        changes = run_generalization_pass(kb, ThresholdPolicy())
+        assert [(c.class_iri, c.property_iri) for c in changes] == [
+            (b1, PROP + "q"),
+            (a, PROP + "p"),
+            (b, PROP + "r"),
+        ]
+
     def test_planted_signatures_all_generalized(self):
         # Oracle: the generator's signature map says what must be added.
         from kbevolve.synth import SynthSpec, generate_kb

@@ -31,12 +31,14 @@ from kbevolve.kb import (
     PROV_SCHEMA,
     RDF_PROPERTY,
     RDF_TYPE,
+    RDFS_SUBCLASSOF,
     KnowledgeBase,
     load_schema,
 )
 from kbevolve.ntriples import read_batch, triple_to_line
 from kbevolve.type_inference import METHODS, assign_types
 from oracles import (
+    oracle_affected,
     oracle_assign_types,
     oracle_classification_coverage,
     oracle_evolve_audits,
@@ -169,6 +171,41 @@ def churn_inputs(draw):
 
 
 @st.composite
+def affected_inputs(draw):
+    """churn_inputs as rounds of domain writes, a typing pass after each, plus
+    three scripted steps: "bounce" adds a pair and removes it in one round,
+    "reorder" removes one of a property's two domains and adds it back, which
+    reorders its domains, and "relabel" rewrites a domain's provenance alone."""
+    schema, data, method, steps = draw(churn_inputs())
+    everything = [OWL_THING] + [s.value for s, p, _ in schema if p.value == RDFS_SUBCLASSOF]
+    props = [s.value for s, p, _ in schema if p.value == RDF_TYPE]
+    provenance = st.sampled_from([PROV_SCHEMA, PROV_GENERALIZED])
+    for kind in ("bounce", "reorder", "relabel"):
+        pair = (draw(st.sampled_from(props)), draw(st.sampled_from(everything[1:])))
+        steps.append((kind, (*pair, draw(provenance))))
+    rounds = []
+    for kind, args in draw(st.permutations(steps)):
+        if kind == "random":
+            rounds.append(args)
+            continue
+        prop, cls, prov = args
+        strip = [(prop, other, None) for other in everything]
+        if kind in ("fall", "strip"):
+            rounds += [strip + [args], [(prop, cls, None)]]
+        elif kind == "cover":
+            rounds += [strip + [args], [(prop, other, prov) for other in everything]]
+        elif kind == "bounce":
+            rounds.append([args, (prop, cls, None)])
+        elif kind == "reorder":
+            other = draw(st.sampled_from([c for c in everything if c != cls]))
+            rounds += [strip + [args, (prop, other, prov)], [(prop, cls, None), args]]
+        else:
+            flipped = PROV_SCHEMA if prov == PROV_GENERALIZED else PROV_GENERALIZED
+            rounds += [[args], [(prop, cls, flipped)]]
+    return schema, data, method, rounds
+
+
+@st.composite
 def removal_inputs(draw):
     """A KB typed under cosine or pfidf, then domain entries to remove.
     The spare properties have domains but no users, so removing one of
@@ -221,6 +258,36 @@ class TestChallengedRescore:
                 assert new.challenge(rec.properties, rec.assigned_type, rec.type_score, challengers) == expected
             else:
                 assert (rec.assigned_type, rec.type_score) == expected
+
+
+class TestDirtyProperties:
+    @given(affected_inputs())
+    @settings(max_examples=300, deadline=None)
+    def test_affected_equals_whole_table_diff(self, inputs):
+        """The dirty properties name every table entry a round of domain
+        writes changed: comparing only theirs finds what comparing the whole
+        tables finds, and a round that marks none changes no entry or norm."""
+        schema, data, method, rounds = inputs
+        kb = build(schema)
+        kb.add_instance_triples(data)
+        assign_types(kb, method)
+        assert kb.dirty_properties == set()
+        for writes in rounds:
+            for prop, cls, provenance in writes:  # no provenance: remove, if present
+                if provenance is not None:
+                    kb.add_domain(prop, cls, provenance)
+                elif cls in kb.properties[prop].domains:
+                    kb.remove_domain(prop, cls)
+            old, new = kb.typing_kernel, type_inference._Kernel(kb, method)
+            expected = oracle_affected(kb, old, new)
+            dirty = bool(kb.dirty_properties)
+            if dirty:
+                assert type_inference._affected(kb, old, new) == expected
+            else:
+                assert (old.table, old.norms) == (new.table, new.norms)
+            assign_types(kb, method)
+            assert kb.dirty_properties == set()
+            assert (kb.typing_kernel is old) == (not dirty)
 
 
 class TestMatchesFullRecompute:
@@ -564,8 +631,11 @@ class TestTypingPass:
         assign_types(kb, method)
         assert scored.of(kb) == expected
         scored.clear()
-        kb.add_domain(PROP + "a", A, PROV_GENERALIZED)  # a new provenance, the same table
+        kernel = kb.typing_kernel
+        kb.add_domain(PROP + "a", A, PROV_GENERALIZED)  # a new provenance, the same domains
+        assert kb.dirty_properties == set()
         assign_types(kb, method)
+        assert kb.typing_kernel is kernel
         assert scored.of(kb) == []
 
     @staticmethod
@@ -679,11 +749,18 @@ class TestDomainWrites:
 
     def test_rewrite_with_same_provenance_changes_nothing(self):
         kb = build([subclass(A, OWL_THING), domain(PROP + "p", A)])
-        version = kb.table_version
+        kb.add_instance_triples([t_lit(I1, PROP + "p")])
+        assign_types(kb, "pfidf")
+        kernel = kb.typing_kernel
         kb.dirty_classes.clear()
         kb.add_domain(PROP + "p", A, PROV_SCHEMA)
-        assert kb.table_version == version
+        assert kb.dirty_properties == set()
         assert kb.dirty_classes == set()
+        kb.add_domain(PROP + "p", A, PROV_GENERALIZED)  # the same domains: only A is marked
+        assert kb.dirty_properties == set()
+        assert kb.dirty_classes == {A}
+        assert assign_types(kb, "pfidf") == []
+        assert kb.typing_kernel is kernel
 
     def test_unknown_class_or_domain_rejected(self):
         kb = build([subclass(A, OWL_THING), domain(PROP + "p", A)])

@@ -249,7 +249,7 @@ class TestSetType:
         assert kb.direct_instances(CLS + "A") == {INST + "i"}
 
 
-class TestLeafFirstOrder:
+class TestClassRank:
     def test_post_order_example(self):
         kb, _ = load_schema(
             [
@@ -259,7 +259,7 @@ class TestLeafFirstOrder:
                 subclass(CLS + "A2", CLS + "A"),
             ]
         )
-        assert kb.leaf_first_order == [
+        assert sorted(kb.class_rank, key=kb.class_rank.__getitem__) == [
             CLS + "A1",
             CLS + "A2",
             CLS + "A",
@@ -268,10 +268,10 @@ class TestLeafFirstOrder:
         ]
 
     def test_single_root(self):
-        assert kb_default().leaf_first_order == [OWL_THING]
+        assert kb_default().class_rank == {OWL_THING: 0}
 
     def test_random_tree_children_precede_parents(self):
-        # Oracle: child map rebuilt directly from the generated edges.
+        # Oracle: the parent of each class taken directly from the generated edges.
         rng = random.Random(42)
         nodes = [CLS + f"N{k:02d}" for k in range(50)]
         edges = []
@@ -280,11 +280,11 @@ class TestLeafFirstOrder:
             edges.append((node, rng.choice(created)))
             created.append(node)
         kb, _ = load_schema([subclass(c, p) for c, p in edges])
-        order = kb.leaf_first_order
-        position = {cls: k for k, cls in enumerate(order)}
-        assert sorted(position) == sorted([OWL_THING] + nodes)
+        rank = kb.class_rank
+        assert sorted(rank.values()) == list(range(len(nodes) + 1))
+        assert sorted(rank) == sorted([OWL_THING] + nodes)
         for child, parent in edges:
-            assert position[child] < position[parent]
+            assert rank[child] < rank[parent]
 
 
 class TestExport:

@@ -19,6 +19,14 @@ than typing_kernel's every instance, and the dirty properties the instances
 the typing pass finds affected among their users and among the direct
 instances of classes whose norm changed, some to rescore in full and some
 only against the classes whose norm fell.
+An instance record's properties are an interned frozenset: records with the
+same set hold one object, kept in property_sets with its number of holders
+in property_set_holders. Ingest gathers each subject's new properties for
+the batch and interns the merged set once per subject, before the batch's
+type assertions reach set_type; the superseded set loses a holder and
+leaves the table with its last one, so the table holds exactly the
+non-empty sets that records hold. property_users and class_property_counts
+stay per instance.
 An instance record's type_score is the score its type earned in the typing
 pass that last scored it, under typing_kernel's method. The class tree and
 class_rank (deeper classes first, then smaller IRIs) are fixed by
@@ -74,10 +82,10 @@ class PropertyRecord:
     domains: dict[str, str] = field(default_factory=dict)  # class iri -> provenance
 
 
-@dataclass
+@dataclass(slots=True)
 class InstanceRecord:
     assigned_type: str | None = None
-    properties: set[str] = field(default_factory=set)
+    properties: frozenset[str] = frozenset()  # interned by the KB once non-empty
     placeholder: bool = False
     type_score: float | None = None  # None until a typing pass scores the instance
 
@@ -88,6 +96,10 @@ class KnowledgeBase:
         self.class_rank: dict[str, int] = {OWL_THING: 0}  # set once by load_schema
         self.properties: dict[str, PropertyRecord] = {}
         self.instances: dict[str, InstanceRecord] = {}
+        # Each non-empty property set some record holds, mapped to the one
+        # object those records share, and the number of records holding it.
+        self.property_sets: dict[frozenset[str], frozenset[str]] = {}
+        self.property_set_holders: dict[frozenset[str], int] = {}
         self.direct_instance_index: dict[str, set[str]] = {}
         # property -> instances carrying it, each once: properties never leave
         self.property_users: dict[str, list[str]] = {}
@@ -205,6 +217,9 @@ class KnowledgeBase:
         classes = self.classes
         properties = self.properties
         asserted: dict[str, str] = {}
+        # subject -> the properties it gains in this batch, interned with
+        # its old set once the batch is read and before its types are set.
+        gained: dict[str, set[str]] = {}
         # The IRI objects of the statements that are not type assertions,
         # checked for placeholders once the batch's types are set.
         objects: list[str] = []
@@ -227,20 +242,31 @@ class KnowledgeBase:
                 objects.append(okey)
             props = rec.properties
             if pv not in props:
-                cls = rec.assigned_type
-                if not props:
-                    self.instances_with_properties += 1
-                    if cls is not None:
-                        self.classified_with_properties += 1
-                props.add(pv)
+                new = gained.get(skey)
+                if new is None:
+                    gained[skey] = {pv}
+                elif pv in new:
+                    continue
+                else:
+                    new.add(pv)
                 self.property_users.setdefault(pv, []).append(skey)
-                self.dirty_instances.add(skey)
+                cls = rec.assigned_type
                 if cls is not None:
-                    self.dirty_classes.add(cls)
                     counts = self.class_property_counts[cls]
                     counts[pv] = counts.get(pv, 0) + 1
             if pv not in properties:
                 properties[pv] = PropertyRecord()
+
+        for skey, new in gained.items():
+            rec = instances[skey]
+            props, cls = rec.properties, rec.assigned_type
+            if not props:
+                self.instances_with_properties += 1
+                self.classified_with_properties += cls is not None
+            if cls is not None:
+                self.dirty_classes.add(cls)
+            rec.properties = self._intern(props, props | new)
+        self.dirty_instances.update(gained)
 
         for skey, cls in sorted(asserted.items()):
             current = instances[skey].assigned_type
@@ -250,6 +276,19 @@ class KnowledgeBase:
             if okey not in classes and okey not in properties and okey not in instances:
                 instances[okey] = InstanceRecord(placeholder=True)
                 self.placeholders += 1
+
+    def _intern(self, old: frozenset[str], props: frozenset[str]) -> frozenset[str]:
+        """The shared object for a record whose set moves from old to the
+        non-empty props; old leaves the table with its last holder."""
+        holders = self.property_set_holders
+        if old:
+            if holders[old] == 1:
+                del holders[old], self.property_sets[old]
+            else:
+                holders[old] -= 1
+        shared = self.property_sets.setdefault(props, props)
+        holders[shared] = holders.get(shared, 0) + 1
+        return shared
 
     # ---- export ------------------------------------------------------
 

@@ -18,9 +18,12 @@ norms with the last kernel's. An instance the change can affect is
 rescored in full or, when only classes whose norm fell can beat its type,
 challenged: scored against those classes alone and compared with its
 type_score. A decision reads only the kernel and the instance's own
-record, so it is applied at once and instance order does not matter. The
-pass returns only the decisions it made, and leaves on each instance it
-scored the score of its type.
+record, so it is applied at once and instance order does not matter. As
+it reads only the record's interned property set and incumbent (and, for a
+challenge, its type_score), a pass memoizes the kernel's result on that
+key: instances that share it cost one kernel call per pass. The pass
+returns only the decisions it made, one per instance scored, and leaves
+on each instance it scored the score of its type.
 """
 
 from __future__ import annotations
@@ -92,17 +95,17 @@ class _Kernel:
         self.norms = None if method == METHOD_NAIVE else _class_norms(self.table)
         self.rank = kb.class_rank
 
-    def decide(self, properties: set[str], previous: str | None) -> tuple[str | None, float]:
+    def decide(self, properties: frozenset[str], previous: str | None) -> tuple[str | None, float]:
         """(type, score): the best non-root class, ties going to the smaller
         class_rank, unless the incumbent previous scores at least as high."""
         return self._best(self.table, properties, previous, 0.0)
 
-    def challenge(self, properties: set[str], previous: str | None, score: float, challengers: dict):
+    def challenge(self, properties: frozenset[str], previous: str | None, score: float, challengers: dict):
         """decide for an instance whose incumbent keeps its score and whose only
         possible rivals are the classes in challengers, a restricted table."""
         return self._best(challengers, properties, previous, score)
 
-    def _best(self, table: dict, properties: set[str], previous: str | None, kept: float):
+    def _best(self, table: dict, properties: frozenset[str], previous: str | None, kept: float):
         dot: dict[str, float] = {}
         hits = 0
         for prop in sorted(properties):
@@ -196,16 +199,26 @@ def assign_types(kb: KnowledgeBase, method: str) -> list[TypingDecision]:
         challenged -= kb.dirty_instances
     kb.dirty_properties.clear()
     kernel = kb.typing_kernel
+    # The kernel's result per (interned set, incumbent, kept): kept is the
+    # stored type_score for a challenge and None for a full decide.
+    memo: dict[tuple, tuple[str | None, float]] = {}
     decisions: list[TypingDecision] = []
     for ikey in sorted(kb.dirty_instances | challenged):
         rec = kb.instances[ikey]
-        if not rec.properties:
+        props = rec.properties
+        if not props:
             continue
         previous = rec.assigned_type
-        if ikey in challenged and rec.type_score is not None:
-            chosen, score = kernel.challenge(rec.properties, previous, rec.type_score, challengers)
-        else:
-            chosen, score = kernel.decide(rec.properties, previous)
+        kept = rec.type_score if ikey in challenged else None
+        key = (props, previous, kept)
+        result = memo.get(key)
+        if result is None:
+            if kept is None:
+                result = kernel.decide(props, previous)
+            else:
+                result = kernel.challenge(props, previous, kept, challengers)
+            memo[key] = result
+        chosen, score = result
         rec.type_score = score
         if chosen != previous:
             kb.set_type(ikey, chosen)

@@ -36,6 +36,7 @@ from kbevolve.kb import (
     load_schema,
 )
 from kbevolve.ntriples import read_batch, triple_to_line
+from kbevolve.synth import SynthSpec, generate_kb
 from kbevolve.type_inference import METHODS, assign_types
 from oracles import (
     oracle_affected,
@@ -469,6 +470,78 @@ class TestCountersEqualRecount:
         assert property_domain_ratio(reloaded) == property_domain_ratio(kb)
 
 
+def assert_sets_interned(kb: KnowledgeBase) -> None:
+    """Every record holds the table's own object for its set, and the table
+    holds exactly the non-empty sets that records hold, with their counts."""
+    held = Counter(rec.properties for rec in kb.instances.values() if rec.properties)
+    assert kb.property_set_holders == held
+    assert kb.property_sets.keys() == held.keys()
+    for rec in kb.instances.values():
+        assert type(rec.properties) is frozenset
+        if rec.properties:
+            assert rec.properties is kb.property_sets[rec.properties]
+
+
+@st.composite
+def ingest_inputs(draw):
+    """A schema, a triple list, and the list cut into batches, each batch
+    permuted. Objects are instances, classes or literals, never properties:
+    a property named as an object before its first statement becomes a
+    placeholder when read alone, but not when read in one batch with it."""
+    classes, schema = draw(class_tree())
+    props = [PROP + f"p{k}" for k in range(draw(st.integers(1, 6)))]
+    instances = [INST + f"i{k}" for k in range(6)]
+    subjects = st.sampled_from(instances)
+    triple = st.one_of(
+        st.builds(t_lit, subjects, st.sampled_from(props)),
+        st.builds(t, subjects, st.sampled_from(props), st.sampled_from(instances)),
+        st.builds(t, subjects, st.just(RDF_TYPE), st.sampled_from([OWL_THING] + classes + instances)),
+    )
+    triples = draw(st.lists(triple, min_size=1, max_size=30))
+    cuts = sorted(draw(st.sets(st.integers(1, len(triples)))) | {len(triples)})
+    batches = [draw(st.permutations(triples[a:b])) for a, b in zip([0] + cuts, cuts)]
+    return schema, triples, batches
+
+
+class TestInternedSets:
+    @given(ingest_inputs())
+    @settings(max_examples=300, deadline=None)
+    def test_batches_equal_per_triple_reference(self, inputs):
+        schema, triples, batches = inputs
+        reference, kb = build(schema), build(schema)
+        for triple in triples:
+            reference.add_instance_triples([triple])
+            assert_sets_interned(reference)
+        for batch in batches:
+            kb.add_instance_triples(batch)
+            assert_sets_interned(kb)
+        assert kb_instance_state(kb) == kb_instance_state(reference)
+        assert_counters_equal_recount(kb)
+
+    def test_predicate_sorted_one_line_batches(self):
+        """Each subject gains one property per batch, so every set it held
+        before is superseded; none may stay in the table."""
+        spec = SynthSpec(
+            class_count=4,
+            signature_properties_per_class=3,
+            shared_properties=2,
+            instances_per_class=6,
+            hidden_type_fraction=0.5,
+            noise_rate=0.2,
+            seed=3,
+        )
+        schema, triples, _ = generate_kb(spec)
+        triples.sort(key=lambda triple: triple.predicate.value)
+        whole, kb = build(schema), build(schema)
+        whole.add_instance_triples(triples)
+        for triple in triples:
+            kb.add_instance_triples([triple])
+        assert_sets_interned(kb)
+        assert kb_instance_state(kb) == kb_instance_state(whole)
+        assert kb.property_set_holders == whole.property_set_holders
+        assert len(kb.property_sets) < sum(kb.property_set_holders.values())
+
+
 @st.composite
 def generalization_inputs(draw):
     """Typed instances over a random tree, some generalized domains already
@@ -546,36 +619,37 @@ def small_kb() -> KnowledgeBase:
 FULL, CHALLENGED = "full", "challenged"
 
 
-class ScoredSpy:
-    """Calls of the kernel's two per-instance entry points: decide, a full
-    rescore, and challenge, a rescore against the classes whose norm
-    fell. Both receive the record's own property set, which names the
-    instance."""
+def full(props: str, incumbent: str | None) -> tuple:
+    """The key of a decide call: the sorted properties (one letter each
+    after PROP) and the incumbent."""
+    return (tuple(PROP + p for p in sorted(props)), incumbent, FULL)
 
-    def __init__(self):
-        self.calls: list[tuple[set[str], str]] = []
 
-    def of(self, kb: KnowledgeBase) -> list[tuple[str, str]]:
-        """(instance, FULL | CHALLENGED) per call, in order."""
-        owner = {id(rec.properties): ikey for ikey, rec in kb.instances.items()}
-        return [(owner[id(properties)], kind) for properties, kind in self.calls]
-
-    def clear(self) -> None:
-        self.calls.clear()
+def challenged(props: str, incumbent: str | None, kept: float) -> tuple:
+    """The key of a challenge call: a decide key plus the stored type_score."""
+    return (tuple(PROP + p for p in sorted(props)), incumbent, CHALLENGED, kept)
 
 
 @pytest.fixture
 def scored(monkeypatch):
-    spy = ScoredSpy()
-    for name, kind in (("decide", FULL), ("challenge", CHALLENGED)):
-        real = getattr(type_inference._Kernel, name)
+    """Calls of the kernel's two per-instance entry points, in order:
+    decide, a full rescore, and challenge, a rescore against the classes
+    whose norm fell. A pass makes one call per distinct key, so a call is
+    named by its key, not by an instance: see full and challenged."""
+    calls: list[tuple] = []
+    real_decide, real_challenge = type_inference._Kernel.decide, type_inference._Kernel.challenge
 
-        def entry(kernel, properties, *args, real=real, kind=kind):
-            spy.calls.append((properties, kind))
-            return real(kernel, properties, *args)
+    def decide(kernel, properties, previous):
+        calls.append((tuple(sorted(properties)), previous, FULL))
+        return real_decide(kernel, properties, previous)
 
-        monkeypatch.setattr(type_inference._Kernel, name, entry)
-    return spy
+    def challenge(kernel, properties, previous, kept, challengers):
+        calls.append((tuple(sorted(properties)), previous, CHALLENGED, kept))
+        return real_challenge(kernel, properties, previous, kept, challengers)
+
+    monkeypatch.setattr(type_inference._Kernel, "decide", decide)
+    monkeypatch.setattr(type_inference._Kernel, "challenge", challenge)
+    return calls
 
 
 @pytest.fixture
@@ -596,11 +670,11 @@ class TestTypingPass:
     def test_own_decisions_are_not_rescored(self, scored):
         kb = small_kb()
         first = assign_types(kb, "cosine")
-        assert scored.of(kb) == [(I1, FULL), (I2, FULL), (I3, FULL)]
+        assert scored == [full("a", A), full("bc", None), full("a", None)]  # i1, i2, i3
         assert [(d.previous, d.chosen) for d in first] == [(A, A), (None, B), (None, A)]
         scored.clear()
         assert assign_types(kb, "cosine") == []
-        assert scored.of(kb) == []
+        assert scored == []
         assert [(k, rec.assigned_type, rec.type_score) for k, rec in sorted(kb.instances.items())] == [
             (d.instance, d.chosen, d.score) for d in first
         ]
@@ -608,56 +682,69 @@ class TestTypingPass:
     @pytest.mark.parametrize(
         "method, write, expected",
         [
-            # a gains B: a's users i1 and i3; B's norm rises, so its incumbent i2 too
-            ("naive", "add", [(I1, FULL), (I3, FULL)]),
-            ("cosine", "add", [(I1, FULL), (I2, FULL), (I3, FULL)]),
-            ("pfidf", "add", [(I1, FULL), (I2, FULL), (I3, FULL)]),
+            # a gains B: a's users i1 and i3, which share ({a}, A);
+            # B's norm rises, so its incumbent i2 too
+            ("naive", "add", [full("a", A)]),
+            ("cosine", "add", [full("a", A), full("bc", B)]),
+            ("pfidf", "add", [full("a", A), full("bc", B)]),
             # c leaves B: c's user i2; B's norm falls, so B's incumbent and b's user: i2 again
-            ("naive", "remove", [(I2, FULL)]),
-            ("cosine", "remove", [(I2, FULL)]),
-            ("pfidf", "remove", [(I2, FULL)]),
+            ("naive", "remove", [full("bc", B)]),
+            ("cosine", "remove", [full("bc", B)]),
+            ("pfidf", "remove", [full("bc", B)]),
         ],
     )
     def test_domain_change_rescores_affected_instances(self, scored, method, write, expected):
         kb = small_kb()
         kb.add_instance_triples([t_lit(I4, PROP + "d")])  # d has no domain: never affected
         assign_types(kb, method)
-        assert scored.of(kb) == [(I1, FULL), (I2, FULL), (I3, FULL), (I4, FULL)]
+        assert scored == [full("a", A), full("bc", None), full("a", None), full("d", None)]
         scored.clear()
         if write == "add":
             kb.add_domain(PROP + "a", B, PROV_GENERALIZED)
         else:
             kb.remove_domain(PROP + "c", B)
         assign_types(kb, method)
-        assert scored.of(kb) == expected
+        assert scored == expected
         scored.clear()
         kernel = kb.typing_kernel
         kb.add_domain(PROP + "a", A, PROV_GENERALIZED)  # a new provenance, the same domains
         assert kb.dirty_properties == set()
         assign_types(kb, method)
         assert kb.typing_kernel is kernel
-        assert scored.of(kb) == []
+        assert scored == []
+
+    def test_instances_sharing_a_key_cost_one_decide(self, scored):
+        kb = build([subclass(A, OWL_THING), domain(PROP + "a", A)])
+        kb.add_instance_triples([t_lit(ikey, PROP + "a") for ikey in (I1, I2, I3)])
+        decisions = assign_types(kb, "cosine")
+        assert scored == [full("a", None)]
+        assert [(d.instance, d.previous, d.chosen, d.score) for d in decisions] == [
+            (ikey, None, A, 1.0) for ikey in (I1, I2, I3)
+        ]
+        assert [(rec.assigned_type, rec.type_score) for rec in kb.instances.values()] == [(A, 1.0)] * 3
 
     @staticmethod
-    def _tied_kb(method: str) -> KnowledgeBase:
-        """i1 in A, which ties with C at 1/2; z, which nobody uses, holds up C's norm."""
+    def _tied_kb(method: str, instances=(I1,)) -> KnowledgeBase:
+        """Each instance in A, which ties with C at 1/2; z, which nobody
+        uses, holds up C's norm."""
         kb = build(
             [subclass(A, OWL_THING), subclass(C, OWL_THING)]
             + [domain(PROP + p, A) for p in "xw"]
             + [domain(PROP + p, C) for p in "yz"]
         )
-        kb.add_instance_triples([t_lit(I1, PROP + "x"), t_lit(I1, PROP + "y")])
+        kb.add_instance_triples([t_lit(ikey, PROP + p) for ikey in instances for p in "xy"])
         assign_types(kb, method)  # the tie goes to the smaller IRI, A
-        assert kb.instances[I1].assigned_type == A
+        assert [kb.instances[ikey].assigned_type for ikey in instances] == [A] * len(instances)
         return kb
 
     @pytest.mark.parametrize("method", ["cosine", "pfidf"])
     def test_falling_norm_rescores_users_of_its_other_properties(self, scored, method):
         kb = self._tied_kb(method)
+        kept = kb.instances[I1].type_score
         scored.clear()
         kb.remove_domain(PROP + "z", C)  # nobody uses z, but C's norm falls
         assert [(d.previous, d.chosen) for d in assign_types(kb, method)] == [(A, C)]
-        assert scored.of(kb) == [(I1, CHALLENGED)]
+        assert scored == [challenged("xy", A, kept)]
         assert kb.instances[I1].type_score == class_scores(kb, I1, method)[C]
 
     @pytest.mark.parametrize("method", ["cosine", "pfidf"])
@@ -667,18 +754,30 @@ class TestTypingPass:
         scored.clear()
         kb.remove_domain(PROP + "z", C)
         assert [(d.previous, d.chosen) for d in assign_types(kb, method)] == [(A, C)]
-        assert scored.of(kb) == [(I1, FULL)]
+        assert scored == [full("xy", A)]
         assert kb.instances[I1].type_score == class_scores(kb, I1, method)[C]
+
+    @pytest.mark.parametrize("method", ["cosine", "pfidf"])
+    def test_challenges_sharing_a_key_but_not_a_score_cost_two_calls(self, scored, method):
+        kb = self._tied_kb(method, (I1, I2))
+        kept = kb.instances[I1].type_score
+        kb.instances[I2].type_score = kept / 2
+        scored.clear()
+        kb.remove_domain(PROP + "z", C)
+        decisions = assign_types(kb, method)
+        assert scored == [challenged("xy", A, kept), challenged("xy", A, kept / 2)]
+        assert [(d.instance, d.previous, d.chosen) for d in decisions] == [(I1, A, C), (I2, A, C)]
+        assert kb.instances[I1].type_score == kb.instances[I2].type_score == class_scores(kb, I1, method)[C]
 
     def test_method_change_rescores_every_instance(self, scored):
         kb = small_kb()
         assign_types(kb, "cosine")
         scored.clear()
         assign_types(kb, "naive")
-        assert scored.of(kb) == [(I1, FULL), (I2, FULL), (I3, FULL)]
+        assert scored == [full("a", A), full("bc", B)]  # i1 and i3 share ({a}, A)
         scored.clear()
         assign_types(kb, "naive")
-        assert scored.of(kb) == []
+        assert scored == []
 
     def test_ingest_marks_only_touched_instances(self, scored):
         kb = small_kb()
@@ -686,15 +785,15 @@ class TestTypingPass:
         scored.clear()
         kb.add_instance_triples([t_lit(I3, PROP + "b")])
         assign_types(kb, "cosine")
-        assert scored.of(kb) == [(I3, FULL)]
+        assert scored == [full("ab", A)]  # i3
         scored.clear()
         kb.add_instance_triples([t(I1, RDF_TYPE, B)])  # deeper than its A: replaces it
         assign_types(kb, "cosine")
-        assert scored.of(kb) == [(I1, FULL)]
+        assert scored == [full("a", B)]  # i1
         scored.clear()
         kb.add_instance_triples([t_lit(I2, PROP + "b")])  # already carried: no change
         assign_types(kb, "cosine")
-        assert scored.of(kb) == []
+        assert scored == []
 
 
 class TestGeneralizationPass:

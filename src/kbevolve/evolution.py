@@ -6,37 +6,38 @@ then alternate generalization and typing until a round changes nothing
 from __future__ import annotations
 
 import csv
-from dataclasses import astuple, dataclass, field, fields
-from typing import IO, Iterable, Iterator
+from typing import IO, Iterable, Iterator, NamedTuple
 
 from kbevolve.generalization import ThresholdPolicy, run_generalization_pass
 from kbevolve.kb import UNCLASSIFIED_LABEL, KnowledgeBase
 from kbevolve.ntriples import read_batch
+from kbevolve.record import Record
 from kbevolve.type_inference import METHODS, assign_types
 
 TYPING_AUDIT_COLUMNS = ("instance", "previous", "chosen", "score", "method")
 DOMAIN_AUDIT_COLUMNS = ("class", "property", "action", "ratio", "threshold")
 
 
-@dataclass
-class EvolutionConfig:
-    batch_lines: int = 50000
-    method: str = "pfidf"
-    max_inner_rounds: int = 5
-    policy: ThresholdPolicy = field(default_factory=ThresholdPolicy)
-    deletion_enabled: bool = True
+class EvolutionConfig(Record):
+    __slots__ = ("batch_lines", "method", "max_inner_rounds", "policy", "deletion_enabled")
 
-    def __post_init__(self):
-        if self.batch_lines < 1:
+    def __init__(
+        self, batch_lines=50000, method="pfidf", max_inner_rounds=5, policy=ThresholdPolicy(), deletion_enabled=True
+    ):
+        if batch_lines < 1:
             raise ValueError("batch_lines must be >= 1")
-        if self.max_inner_rounds < 1:
+        if max_inner_rounds < 1:
             raise ValueError("max_inner_rounds must be >= 1")
-        if self.method not in METHODS:
-            raise ValueError(f"unknown method: {self.method}")
+        if method not in METHODS:
+            raise ValueError(f"unknown method: {method}")
+        self.batch_lines = batch_lines
+        self.method = method
+        self.max_inner_rounds = max_inner_rounds
+        self.policy: ThresholdPolicy = policy
+        self.deletion_enabled = deletion_enabled
 
 
-@dataclass
-class IterationRecord:
+class IterationRecord(NamedTuple):
     iteration: int
     triples_added: int
     instances_total: int
@@ -49,11 +50,10 @@ class IterationRecord:
     domain_changes: int
 
 
-REPORT_COLUMNS = tuple(f.name for f in fields(IterationRecord))
+REPORT_COLUMNS = IterationRecord._fields
 
 
-@dataclass
-class CoverageStats:
+class CoverageStats(NamedTuple):
     """Instance classification coverage.
 
     ratio = classified-with-properties / with-properties; defined is False
@@ -69,22 +69,23 @@ class CoverageStats:
     defined: bool
 
 
-@dataclass
-class DomainCoverageStats:
+class DomainCoverageStats(NamedTuple):
     properties_total: int
     with_domain: int
     ratio: float
     defined: bool
 
 
-@dataclass
-class EvolutionReport:
-    records: list[IterationRecord] = field(default_factory=list)
-    coverage: CoverageStats | None = None
-    domains: DomainCoverageStats | None = None
-    parse_errors: int = 0
-    unconverged_batches: int = 0
-    error: str | None = None
+class EvolutionReport(Record):
+    __slots__ = ("records", "coverage", "domains", "parse_errors", "unconverged_batches", "error")
+
+    def __init__(self, records=None, coverage=None, domains=None, parse_errors=0, unconverged_batches=0, error=None):
+        self.records: list[IterationRecord] = [] if records is None else records
+        self.coverage: CoverageStats | None = coverage
+        self.domains: DomainCoverageStats | None = domains
+        self.parse_errors = parse_errors
+        self.unconverged_batches = unconverged_batches
+        self.error: str | None = error
 
 
 def classification_coverage(kb: KnowledgeBase) -> CoverageStats:
@@ -210,5 +211,5 @@ def write_report(report: EvolutionReport, sink: IO[str]) -> int:
     """Write one CSV row per iteration record; returns data rows written."""
     writer = csv.writer(sink)
     writer.writerow(REPORT_COLUMNS)
-    writer.writerows(astuple(r) for r in report.records)
+    writer.writerows(report.records)
     return len(report.records)

@@ -16,9 +16,10 @@ those settings and its own direct instances and domain entries.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from kbevolve.kb import PROV_GENERALIZED, KnowledgeBase
+from kbevolve.record import checked_make
 
 ACTION_ADDED = "added"
 ACTION_REMOVED = "removed"
@@ -32,8 +33,11 @@ def generalization_threshold(n: int) -> float:
     return 1.0 / (1.0 + math.log10(n))
 
 
-@dataclass(frozen=True)
-class ThresholdPolicy:
+class _PolicyFields(NamedTuple):
+    deletion_factor: float = 0.5
+
+
+class ThresholdPolicy(_PolicyFields):
     """Generalization ratio plus the deletion hysteresis factor.
 
     deletion_factor scales the generalization threshold downward so
@@ -41,18 +45,21 @@ class ThresholdPolicy:
     1.0 recovers symmetric thresholds.
     """
 
-    deletion_factor: float = 0.5
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if not 0.0 < self.deletion_factor <= 1.0:
             raise ValueError("deletion_factor must be in (0, 1]")
+        return self
+
+    _make = classmethod(checked_make)
 
     def deletion_threshold(self, n: int) -> float:
         return self.deletion_factor * generalization_threshold(n)
 
 
-@dataclass(frozen=True)
-class DomainChange:
+class DomainChange(NamedTuple):
     class_iri: str
     property_iri: str
     action: str

@@ -43,11 +43,11 @@ read-only scoring may fan out, mutations happen between phases.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Iterable, TextIO
+from typing import TYPE_CHECKING, Iterable, NamedTuple, TextIO
 
 from kbevolve.errors import SchemaError, UnknownEntityError
 from kbevolve.ntriples import TermKind, Triple
+from kbevolve.record import Record
 
 if TYPE_CHECKING:
     from kbevolve.generalization import ThresholdPolicy
@@ -71,23 +71,26 @@ EXPORT_USAGE_OBJECT = "_:use"
 UNCLASSIFIED_LABEL = "unclassified"
 
 
-@dataclass
-class ClassNode:
+class ClassNode(NamedTuple):
     parent: str | None
     depth: int = 0
 
 
-@dataclass
-class PropertyRecord:
-    domains: dict[str, str] = field(default_factory=dict)  # class iri -> provenance
+class PropertyRecord(Record):
+    __slots__ = ("domains",)
+
+    def __init__(self, domains=None):
+        self.domains: dict[str, str] = {} if domains is None else domains  # class iri -> provenance
 
 
-@dataclass(slots=True)
-class InstanceRecord:
-    assigned_type: str | None = None
-    properties: frozenset[str] = frozenset()  # interned by the KB once non-empty
-    placeholder: bool = False
-    type_score: float | None = None  # None until a typing pass scores the instance
+class InstanceRecord(Record):
+    __slots__ = ("assigned_type", "properties", "placeholder", "type_score")
+
+    def __init__(self, assigned_type=None, properties=frozenset(), placeholder=False, type_score=None):
+        self.assigned_type: str | None = assigned_type
+        self.properties: frozenset[str] = properties  # interned by the KB once non-empty
+        self.placeholder = placeholder
+        self.type_score: float | None = type_score  # None until a typing pass scores the instance
 
 
 class KnowledgeBase:

@@ -43,13 +43,13 @@ checked constructor, whose ``ValueError`` is its ``bad iri``.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 from enum import Enum
 from functools import partial
 from itertools import islice
 from typing import Iterable, Iterator, NamedTuple
 
 from kbevolve.errors import ParseError
+from kbevolve.record import Record, checked_make
 
 _IRI_FORBIDDEN = frozenset(map(chr, range(0x21))) | set("<>\\")
 # Lone surrogates: how a file opened with errors="surrogateescape" carries
@@ -111,10 +111,7 @@ class Term(_TermFields):
             raise ValueError(f"invalid blank node: {value!r}")
         return tuple.__new__(cls, (kind, value, language_tag, datatype_iri))
 
-    @classmethod
-    def _make(cls, iterable):
-        # NamedTuple's _make, and _replace through it, would skip __new__.
-        return cls(*iterable)
+    _make = classmethod(checked_make)
 
 
 def iri(value: str) -> Term:
@@ -145,9 +142,7 @@ class Triple(_TripleFields):
             raise ValueError("subject must not be a literal")
         return tuple.__new__(cls, (subject, predicate, object))
 
-    @classmethod
-    def _make(cls, iterable):
-        return cls(*iterable)
+    _make = classmethod(checked_make)
 
 
 # The parser's constructors: no checks, one tuple of every field. Only for
@@ -156,8 +151,7 @@ _new_term = partial(tuple.__new__, Term)
 _new_triple = partial(tuple.__new__, Triple)
 
 
-@dataclass
-class ParseReport:
+class ParseReport(Record):
     """Per-batch line accounting.
 
     Comments and blank lines count as skipped; malformed lines are listed
@@ -165,10 +159,13 @@ class ParseReport:
     ``lines_read == triples_emitted + lines_skipped + len(errors)``.
     """
 
-    lines_read: int = 0
-    triples_emitted: int = 0
-    lines_skipped: int = 0
-    errors: list[tuple[int, str]] = field(default_factory=list)
+    __slots__ = ("lines_read", "triples_emitted", "lines_skipped", "errors")
+
+    def __init__(self, lines_read=0, triples_emitted=0, lines_skipped=0, errors=None):
+        self.lines_read = lines_read
+        self.triples_emitted = triples_emitted
+        self.lines_skipped = lines_skipped
+        self.errors: list[tuple[int, str]] = [] if errors is None else errors
 
 
 def _byte_offset(text: str, pos: int) -> int:

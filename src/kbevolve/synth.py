@@ -12,7 +12,7 @@ a deterministic fraction per class omits the type assertion.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from kbevolve.errors import ConfigError, ConsistencyError
 from kbevolve.kb import (
@@ -24,6 +24,7 @@ from kbevolve.kb import (
     KnowledgeBase,
 )
 from kbevolve.ntriples import Triple, iri, literal
+from kbevolve.record import Record, checked_make
 
 CLASS_NS = "http://synth.example/class/"
 PROP_NS = "http://synth.example/prop/"
@@ -32,8 +33,7 @@ INST_NS = "http://synth.example/inst/"
 SHARED_CARRY_PROBABILITY = 0.9
 
 
-@dataclass(frozen=True)
-class SynthSpec:
+class _SpecFields(NamedTuple):
     class_count: int
     signature_properties_per_class: int
     shared_properties: int
@@ -42,7 +42,12 @@ class SynthSpec:
     noise_rate: float
     seed: int
 
-    def __post_init__(self):
+
+class SynthSpec(_SpecFields):
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.class_count < 1:
             raise ConfigError("class_count must be >= 1")
         if self.signature_properties_per_class < 1:
@@ -55,13 +60,18 @@ class SynthSpec:
             raise ConfigError("hidden_type_fraction must be in [0, 1]")
         if not 0.0 <= self.noise_rate < 1.0:
             raise ConfigError("noise_rate must be in [0, 1)")
+        return self
+
+    _make = classmethod(checked_make)
 
 
-@dataclass
-class GroundTruth:
-    true_classes: dict[str, str] = field(default_factory=dict)
-    signatures: dict[str, set[str]] = field(default_factory=dict)
-    hidden: set[str] = field(default_factory=set)
+class GroundTruth(Record):
+    __slots__ = ("true_classes", "signatures", "hidden")
+
+    def __init__(self, true_classes=None, signatures=None, hidden=None):
+        self.true_classes: dict[str, str] = {} if true_classes is None else true_classes
+        self.signatures: dict[str, set[str]] = {} if signatures is None else signatures
+        self.hidden: set[str] = set() if hidden is None else hidden
 
 
 def generate_kb(spec: SynthSpec) -> tuple[list[Triple], list[Triple], GroundTruth]:

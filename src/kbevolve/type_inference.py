@@ -29,7 +29,7 @@ on each instance it scored the score of its type.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from kbevolve.errors import UnknownEntityError
 from kbevolve.kb import OWL_THING, KnowledgeBase
@@ -40,8 +40,7 @@ METHOD_PFIDF = "pfidf"
 METHODS = (METHOD_NAIVE, METHOD_COSINE, METHOD_PFIDF)
 
 
-@dataclass(frozen=True)
-class TypingDecision:
+class TypingDecision(NamedTuple):
     instance: str
     previous: str | None
     chosen: str | None
@@ -78,7 +77,10 @@ class _Kernel:
 
     table maps every property with domains and a positive weight, in
     sorted order, to its weight and domains; norms holds the class norms
-    cosine and pfidf divide by, and rank is the KB's class_rank.
+    cosine and pfidf divide by, and rank is the KB's class_rank. order is
+    how a score walks an instance's properties: pfidf sums its idf weights
+    in sorted order, as the per-pair scorers do, while the unit weights of
+    naive and cosine sum to exact counts in any order.
     """
 
     def __init__(self, kb: KnowledgeBase, method: str):
@@ -94,6 +96,7 @@ class _Kernel:
                     self.table[prop] = (weight, domains)
         self.norms = None if method == METHOD_NAIVE else _class_norms(self.table)
         self.rank = kb.class_rank
+        self.order = sorted if method == METHOD_PFIDF else iter
 
     def decide(self, properties: frozenset[str], previous: str | None) -> tuple[str | None, float]:
         """(type, score): the best non-root class, ties going to the smaller
@@ -108,7 +111,7 @@ class _Kernel:
     def _best(self, table: dict, properties: frozenset[str], previous: str | None, kept: float):
         dot: dict[str, float] = {}
         hits = 0
-        for prop in sorted(properties):
+        for prop in self.order(properties):
             entry = table.get(prop)
             if entry is not None:
                 weight, domains = entry

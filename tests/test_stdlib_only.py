@@ -1,6 +1,8 @@
-"""The runtime imports nothing outside the standard library."""
+"""The runtime imports nothing outside the standard library, and importing
+it loads neither ``dataclasses`` nor ``inspect``."""
 
 import ast
+import subprocess
 import sys
 from pathlib import Path
 
@@ -31,3 +33,17 @@ def test_imports_only_stdlib_and_kbevolve(path):
         if name != "kbevolve" and name not in sys.stdlib_module_names
     }
     assert foreign == set()
+
+
+def test_import_leaves_dataclasses_and_inspect_unloaded():
+    # -I -S: no user site and no .pth file can load either module first.
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    code = (
+        "import sys\n"
+        f"sys.path.insert(0, {src!r})\n"
+        "before = {'dataclasses', 'inspect'} & set(sys.modules)\n"
+        "import kbevolve, kbevolve.cli\n"
+        "print(sorted(before), sorted({'dataclasses', 'inspect'} & set(sys.modules)))\n"
+    )
+    out = subprocess.run([sys.executable, "-I", "-S", "-c", code], capture_output=True, text=True, check=True)
+    assert out.stdout.split("\n")[0] == "[] []"

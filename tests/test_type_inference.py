@@ -4,11 +4,12 @@ Derived expectations are frozen from independent brute-force computation:
 the set-based cosine oracle and direct log evaluation (see inline oracles).
 """
 
+import copy
 import math
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from helpers import (
@@ -336,6 +337,9 @@ class TestPfidfScore:
 
         assert score(weights) != score(weights[::-1])
         assert class_scores(kb, INST + "i", "pfidf")[target] == score(weights)
+        kernel = _Kernel(kb, "pfidf")
+        only_target = {prop: (weight, (target,)) for prop, (weight, _) in kernel.table.items()}
+        assert kernel.challenge(frozenset(props), None, 0.0, only_target) == (target, score(weights))
 
 
 class TestAssignTypes:
@@ -518,6 +522,18 @@ class TestKernelDecide:
         kernel = _Kernel(kb, method)
         expected = decide(kb, INST + "i", previous, kernel_scores(kernel, properties))
         assert kernel.decide(properties, previous) == (expected.chosen, expected.score)
+
+    @given(decide_inputs(), st.randoms(use_true_random=False))
+    @settings(max_examples=300, deadline=None)
+    def test_unit_weights_decide_alike_in_any_order(self, inputs, rnd):
+        # naive and cosine walk a property set unsorted: their dot sums are exact counts.
+        method, schema, properties, previous = inputs
+        assume(method != "pfidf")
+        kb, _ = load_schema(schema)
+        kernel = _Kernel(kb, method)
+        shuffled = copy.copy(kernel)
+        shuffled.order = lambda props: rnd.sample(sorted(props), len(props))
+        assert kernel.decide(properties, previous) == shuffled.decide(properties, previous)
 
     def test_score_rounded_above_one_is_capped(self):
         # The root, C and D: each of p0..p4 has C as its only domain, so

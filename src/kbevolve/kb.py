@@ -96,7 +96,7 @@ class InstanceRecord(Record):
 class KnowledgeBase:
     def __init__(self):
         self.classes: dict[str, ClassNode] = {OWL_THING: ClassNode(None)}
-        self.class_rank: dict[str, int] = {OWL_THING: 0}  # set once by load_schema
+        self.class_rank: dict[str, int] = {OWL_THING: 0}  # set once by load_schema, keys in rank order
         self.properties: dict[str, PropertyRecord] = {}
         self.instances: dict[str, InstanceRecord] = {}
         # Each non-empty property set some record holds, mapped to the one

@@ -6,9 +6,12 @@ has. naive weighs every property 1 and divides a class's hits by the
 instance's total hits (the root's included); cosine weighs every property 1
 and pfidf weighs it by inverse domain frequency, and both divide by the
 class and instance norms. One pass over the classes hit keeps the best.
-Reassignment requires a strictly better score than the incumbent type;
-equal scores go to the smaller KnowledgeBase.class_rank. The root class is
-never assigned.
+Under the unit weights of naive and cosine, a property on every non-root
+class adds the same 1 to each, so decide counts such properties instead
+of walking their domains; the counts are exact integers in floats, so the
+scores are the walked ones bit for bit. Reassignment requires a strictly
+better score than the incumbent type; equal scores go to the smaller
+KnowledgeBase.class_rank. The root class is never assigned.
 
 A pass scores exactly the instances the KB marked dirty. When the method
 changed, it first rebuilds the kernel and marks every instance dirty; when
@@ -67,8 +70,9 @@ def _class_norms(table: dict[str, tuple[float, tuple[str, ...]]]) -> dict[str, f
     order so that it equals the per-pair cosine's bit for bit."""
     squares: dict[str, list[float]] = {}
     for weight, domains in table.values():
+        square = weight * weight
         for cls in domains:
-            squares.setdefault(cls, []).append(weight * weight)
+            squares.setdefault(cls, []).append(square)
     return {cls: sum(sq) for cls, sq in squares.items()}
 
 
@@ -81,6 +85,16 @@ class _Kernel:
     how a score walks an instance's properties: pfidf sums its idf weights
     in sorted order, as the per-pair scorers do, while the unit weights of
     naive and cosine sum to exact counts in any order.
+
+    Under naive and cosine, universal holds the table's properties whose
+    domains include every non-root class: each adds 1 to every class, so
+    _best counts them instead of walking their domains. background orders
+    the non-root classes by falling score for such a count alone: by
+    class_rank under naive, which scores every class the same for it, and
+    by norm, then class_rank, under cosine, whose score falls as the norm
+    grows. pfidf's weights are not 1: it drops a property on every class
+    (idf 0) and walks one that misses only the root like any other, so both
+    stay empty.
     """
 
     def __init__(self, kb: KnowledgeBase, method: str):
@@ -88,40 +102,78 @@ class _Kernel:
             raise ValueError(f"unknown method: {method}")
         self.method = method
         self.table: dict[str, tuple[float, tuple[str, ...]]] = {}
-        for prop in sorted(kb.properties):
-            domains = tuple(kb.properties[prop].domains)
-            if domains:
-                weight = idf_weight(kb, prop) if method == METHOD_PFIDF else 1.0
+        table, universal = self.table, set()
+        # A property with this many domains besides the root is universal; a KB of the
+        # root alone has none.
+        covers = len(kb.classes) - 1
+        properties, pfidf = kb.properties, method == METHOD_PFIDF
+        for prop in sorted(properties):
+            domains = properties[prop].domains
+            if not domains:
+                continue
+            if pfidf:
+                weight = idf_weight(kb, prop)
                 if weight > 0.0:
-                    self.table[prop] = (weight, domains)
-        self.norms = None if method == METHOD_NAIVE else _class_norms(self.table)
-        self.rank = kb.class_rank
-        self.order = sorted if method == METHOD_PFIDF else iter
+                    table[prop] = (weight, tuple(domains))
+            else:
+                table[prop] = (1.0, tuple(domains))
+                if len(domains) >= covers > 0 and len(domains) - (OWL_THING in domains) == covers:
+                    universal.add(prop)
+        self.norms = norms = None if method == METHOD_NAIVE else _class_norms(table)
+        self.rank = rank = kb.class_rank
+        self.order = sorted if pfidf else iter
+        self.universal = frozenset(universal)
+        self.background: list[str] = []
+        if universal:
+            # class_rank lists its classes in rank order, and the sort is stable.
+            self.background = [cls for cls in rank if cls != OWL_THING]
+            if norms is not None:
+                # Every non-root class is a domain of each universal property, so each has a norm.
+                self.background.sort(key=norms.__getitem__)
 
     def decide(self, properties: frozenset[str], previous: str | None) -> tuple[str | None, float]:
         """(type, score): the best non-root class, ties going to the smaller
         class_rank, unless the incumbent previous scores at least as high."""
-        return self._best(self.table, properties, previous, 0.0)
+        return self._best(self.table, self.universal, properties, previous, 0.0)
 
     def challenge(self, properties: frozenset[str], previous: str | None, score: float, challengers: dict):
         """decide for an instance whose incumbent keeps its score and whose only
         possible rivals are the classes in challengers, a restricted table."""
-        return self._best(challengers, properties, previous, score)
+        return self._best(challengers, frozenset(), properties, previous, score)
 
-    def _best(self, table: dict, properties: frozenset[str], previous: str | None, kept: float):
+    def _best(
+        self, table: dict, universal: frozenset, properties: frozenset[str], previous: str | None, kept: float
+    ):
+        """The argmax of decide over the classes table gives evidence for.
+
+        A property in universal adds 1 to every non-root class, so it is
+        counted once in count instead of walked: a class the other
+        properties hit scores at its dot plus count, and every other
+        non-root class at count alone. Unit weights make each dot an exact
+        integer held in a float, so the sum is the walked one bit for bit.
+        The best class count alone reaches is the first unhit class of
+        background; a later one can tie it only under cosine, so the walk
+        goes on there until a score falls below the best. A non-root
+        incumbent that no other property hits gets its score for count; a
+        root incumbent is never scored.
+        """
         dot: dict[str, float] = {}
-        hits = 0
+        hits = count = 0
         for prop in self.order(properties):
             entry = table.get(prop)
             if entry is not None:
                 weight, domains = entry
                 hits += len(domains)
+                if prop in universal:
+                    count += 1
+                    continue
                 for cls in domains:
                     dot[cls] = dot.get(cls, 0.0) + weight
         dot.pop(OWL_THING, None)
         norms, rank, n_props = self.norms, self.rank, len(properties)
         best, best_score = None, 0.0
         for cls, d in dot.items():
+            d += count
             if norms is None:
                 score = d / hits
             else:
@@ -135,6 +187,27 @@ class _Kernel:
                 best = cls
             if cls == previous:
                 kept = score
+        if count:
+            if previous is not None and previous != OWL_THING and previous not in dot:
+                if norms is None:
+                    kept = count / hits
+                else:
+                    kept = min(1.0, count / math.sqrt(norms[previous] * n_props))
+            for cls in self.background:
+                if cls in dot:
+                    continue
+                if norms is None:
+                    score = count / hits
+                else:
+                    score = count / math.sqrt(norms[cls] * n_props)
+                    if score > 1.0:
+                        score = 1.0
+                if score < best_score:
+                    break
+                if score > best_score or rank[cls] < rank[best]:
+                    best, best_score = cls, score
+                if norms is None:
+                    break
         if previous is not None and kept >= best_score:
             return previous, kept
         return best, best_score

@@ -9,7 +9,7 @@ import math
 import random
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from helpers import (
@@ -509,6 +509,49 @@ def decide_inputs(draw):
     return draw(st.sampled_from(METHODS)), schema, properties, previous
 
 
+@st.composite
+def universal_decide_inputs(draw):
+    """decide_inputs for the count of universal properties under naive and
+    cosine: three to six classes, one to three properties on every non-root
+    class (the root a domain too or not), a near miss that lacks one
+    non-root class, and two twin classes of equal norm, which besides those
+    only the twin property has as a domain. The set holds at least one
+    universal property, maybe nothing else (then only the count hits the
+    twins), and maybe a property without domains; the incumbent is None,
+    the root, a class the other properties hit or one they do not."""
+    classes = [CLS + f"C{k}" for k in range(draw(st.integers(3, 6)))]
+    schema = [
+        subclass(cls, draw(st.sampled_from([OWL_THING] + classes[:k])))
+        for k, cls in enumerate(classes)
+    ]
+    universal = [PROP + f"u{k}" for k in range(draw(st.integers(1, 3)))]
+    for prop in universal:
+        schema.extend(domain(prop, cls) for cls in ([OWL_THING] if draw(st.booleans()) else []) + classes)
+    missed, *twins = draw(st.permutations(classes))[:3]
+    schema.extend(domain(PROP + "near", cls) for cls in classes if cls != missed)
+    schema.extend(domain(PROP + "twin", cls) for cls in twins)
+    others = [cls for cls in [OWL_THING] + classes if cls not in twins]
+    props = [PROP + f"p{k}" for k in range(draw(st.integers(1, 4)))]
+    for prop in props:
+        for cls in sorted(draw(st.sets(st.sampled_from(others), max_size=4))):
+            schema.append(domain(prop, cls))
+    properties = set(draw(st.sets(st.sampled_from(universal), min_size=1)))
+    if draw(st.booleans()):
+        properties |= draw(st.sets(st.sampled_from(props + [PROP + "near", PROP + "twin"])))
+    if draw(st.booleans()):
+        properties.add(PROP + "free")
+    kb, _ = load_schema(schema)
+    hit = set()
+    for prop in properties - set(universal):
+        record = kb.properties.get(prop)
+        hit.update(record.domains if record is not None else ())
+    unhit = [cls for cls in classes if cls not in hit]
+    incumbents = [st.none(), st.just(OWL_THING)]
+    incumbents += [st.sampled_from(group) for group in (sorted(hit - {OWL_THING}), unhit) if group]
+    previous = draw(st.one_of(incumbents))
+    return draw(st.sampled_from(["naive", "cosine"])), schema, properties, previous
+
+
 class TestKernelDecide:
     """_Kernel.decide fuses scoring and the argmax into one pass; it must
     equal the per-class scores followed by the separate argmax of
@@ -523,17 +566,24 @@ class TestKernelDecide:
         expected = decide(kb, INST + "i", previous, kernel_scores(kernel, properties))
         assert kernel.decide(properties, previous) == (expected.chosen, expected.score)
 
-    @given(decide_inputs(), st.randoms(use_true_random=False))
+    @given(decide_inputs() | universal_decide_inputs(), st.randoms(use_true_random=False))
     @settings(max_examples=300, deadline=None)
     def test_unit_weights_decide_alike_in_any_order(self, inputs, rnd):
-        # naive and cosine walk a property set unsorted: their dot sums are exact counts.
+        # naive and cosine walk a property set unsorted: their dot sums and counts are exact.
         method, schema, properties, previous = inputs
         assume(method != "pfidf")
         kb, _ = load_schema(schema)
         kernel = _Kernel(kb, method)
+        walked = []
+
+        def shuffle(props):
+            walked[:] = rnd.sample(sorted(props), len(props))
+            return walked
+
         shuffled = copy.copy(kernel)
-        shuffled.order = lambda props: rnd.sample(sorted(props), len(props))
+        shuffled.order = shuffle
         assert kernel.decide(properties, previous) == shuffled.decide(properties, previous)
+        assert sorted(walked) == sorted(properties)  # the counted properties as well as the walked
 
     def test_score_rounded_above_one_is_capped(self):
         # The root, C and D: each of p0..p4 has C as its only domain, so
@@ -562,6 +612,48 @@ class TestKernelDecide:
         assert kernel.decide({PROP + "p"}, None)[0] == CLS + "A"
         assert kernel.decide({PROP + "p"}, CLS + "B")[0] == CLS + "B"  # the incumbent keeps a tie
         assert kernel.decide({PROP + "p"}, CLS + "C") == (CLS + "A", kernel_scores(kernel, {PROP + "p"})[CLS + "A"])
+
+
+class TestUniversalCount:
+    """Under naive and cosine, decide counts the properties on every
+    non-root class instead of walking their domains; it must still equal
+    the walked scores followed by the separate argmax of helpers.decide,
+    bit for bit."""
+
+    @given(universal_decide_inputs())
+    # A root incumbent and a set of universal properties alone: the root is never scored.
+    @example(
+        ("cosine", [domain(PROP + "u", cls) for cls in (OWL_THING, CLS + "A", CLS + "B")], {PROP + "u"}, OWL_THING)
+    )
+    # A KB of the root alone: no property is universal.
+    @example(("naive", [domain(PROP + "u", OWL_THING)], {PROP + "u"}, OWL_THING))
+    @settings(max_examples=500, deadline=None)
+    def test_equals_scores_then_argmax(self, inputs):
+        method, schema, properties, previous = inputs
+        kb, _ = load_schema(schema)
+        kernel = _Kernel(kb, method)
+        others = set(kb.classes) - {OWL_THING}
+        assert kernel.universal == {
+            prop for prop, (_, domains) in kernel.table.items() if others and others <= set(domains)
+        }
+        expected = decide(kb, INST + "i", previous, kernel_scores(kernel, properties))
+        assert kernel.decide(properties, previous) == (expected.chosen, expected.score)
+        # pfidf weighs a property on every class 0 and drops it; it counts nothing.
+        pfidf = _Kernel(kb, "pfidf")
+        assert not pfidf.universal
+        assert all(len(domains) < len(kb.classes) for _, domains in pfidf.table.values())
+
+    def test_tie_across_norms_goes_to_smaller_rank(self):
+        # Unit norms are integers, and no two of any real KB give one score; two
+        # adjacent float norms do, so the walk must not stop at its first unhit class.
+        a, b = CLS + "A", CLS + "B"
+        kb, _ = load_schema([domain(PROP + "u", a), domain(PROP + "u", b)])
+        kernel = _Kernel(kb, "cosine")
+        kernel.norms = {a: math.nextafter(4.0, 5.0), b: 4.0}
+        kernel.background.sort(key=kernel.norms.__getitem__)
+        assert kernel.background == [b, a]
+        expected = decide(kb, INST + "i", None, kernel_scores(kernel, {PROP + "u"}))
+        assert kernel.decide({PROP + "u"}, None) == (expected.chosen, expected.score) == (a, 0.5)
 
 
 class TestKernelMatchesOracle:

@@ -16,9 +16,9 @@ rewrite marks the class, not the property). Each pass visits exactly its
 dirty set. A change of its inputs first marks more: a new (policy,
 deletion_enabled) in generalized_with marks every class, a method other
 than typing_kernel's every instance, and the dirty properties the instances
-the typing pass finds affected among their users and among the direct
-instances of classes whose norm changed, some to rescore in full and some
-only against the classes whose norm fell.
+the typing pass finds affected: the users of the properties whose table
+entry changed, the direct instances of classes whose norm changed, and the
+users of properties on a non-root class whose norm fell.
 An instance record's properties are an interned frozenset: records with the
 same set hold one object, kept in property_sets with its number of holders
 in property_set_holders. Ingest gathers each subject's new properties for
@@ -37,8 +37,8 @@ is the one tie rule of ingest (deeper_class) and typing.
 An instance's type of None means unclassified; typing an instance as the
 root class is the same thing, so assertions to the root are dropped,
 set_type stores the root as None, and the root is never handed out as an
-assignment. The KB is single-writer:
-read-only scoring may fan out, mutations happen between phases.
+assignment. The KB is single-writer, and each pass applies every change
+it decides at once.
 """
 
 from __future__ import annotations

@@ -16,17 +16,14 @@ KnowledgeBase.class_rank. The root class is never assigned.
 A pass scores exactly the instances the KB marked dirty. When the method
 changed, it first rebuilds the kernel and marks every instance dirty; when
 some properties' domains changed (kb.dirty_properties), it rebuilds the
-kernel and compares the table entries of those properties and the class
-norms with the last kernel's. An instance the change can affect is
-rescored in full or, when only classes whose norm fell can beat its type,
-challenged: scored against those classes alone and compared with its
-type_score. A decision reads only the kernel and the instance's own
-record, so it is applied at once and instance order does not matter. As
-it reads only the record's interned property set and incumbent (and, for a
-challenge, its type_score), a pass memoizes the kernel's result on that
-key: instances that share it cost one kernel call per pass. The pass
-returns only the decisions it made, one per instance scored, and leaves
-on each instance it scored the score of its type.
+kernel, compares the table entries of those properties and the class
+norms with the last kernel's, and marks dirty every instance the change
+can affect. A decision reads only the kernel and the instance's interned
+property set and incumbent, so it is applied at once, instance order does
+not matter, and a pass memoizes it on that pair: instances that share it
+cost one kernel call per pass. The pass returns only the decisions it
+made, one per instance scored, and leaves on each instance it scored the
+score of its type.
 """
 
 from __future__ import annotations
@@ -88,7 +85,7 @@ class _Kernel:
 
     Under naive and cosine, universal holds the table's properties whose
     domains include every non-root class: each adds 1 to every class, so
-    _best counts them instead of walking their domains. background orders
+    decide counts them instead of walking their domains. background orders
     the non-root classes by falling score for such a count alone: by
     class_rank under naive, which scores every class the same for it, and
     by norm, then class_rank, under cosine, whose score falls as the norm
@@ -133,18 +130,7 @@ class _Kernel:
 
     def decide(self, properties: frozenset[str], previous: str | None) -> tuple[str | None, float]:
         """(type, score): the best non-root class, ties going to the smaller
-        class_rank, unless the incumbent previous scores at least as high."""
-        return self._best(self.table, self.universal, properties, previous, 0.0)
-
-    def challenge(self, properties: frozenset[str], previous: str | None, score: float, challengers: dict):
-        """decide for an instance whose incumbent keeps its score and whose only
-        possible rivals are the classes in challengers, a restricted table."""
-        return self._best(challengers, frozenset(), properties, previous, score)
-
-    def _best(
-        self, table: dict, universal: frozenset, properties: frozenset[str], previous: str | None, kept: float
-    ):
-        """The argmax of decide over the classes table gives evidence for.
+        class_rank, unless the incumbent previous scores at least as high.
 
         A property in universal adds 1 to every non-root class, so it is
         counted once in count instead of walked: a class the other
@@ -157,6 +143,7 @@ class _Kernel:
         incumbent that no other property hits gets its score for count; a
         root incumbent is never scored.
         """
+        table, universal = self.table, self.universal
         dot: dict[str, float] = {}
         hits = count = 0
         for prop in self.order(properties):
@@ -171,7 +158,7 @@ class _Kernel:
                     dot[cls] = dot.get(cls, 0.0) + weight
         dot.pop(OWL_THING, None)
         norms, rank, n_props = self.norms, self.rank, len(properties)
-        best, best_score = None, 0.0
+        best, best_score, kept = None, 0.0, 0.0
         for cls, d in dot.items():
             d += count
             if norms is None:
@@ -213,40 +200,34 @@ class _Kernel:
         return best, best_score
 
 
-def _affected(kb: KnowledgeBase, old: _Kernel, new: _Kernel) -> tuple[set[str], set[str], dict]:
+def _affected(kb: KnowledgeBase, old: _Kernel, new: _Kernel) -> set[str]:
     """Instances whose decision or score can differ between two kernels of one
     method, old built before and new after the domain writes that marked
     kb.dirty_properties. Only those properties' table entries can differ, as
-    the class count idf reads is fixed. full: the users of every dirty
-    property whose table entry changed and, under cosine and pfidf, the
-    direct instances of every class whose norm changed. challenged: the other
-    users of every property with a domain among the non-root classes whose
-    norm fell; challengers is new's table restricted to those classes. A
-    challenged instance keeps its dot sums and its incumbent's score, and
-    every other class keeps or lowers its score: only a challenger can beat
-    the incumbent. Any other instance keeps its incumbent's score, and no
-    rival gains."""
+    the class count idf reads is fixed. The users of every dirty property
+    whose table entry changed and, under cosine and pfidf, the direct
+    instances of every class whose norm changed and the users of every
+    property with a domain among the non-root classes whose norm fell. Any
+    other instance keeps its dot sums and its incumbent's score, and no
+    rival gains: every class it hits keeps or lowers its score."""
     users = kb.property_users
-    full: set[str] = set()
+    affected: set[str] = set()
     for prop in kb.dirty_properties:
         if old.table.get(prop) != new.table.get(prop):
-            full.update(users.get(prop, ()))
+            affected.update(users.get(prop, ()))
     if new.norms is None:
-        return full, set(), {}
+        return affected
     fell: set[str] = set()
     for cls in old.norms.keys() | new.norms.keys():
         before, after = old.norms.get(cls, 0.0), new.norms.get(cls, 0.0)
         if before != after:
-            full.update(kb.direct_instance_index.get(cls, ()))
+            affected.update(kb.direct_instance_index.get(cls, ()))
             if after < before and cls != OWL_THING:
                 fell.add(cls)
-    challengers = {
-        prop: (weight, tuple(cls for cls in domains if cls in fell))
-        for prop, (weight, domains) in new.table.items()
-        if not fell.isdisjoint(domains)
-    }
-    challenged = {ikey for prop in challengers for ikey in users.get(prop, ())} - full
-    return full, challenged, challengers
+    for prop, (_, domains) in new.table.items():
+        if not fell.isdisjoint(domains):
+            affected.update(users.get(prop, ()))
+    return affected
 
 
 def assign_types(kb: KnowledgeBase, method: str) -> list[TypingDecision]:
@@ -257,43 +238,33 @@ def assign_types(kb: KnowledgeBase, method: str) -> list[TypingDecision]:
     beats the incumbent's score under the same method. Instances with no
     scorable evidence yield a no-change decision. A new method marks every
     instance dirty; dirty properties under the same method rescore only the
-    instances _affected by the rebuilt kernel, in full or challenged; a
-    provenance-only domain rewrite marks no property and keeps the kernel.
-    Sets type_score on every instance it scores, clears kb.dirty_properties,
-    and returns the decisions this pass made, applied, in instance order; a
+    instances _affected by the rebuilt kernel; a provenance-only domain
+    rewrite marks no property and keeps the kernel. Sets type_score on every
+    instance it scores and never reads it, clears kb.dirty_properties, and
+    returns the decisions this pass made, applied, in instance order; a
     clean instance keeps its type_score and is not listed.
     """
     old = kb.typing_kernel
-    challenged, challengers = set(), {}
     if old is None or old.method != method:
         kb.typing_kernel = _Kernel(kb, method)
         kb.dirty_instances.update(kb.instances)
     elif kb.dirty_properties:
         kb.typing_kernel = _Kernel(kb, method)
-        full, challenged, challengers = _affected(kb, old, kb.typing_kernel)
-        kb.dirty_instances.update(full)
-        challenged -= kb.dirty_instances
+        kb.dirty_instances.update(_affected(kb, old, kb.typing_kernel))
     kb.dirty_properties.clear()
     kernel = kb.typing_kernel
-    # The kernel's result per (interned set, incumbent, kept): kept is the
-    # stored type_score for a challenge and None for a full decide.
-    memo: dict[tuple, tuple[str | None, float]] = {}
+    memo: dict[tuple, tuple[str | None, float]] = {}  # (interned set, incumbent) -> decide's result
     decisions: list[TypingDecision] = []
-    for ikey in sorted(kb.dirty_instances | challenged):
+    for ikey in sorted(kb.dirty_instances):
         rec = kb.instances[ikey]
         props = rec.properties
         if not props:
             continue
         previous = rec.assigned_type
-        kept = rec.type_score if ikey in challenged else None
-        key = (props, previous, kept)
+        key = (props, previous)
         result = memo.get(key)
         if result is None:
-            if kept is None:
-                result = kernel.decide(props, previous)
-            else:
-                result = kernel.challenge(props, previous, kept, challengers)
-            memo[key] = result
+            result = memo[key] = kernel.decide(props, previous)
         chosen, score = result
         rec.type_score = score
         if chosen != previous:

@@ -235,31 +235,28 @@ def oracle_assign_types(kb: KnowledgeBase, method: str) -> list[TypingDecision]:
     return decisions
 
 
-def oracle_affected(kb: KnowledgeBase, old: _Kernel, new: _Kernel) -> tuple[set[str], set[str], dict]:
+def oracle_affected(kb: KnowledgeBase, old: _Kernel, new: _Kernel) -> set[str]:
     """``type_inference._affected`` as it ran before the KB marked dirty
     properties: it compares every table entry of the two kernels, not only
     those of the properties whose domains changed."""
     users = kb.property_users
-    full: set[str] = set()
+    affected: set[str] = set()
     for prop in old.table.keys() | new.table.keys():
         if old.table.get(prop) != new.table.get(prop):
-            full.update(users.get(prop, ()))
+            affected.update(users.get(prop, ()))
     if new.norms is None:
-        return full, set(), {}
+        return affected
     fell: set[str] = set()
     for cls in old.norms.keys() | new.norms.keys():
         before, after = old.norms.get(cls, 0.0), new.norms.get(cls, 0.0)
         if before != after:
-            full.update(kb.direct_instance_index.get(cls, ()))
+            affected.update(kb.direct_instance_index.get(cls, ()))
             if after < before and cls != OWL_THING:
                 fell.add(cls)
-    challengers = {
-        prop: (weight, tuple(cls for cls in domains if cls in fell))
-        for prop, (weight, domains) in new.table.items()
-        if not fell.isdisjoint(domains)
-    }
-    challenged = {ikey for prop in challengers for ikey in users.get(prop, ())} - full
-    return full, challenged, challengers
+    for prop, (_, domains) in new.table.items():
+        if not fell.isdisjoint(domains):
+            affected.update(users.get(prop, ()))
+    return affected
 
 
 @dataclass

@@ -207,10 +207,11 @@ def affected_inputs(draw):
 
 
 @st.composite
-def removal_inputs(draw):
-    """A KB typed under cosine or pfidf, then domain entries to remove.
-    The spare properties have domains but no users, so removing one of
-    their domains lowers a class's norm and changes no user's dot sums."""
+def domain_write_inputs(draw):
+    """A typed KB, then domain entries to remove and to add, in a drawn
+    order, each add with a provenance. The spare properties have domains
+    but no users, so a write to one of their domains changes a class's
+    norm and no user's dot sums."""
     classes, schema = draw(class_tree())
     everything = [OWL_THING] + classes
     props = [PROP + f"p{k}" for k in range(draw(st.integers(1, 6)))]
@@ -221,6 +222,7 @@ def removal_inputs(draw):
             schema.append(domain(prop, cls))
             pairs.append((prop, cls))
     spare_pairs = [(prop, cls) for prop, cls in pairs if prop in spare]
+    missing = [(prop, cls) for prop in props + spare for cls in everything if (prop, cls) not in pairs]
     data = []
     for k in range(draw(st.integers(1, 12))):
         inst = INST + f"i{k}"
@@ -231,34 +233,35 @@ def removal_inputs(draw):
     removed = draw(st.sets(st.sampled_from(spare_pairs), max_size=2)) if spare_pairs else set()
     if pairs:
         removed |= draw(st.sets(st.sampled_from(pairs), max_size=2))
-    return schema, data, draw(st.sampled_from(["cosine", "pfidf"])), sorted(removed)
+    writes = [(prop, cls, None) for prop, cls in sorted(removed)]
+    if missing:
+        provenance = st.sampled_from([PROV_SCHEMA, PROV_GENERALIZED])
+        for prop, cls in sorted(draw(st.sets(st.sampled_from(missing), max_size=3))):
+            writes.append((prop, cls, draw(provenance)))
+    return schema, data, draw(st.sampled_from(METHODS)), draw(st.permutations(writes))
 
 
-class TestChallengedRescore:
-    @given(removal_inputs())
+class TestAffected:
+    @given(domain_write_inputs())
     @settings(max_examples=300, deadline=None)
-    def test_challenge_equals_full_decide(self, inputs):
-        """After domain removals, a challenged instance's (type, score) is
-        what a full decide gives, and an instance in neither set keeps its
-        own."""
-        schema, data, method, removed = inputs
+    def test_unaffected_instances_keep_their_decision(self, inputs):
+        """After domain removals and additions, every instance outside
+        _affected keeps the (type, type_score) that a full decide gives."""
+        schema, data, method, writes = inputs
         kb = build(schema)
         kb.add_instance_triples(data)
         assign_types(kb, method)
         old = kb.typing_kernel
-        for prop, cls in removed:
-            kb.remove_domain(prop, cls)
-        new = type_inference._Kernel(kb, method)
-        full, challenged, challengers = type_inference._affected(kb, old, new)
-        assert full.isdisjoint(challenged)
-        for ikey, rec in sorted(kb.instances.items()):
-            if not rec.properties or ikey in full:
-                continue
-            expected = new.decide(rec.properties, rec.assigned_type)
-            if ikey in challenged:
-                assert new.challenge(rec.properties, rec.assigned_type, rec.type_score, challengers) == expected
+        for prop, cls, provenance in writes:  # no provenance: remove
+            if provenance is None:
+                kb.remove_domain(prop, cls)
             else:
-                assert (rec.assigned_type, rec.type_score) == expected
+                kb.add_domain(prop, cls, provenance)
+        new = type_inference._Kernel(kb, method)
+        affected = type_inference._affected(kb, old, new)
+        for ikey, rec in sorted(kb.instances.items()):
+            if rec.properties and ikey not in affected:
+                assert (rec.assigned_type, rec.type_score) == new.decide(rec.properties, rec.assigned_type)
 
 
 class TestDirtyProperties:
@@ -616,39 +619,25 @@ def small_kb() -> KnowledgeBase:
     return kb
 
 
-FULL, CHALLENGED = "full", "challenged"
-
-
 def full(props: str, incumbent: str | None) -> tuple:
     """The key of a decide call: the sorted properties (one letter each
     after PROP) and the incumbent."""
-    return (tuple(PROP + p for p in sorted(props)), incumbent, FULL)
-
-
-def challenged(props: str, incumbent: str | None, kept: float) -> tuple:
-    """The key of a challenge call: a decide key plus the stored type_score."""
-    return (tuple(PROP + p for p in sorted(props)), incumbent, CHALLENGED, kept)
+    return (tuple(PROP + p for p in sorted(props)), incumbent)
 
 
 @pytest.fixture
 def scored(monkeypatch):
-    """Calls of the kernel's two per-instance entry points, in order:
-    decide, a full rescore, and challenge, a rescore against the classes
-    whose norm fell. A pass makes one call per distinct key, so a call is
-    named by its key, not by an instance: see full and challenged."""
+    """Calls of decide, the kernel's one per-instance entry point, in order.
+    A pass makes one call per distinct key, so a call is named by its key,
+    not by an instance: see full."""
     calls: list[tuple] = []
-    real_decide, real_challenge = type_inference._Kernel.decide, type_inference._Kernel.challenge
+    real_decide = type_inference._Kernel.decide
 
     def decide(kernel, properties, previous):
-        calls.append((tuple(sorted(properties)), previous, FULL))
+        calls.append((tuple(sorted(properties)), previous))
         return real_decide(kernel, properties, previous)
 
-    def challenge(kernel, properties, previous, kept, challengers):
-        calls.append((tuple(sorted(properties)), previous, CHALLENGED, kept))
-        return real_challenge(kernel, properties, previous, kept, challengers)
-
     monkeypatch.setattr(type_inference._Kernel, "decide", decide)
-    monkeypatch.setattr(type_inference._Kernel, "challenge", challenge)
     return calls
 
 
@@ -740,32 +729,20 @@ class TestTypingPass:
     @pytest.mark.parametrize("method", ["cosine", "pfidf"])
     def test_falling_norm_rescores_users_of_its_other_properties(self, scored, method):
         kb = self._tied_kb(method)
-        kept = kb.instances[I1].type_score
         scored.clear()
         kb.remove_domain(PROP + "z", C)  # nobody uses z, but C's norm falls
-        assert [(d.previous, d.chosen) for d in assign_types(kb, method)] == [(A, C)]
-        assert scored == [challenged("xy", A, kept)]
-        assert kb.instances[I1].type_score == class_scores(kb, I1, method)[C]
-
-    @pytest.mark.parametrize("method", ["cosine", "pfidf"])
-    def test_challenged_without_type_score_is_rescored_in_full(self, scored, method):
-        kb = self._tied_kb(method)
-        kb.instances[I1].type_score = None
-        scored.clear()
-        kb.remove_domain(PROP + "z", C)
         assert [(d.previous, d.chosen) for d in assign_types(kb, method)] == [(A, C)]
         assert scored == [full("xy", A)]
         assert kb.instances[I1].type_score == class_scores(kb, I1, method)[C]
 
     @pytest.mark.parametrize("method", ["cosine", "pfidf"])
-    def test_challenges_sharing_a_key_but_not_a_score_cost_two_calls(self, scored, method):
+    def test_instances_sharing_a_key_but_not_a_score_cost_one_decide(self, scored, method):
         kb = self._tied_kb(method, (I1, I2))
-        kept = kb.instances[I1].type_score
-        kb.instances[I2].type_score = kept / 2
+        kb.instances[I2].type_score = kb.instances[I1].type_score / 2  # type_score is not read
         scored.clear()
         kb.remove_domain(PROP + "z", C)
         decisions = assign_types(kb, method)
-        assert scored == [challenged("xy", A, kept), challenged("xy", A, kept / 2)]
+        assert scored == [full("xy", A)]
         assert [(d.instance, d.previous, d.chosen) for d in decisions] == [(I1, A, C), (I2, A, C)]
         assert kb.instances[I1].type_score == kb.instances[I2].type_score == class_scores(kb, I1, method)[C]
 

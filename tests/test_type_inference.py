@@ -316,13 +316,16 @@ class TestPfidfScore:
     def test_dot_summed_in_sorted_property_order(self):
         # 39 classes; property q<k> has the target and 2k other classes as
         # domains, so its 20 idf weights are distinct and float addition
-        # rounds differently in other orders.
+        # rounds differently in other orders. Each other class also has a
+        # property of its own, unused, whose weight raises its norm enough
+        # that the target wins.
         classes = [CLS + f"K{k:02d}" for k in range(39)]
         target = classes[0]
         schema = [subclass(c, OWL_THING) for c in classes]
         props = [PROP + f"q{k:02d}" for k in range(20)]
         for k, prop in enumerate(props):
             schema += [domain(prop, c) for c in classes[: 1 + 2 * k]]
+        schema += [domain(PROP + f"r{k:02d}", c) for k, c in enumerate(classes[1:])]
         kb, _ = load_schema(schema)
         kb.add_instance_triples([t_lit(INST + "i", prop) for prop in props])
         weights = [idf_weight(kb, prop) for prop in sorted(props)]
@@ -337,9 +340,7 @@ class TestPfidfScore:
 
         assert score(weights) != score(weights[::-1])
         assert class_scores(kb, INST + "i", "pfidf")[target] == score(weights)
-        kernel = _Kernel(kb, "pfidf")
-        only_target = {prop: (weight, (target,)) for prop, (weight, _) in kernel.table.items()}
-        assert kernel.challenge(frozenset(props), None, 0.0, only_target) == (target, score(weights))
+        assert _Kernel(kb, "pfidf").decide(frozenset(props), None) == (target, score(weights))
 
 
 class TestAssignTypes:

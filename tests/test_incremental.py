@@ -736,6 +736,15 @@ class TestTypingPass:
         assert kb.instances[I1].type_score == class_scores(kb, I1, method)[C]
 
     @pytest.mark.parametrize("method", ["cosine", "pfidf"])
+    def test_rising_norm_rescores_its_direct_instances(self, scored, method):
+        kb = self._tied_kb(method)
+        scored.clear()
+        kb.add_domain(PROP + "v", A, PROV_SCHEMA)  # nobody uses v, but A's norm rises
+        assert [(d.previous, d.chosen) for d in assign_types(kb, method)] == [(A, C)]
+        assert scored == [full("xy", A)]
+        assert kb.instances[I1].type_score == class_scores(kb, I1, method)[C]
+
+    @pytest.mark.parametrize("method", ["cosine", "pfidf"])
     def test_instances_sharing_a_key_but_not_a_score_cost_one_decide(self, scored, method):
         kb = self._tied_kb(method, (I1, I2))
         kb.instances[I2].type_score = kb.instances[I1].type_score / 2  # type_score is not read

@@ -19,13 +19,14 @@ than typing_kernel's every instance, and the dirty properties the instances
 the typing pass finds affected: the users of the properties whose table
 entry changed, the direct instances of classes whose norm changed, and the
 users of properties on a non-root class whose norm fell.
-An instance record's properties are an interned frozenset: records with the
-same set hold one object, kept in property_sets with its number of holders
-in property_set_holders. Ingest gathers each subject's new properties for
-the batch and interns the merged set once per subject, before the batch's
-type assertions reach set_type; the superseded set loses a holder and
-leaves the table with its last one, so the table holds exactly the
-non-empty sets that records hold. property_users and class_property_counts
+An instance record's properties are an interned sorted tuple: records
+with the same set hold one object, kept in property_sets with its number of
+holders in property_set_holders. Ingest gathers each subject's new
+properties for the batch, then sorts and interns the merged set once per
+subject, before the batch's type assertions reach set_type; the superseded
+set loses a holder and leaves the table with its last one, so the table
+holds exactly the non-empty sets that records hold. Typing and export walk
+the stored tuple as it is. property_users and class_property_counts
 stay per instance.
 An instance record's type_score is the score its type earned in the typing
 pass that last scored it, under typing_kernel's method. The class tree and
@@ -86,9 +87,9 @@ class PropertyRecord(Record):
 class InstanceRecord(Record):
     __slots__ = ("assigned_type", "properties", "placeholder", "type_score")
 
-    def __init__(self, assigned_type=None, properties=frozenset(), placeholder=False, type_score=None):
+    def __init__(self, assigned_type=None, properties=(), placeholder=False, type_score=None):
         self.assigned_type: str | None = assigned_type
-        self.properties: frozenset[str] = properties  # interned by the KB once non-empty
+        self.properties: tuple[str, ...] = properties  # sorted, and interned by the KB once non-empty
         self.placeholder = placeholder
         self.type_score: float | None = type_score  # None until a typing pass scores the instance
 
@@ -101,8 +102,8 @@ class KnowledgeBase:
         self.instances: dict[str, InstanceRecord] = {}
         # Each non-empty property set some record holds, mapped to the one
         # object those records share, and the number of records holding it.
-        self.property_sets: dict[frozenset[str], frozenset[str]] = {}
-        self.property_set_holders: dict[frozenset[str], int] = {}
+        self.property_sets: dict[tuple[str, ...], tuple[str, ...]] = {}
+        self.property_set_holders: dict[tuple[str, ...], int] = {}
         self.direct_instance_index: dict[str, set[str]] = {}
         # property -> instances carrying it, each once: properties never leave
         self.property_users: dict[str, list[str]] = {}
@@ -210,18 +211,19 @@ class KnowledgeBase:
     def add_instance_triples(self, batch: Iterable[Triple]) -> None:
         """Fold a batch of instance triples into the KB.
 
-        Each subject gains its predicates as a property set (rdf:type with
-        a known class object is a type assertion instead, resolved
-        deepest-class-wins); IRI objects unknown as class, property, or
-        instance become placeholder records. Idempotent, and processed in
-        phases so any permutation of a batch yields the same state.
+        Each subject gains its predicates as a property set, held as an
+        interned sorted tuple (rdf:type with a known class object is a type
+        assertion instead, resolved deepest-class-wins); IRI objects unknown
+        as class, property, or instance become placeholder records.
+        Idempotent, and processed in phases so any permutation of a batch
+        yields the same state.
         """
         instances = self.instances
         classes = self.classes
         properties = self.properties
         asserted: dict[str, str] = {}
-        # subject -> the properties it gains in this batch, interned with
-        # its old set once the batch is read and before its types are set.
+        # subject -> the properties it gains in this batch, merged with its
+        # old set and interned once the batch is read and before its types are set.
         gained: dict[str, set[str]] = {}
         # The IRI objects of the statements that are not type assertions,
         # checked for placeholders once the batch's types are set.
@@ -268,7 +270,8 @@ class KnowledgeBase:
                 self.classified_with_properties += cls is not None
             if cls is not None:
                 self.dirty_classes.add(cls)
-            rec.properties = self._intern(props, props | new)
+            new.update(props)
+            rec.properties = self._intern(props, tuple(sorted(new)))
         self.dirty_instances.update(gained)
 
         for skey, cls in sorted(asserted.items()):
@@ -280,7 +283,7 @@ class KnowledgeBase:
                 instances[okey] = InstanceRecord(placeholder=True)
                 self.placeholders += 1
 
-    def _intern(self, old: frozenset[str], props: frozenset[str]) -> frozenset[str]:
+    def _intern(self, old: tuple[str, ...], props: tuple[str, ...]) -> tuple[str, ...]:
         """The shared object for a record whose set moves from old to the
         non-empty props; old leaves the table with its last holder."""
         holders = self.property_set_holders
@@ -327,7 +330,7 @@ class KnowledgeBase:
             props = self.instances[ikey].properties
             if props:
                 ref = _subject_ref(ikey)
-                for prop in sorted(props):
+                for prop in props:
                     sink.write(f"{ref} <{prop}> {EXPORT_USAGE_OBJECT} .\n")
                 written += len(props)
         return written

@@ -5,11 +5,14 @@ table: each of an instance's properties adds its weight to every domain it
 has. naive weighs every property 1 and divides a class's hits by the
 instance's total hits (the root's included); cosine weighs every property 1
 and pfidf weighs it by inverse domain frequency, and both divide by the
-class and instance norms. One pass over the classes hit keeps the best.
-Under the unit weights of naive and cosine, a property on every non-root
-class adds the same 1 to each, so decide counts such properties instead
-of walking their domains; the counts are exact integers in floats, so the
-scores are the walked ones bit for bit. Reassignment requires a strictly
+class and instance norms. Every method walks the instance's interned
+property tuple, which ingest sorted, so pfidf sums its weights in sorted
+order as the per-pair scorers do. One pass over the classes hit keeps the
+best. Under the unit weights of naive and cosine, a property on every
+non-root class adds the same 1 to each, so decide counts such properties
+instead of walking their domains and ends its walk of the other classes at
+the first one nothing else hits; the counts are exact integers in floats,
+so the scores are the walked ones bit for bit. Reassignment requires a strictly
 better score than the incumbent type; equal scores go to the smaller
 KnowledgeBase.class_rank. The root class is never assigned.
 
@@ -78,10 +81,7 @@ class _Kernel:
 
     table maps every property with domains and a positive weight, in
     sorted order, to its weight and domains; norms holds the class norms
-    cosine and pfidf divide by, and rank is the KB's class_rank. order is
-    how a score walks an instance's properties: pfidf sums its idf weights
-    in sorted order, as the per-pair scorers do, while the unit weights of
-    naive and cosine sum to exact counts in any order.
+    cosine and pfidf divide by, and rank is the KB's class_rank.
 
     Under naive and cosine, universal holds the table's properties whose
     domains include every non-root class: each adds 1 to every class, so
@@ -118,7 +118,6 @@ class _Kernel:
                     universal.add(prop)
         self.norms = norms = None if method == METHOD_NAIVE else _class_norms(table)
         self.rank = rank = kb.class_rank
-        self.order = sorted if pfidf else iter
         self.universal = frozenset(universal)
         self.background: list[str] = []
         if universal:
@@ -128,25 +127,29 @@ class _Kernel:
                 # Every non-root class is a domain of each universal property, so each has a norm.
                 self.background.sort(key=norms.__getitem__)
 
-    def decide(self, properties: frozenset[str], previous: str | None) -> tuple[str | None, float]:
+    def decide(self, properties: tuple[str, ...], previous: str | None) -> tuple[str | None, float]:
         """(type, score): the best non-root class, ties going to the smaller
         class_rank, unless the incumbent previous scores at least as high.
 
-        A property in universal adds 1 to every non-root class, so it is
-        counted once in count instead of walked: a class the other
-        properties hit scores at its dot plus count, and every other
-        non-root class at count alone. Unit weights make each dot an exact
-        integer held in a float, so the sum is the walked one bit for bit.
-        The best class count alone reaches is the first unhit class of
-        background; a later one can tie it only under cosine, so the walk
-        goes on there until a score falls below the best. A non-root
-        incumbent that no other property hits gets its score for count; a
-        root incumbent is never scored.
+        properties is walked as given: ingest stores it sorted, and pfidf's
+        sums depend on the order. A property in universal adds 1 to every
+        non-root class, so it is counted once in count instead of walked: a
+        class the other properties hit scores at its dot plus count, and
+        every other non-root class at count alone. Unit weights make each
+        dot an exact integer held in a float, so the sum is the walked one
+        bit for bit. The best class count alone reaches is the first unhit
+        class of background. Under naive every such class scores the same.
+        Under cosine every non-root class's norm is a whole number, at least
+        len(universal); that is at least count, as is n_props, so such a
+        score is at most 1 and needs no cap, and distinct whole norms never
+        round to one score, so background's order (norm, then class_rank)
+        puts the best first. A non-root incumbent that no other property
+        hits gets its score for count; a root incumbent is never scored.
         """
         table, universal = self.table, self.universal
         dot: dict[str, float] = {}
         hits = count = 0
-        for prop in self.order(properties):
+        for prop in properties:
             entry = table.get(prop)
             if entry is not None:
                 weight, domains = entry
@@ -176,24 +179,12 @@ class _Kernel:
                 kept = score
         if count:
             if previous is not None and previous != OWL_THING and previous not in dot:
-                if norms is None:
-                    kept = count / hits
-                else:
-                    kept = min(1.0, count / math.sqrt(norms[previous] * n_props))
+                kept = count / hits if norms is None else count / math.sqrt(norms[previous] * n_props)
             for cls in self.background:
-                if cls in dot:
-                    continue
-                if norms is None:
-                    score = count / hits
-                else:
-                    score = count / math.sqrt(norms[cls] * n_props)
-                    if score > 1.0:
-                        score = 1.0
-                if score < best_score:
-                    break
-                if score > best_score or rank[cls] < rank[best]:
-                    best, best_score = cls, score
-                if norms is None:
+                if cls not in dot:
+                    score = count / hits if norms is None else count / math.sqrt(norms[cls] * n_props)
+                    if score > best_score or score == best_score and rank[cls] < rank[best]:
+                        best, best_score = cls, score
                     break
         if previous is not None and kept >= best_score:
             return previous, kept

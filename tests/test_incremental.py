@@ -480,7 +480,7 @@ def assert_sets_interned(kb: KnowledgeBase) -> None:
     assert kb.property_set_holders == held
     assert kb.property_sets.keys() == held.keys()
     for rec in kb.instances.values():
-        assert type(rec.properties) is frozenset
+        assert type(rec.properties) is tuple and rec.properties == tuple(sorted(rec.properties))
         if rec.properties:
             assert rec.properties is kb.property_sets[rec.properties]
 

@@ -96,9 +96,9 @@ class TestAddInstanceTriples:
         kb.add_instance_triples([t(INST + "kim", PROP + "birthPlace", INST + "seoul")])
         kim = kb.instances[INST + "kim"]
         seoul = kb.instances[INST + "seoul"]
-        assert kim.properties == {PROP + "birthPlace"}
+        assert kim.properties == (PROP + "birthPlace",)
         assert not kim.placeholder
-        assert seoul.placeholder and seoul.properties == set()
+        assert seoul.placeholder and seoul.properties == ()
 
     def test_type_assertion_sets_type_and_index(self):
         kb = simple_kb(CLS + "President")
@@ -132,7 +132,7 @@ class TestAddInstanceTriples:
         kb.add_instance_triples([t(INST + "i", RDF_TYPE, INST + "notaclass")])
         rec = kb.instances[INST + "i"]
         assert rec.assigned_type is None
-        assert rec.properties == {RDF_TYPE}
+        assert rec.properties == (RDF_TYPE,)
         assert kb.instances[INST + "notaclass"].placeholder
 
     def test_root_type_assertion_is_noop(self):
@@ -140,7 +140,7 @@ class TestAddInstanceTriples:
         kb.add_instance_triples([t(INST + "i", RDF_TYPE, OWL_THING)])
         rec = kb.instances[INST + "i"]
         assert rec.assigned_type is None
-        assert rec.properties == set()
+        assert rec.properties == ()
         assert not rec.placeholder
 
     def test_placeholder_clears_once_subject(self):

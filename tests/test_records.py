@@ -180,8 +180,8 @@ class TestMutableRecords:
 
     def test_instance_record_keywords(self):
         rec = InstanceRecord(placeholder=True)
-        assert (rec.assigned_type, rec.properties, rec.placeholder, rec.type_score) == (None, frozenset(), True, None)
-        assert rec == InstanceRecord(None, frozenset(), True)
+        assert (rec.assigned_type, rec.properties, rec.placeholder, rec.type_score) == (None, (), True, None)
+        assert rec == InstanceRecord(None, (), True)
 
     def test_repr_names_every_field(self):
         assert repr(ParseReport(errors=[(1, "bad iri")])) == (

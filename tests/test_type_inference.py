@@ -4,7 +4,6 @@ Derived expectations are frozen from independent brute-force computation:
 the set-based cosine oracle and direct log evaluation (see inline oracles).
 """
 
-import copy
 import math
 import random
 
@@ -327,8 +326,10 @@ class TestPfidfScore:
             schema += [domain(prop, c) for c in classes[: 1 + 2 * k]]
         schema += [domain(PROP + f"r{k:02d}", c) for k, c in enumerate(classes[1:])]
         kb, _ = load_schema(schema)
-        kb.add_instance_triples([t_lit(INST + "i", prop) for prop in props])
-        weights = [idf_weight(kb, prop) for prop in sorted(props)]
+        kb.add_instance_triples([t_lit(INST + "i", prop) for prop in reversed(props)])
+        stored = kb.instances[INST + "i"].properties
+        assert stored == tuple(sorted(props))
+        weights = [idf_weight(kb, prop) for prop in stored]
         assert len(set(weights)) == 20
 
         def score(order):
@@ -340,7 +341,9 @@ class TestPfidfScore:
 
         assert score(weights) != score(weights[::-1])
         assert class_scores(kb, INST + "i", "pfidf")[target] == score(weights)
-        assert _Kernel(kb, "pfidf").decide(frozenset(props), None) == (target, score(weights))
+        kernel = _Kernel(kb, "pfidf")
+        assert kernel.decide(stored, None) == (target, score(weights))
+        assert kernel.decide(stored[::-1], None) == (target, score(weights[::-1]))  # walked as given
 
 
 class TestAssignTypes:
@@ -565,26 +568,18 @@ class TestKernelDecide:
         kb, _ = load_schema(schema)
         kernel = _Kernel(kb, method)
         expected = decide(kb, INST + "i", previous, kernel_scores(kernel, properties))
-        assert kernel.decide(properties, previous) == (expected.chosen, expected.score)
+        assert kernel.decide(tuple(sorted(properties)), previous) == (expected.chosen, expected.score)
 
     @given(decide_inputs() | universal_decide_inputs(), st.randoms(use_true_random=False))
     @settings(max_examples=300, deadline=None)
     def test_unit_weights_decide_alike_in_any_order(self, inputs, rnd):
-        # naive and cosine walk a property set unsorted: their dot sums and counts are exact.
+        # The unit weights of naive and cosine make their dot sums and counts exact.
         method, schema, properties, previous = inputs
         assume(method != "pfidf")
-        kb, _ = load_schema(schema)
-        kernel = _Kernel(kb, method)
-        walked = []
-
-        def shuffle(props):
-            walked[:] = rnd.sample(sorted(props), len(props))
-            return walked
-
-        shuffled = copy.copy(kernel)
-        shuffled.order = shuffle
-        assert kernel.decide(properties, previous) == shuffled.decide(properties, previous)
-        assert sorted(walked) == sorted(properties)  # the counted properties as well as the walked
+        kernel = _Kernel(load_schema(schema)[0], method)
+        ordered = tuple(sorted(properties))
+        shuffled = tuple(rnd.sample(ordered, len(ordered)))
+        assert kernel.decide(ordered, previous) == kernel.decide(shuffled, previous)
 
     def test_score_rounded_above_one_is_capped(self):
         # The root, C and D: each of p0..p4 has C as its only domain, so
@@ -637,24 +632,16 @@ class TestUniversalCount:
         assert kernel.universal == {
             prop for prop, (_, domains) in kernel.table.items() if others and others <= set(domains)
         }
+        if method == "cosine":
+            # Whole norms, none below the count: a score from the count alone is at most 1,
+            # and the first unhit class of background scores highest of the unhit.
+            assert all(kernel.norms[cls] == int(kernel.norms[cls]) >= len(kernel.universal) for cls in others)
         expected = decide(kb, INST + "i", previous, kernel_scores(kernel, properties))
-        assert kernel.decide(properties, previous) == (expected.chosen, expected.score)
+        assert kernel.decide(tuple(sorted(properties)), previous) == (expected.chosen, expected.score)
         # pfidf weighs a property on every class 0 and drops it; it counts nothing.
         pfidf = _Kernel(kb, "pfidf")
         assert not pfidf.universal
         assert all(len(domains) < len(kb.classes) for _, domains in pfidf.table.values())
-
-    def test_tie_across_norms_goes_to_smaller_rank(self):
-        # Unit norms are integers, and no two of any real KB give one score; two
-        # adjacent float norms do, so the walk must not stop at its first unhit class.
-        a, b = CLS + "A", CLS + "B"
-        kb, _ = load_schema([domain(PROP + "u", a), domain(PROP + "u", b)])
-        kernel = _Kernel(kb, "cosine")
-        kernel.norms = {a: math.nextafter(4.0, 5.0), b: 4.0}
-        kernel.background.sort(key=kernel.norms.__getitem__)
-        assert kernel.background == [b, a]
-        expected = decide(kb, INST + "i", None, kernel_scores(kernel, {PROP + "u"}))
-        assert kernel.decide({PROP + "u"}, None) == (expected.chosen, expected.score) == (a, 0.5)
 
 
 class TestKernelMatchesOracle:

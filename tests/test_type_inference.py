@@ -643,6 +643,26 @@ class TestUniversalCount:
         assert not pfidf.universal
         assert all(len(domains) < len(kb.classes) for _, domains in pfidf.table.values())
 
+    def test_tie_across_norms_goes_to_smaller_rank(self):
+        # u is on both classes; hit also holds p, q and r, so its norm is 4 to unhit's 1.
+        # For {u, p}, unhit scores 1/sqrt(1*2) on the count alone and hit 2/sqrt(4*2):
+        # one float, so the smaller IRI must win whether the class is hit or unhit.
+        properties = (PROP + "p", PROP + "u")
+        for unhit, hit in [(CLS + "A", CLS + "B"), (CLS + "B", CLS + "A")]:
+            kb, _ = load_schema(
+                [domain(PROP + "u", unhit), domain(PROP + "u", hit)] + [domain(PROP + p, hit) for p in "pqr"]
+            )
+            kernel = _Kernel(kb, "cosine")
+            assert kernel.universal == {PROP + "u"}
+            assert kernel.background == [unhit, hit]
+            assert (kernel.norms[unhit], kernel.norms[hit]) == (1.0, 4.0)
+            scores = kernel_scores(kernel, set(properties))
+            assert scores[unhit] == scores[hit] == 1 / math.sqrt(2)
+            expected = decide(kb, INST + "i", None, scores)
+            assert expected.chosen == CLS + "A"
+            assert kernel.decide(properties, None) == (expected.chosen, expected.score)
+            assert kernel.decide(properties, CLS + "B") == (CLS + "B", expected.score)  # the incumbent keeps a tie
+
 
 class TestKernelMatchesOracle:
     """The sparse kernel against the per-pair scorers and the dense pass

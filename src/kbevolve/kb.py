@@ -15,10 +15,9 @@ set of domains changed since the last typing pass (a provenance-only
 rewrite marks the class, not the property). Each pass visits exactly its
 dirty set. A change of its inputs first marks more: a new (policy,
 deletion_enabled) in generalized_with marks every class, a method other
-than typing_kernel's every instance, and the dirty properties the instances
-the typing pass finds affected: the users of the properties whose table
-entry changed, the direct instances of classes whose norm changed, and the
-users of properties on a non-root class whose norm fell.
+than typing_kernel's every instance, and the dirty properties, once
+typing_kernel has refreshed their table entries and the norms they move,
+the instances that refresh finds affected.
 An instance record's properties are an interned sorted tuple: records
 with the same set hold one object, kept in property_sets with its number of
 holders in property_set_holders. Ingest gathers each subject's new

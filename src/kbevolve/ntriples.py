@@ -8,8 +8,9 @@ any other backslash is a ``bad escape`` at its byte offset. Each term body
 is scanned by one regex and decoded by one substitution. IRIs are
 otherwise kept verbatim: no case folding, percent decoding, or resolution,
 so distinct spellings stay distinct identifiers. ``Term`` rejects an empty
-IRI or one holding U+0000 to U+0020, ``<``, ``>`` or ``\\``, raw or escaped
-(a ``bad iri`` at its ``<``), so an IRI written back raw parses as itself.
+IRI, one starting with ``_:`` (a blank node's key), or one holding U+0000 to
+U+0020, ``<``, ``>`` or ``\\``, raw or escaped (a ``bad iri`` at its ``<``),
+so an IRI written back raw parses as itself.
 Blank node labels are restricted to ``[A-Za-z0-9_-]+``.
 
 Parsing is pure per line, so a malformed line can never corrupt the parse
@@ -68,8 +69,8 @@ _ESCAPE_RE = re.compile(rf"\\({_UCHAR}|.)")
 # The escape-free "<s> <p> <o> ." and '<s> <p> "literal" .' shapes; the
 # groups are the subject, predicate and object IRI bodies, or the literal's
 # body in place of the object's. Only ever tried on ASCII lines, so an IRI
-# body excludes exactly what Term rejects.
-_IRI_BODY = r"<([^<>\\\x00-\x20]+)>"
+# body excludes exactly what Term rejects, a leading "_:" included.
+_IRI_BODY = r"<(?!_:)([^<>\\\x00-\x20]+)>"
 _PLAIN_LINE_RE = re.compile(rf'{_IRI_BODY} {_IRI_BODY} (?:{_IRI_BODY}|"([^"\\]*)") \.(?:\r?\n)?')
 _ECHAR = {"t": "\t", "b": "\b", "n": "\n", "r": "\r", "f": "\f", '"': '"', "'": "'", "\\": "\\"}
 _LITERAL_ESCAPES = {c: f"\\u{c:04X}" for c in range(0x20)} | str.maketrans(
@@ -105,7 +106,7 @@ class Term(_TermFields):
                 raise ValueError("only literals carry a language tag or datatype")
         elif language_tag is not None and datatype_iri is not None:
             raise ValueError("language tag and datatype are mutually exclusive")
-        if kind is TermKind.IRI and (not value or not _IRI_FORBIDDEN.isdisjoint(value)):
+        if kind is TermKind.IRI and (not value or value[:2] == "_:" or not _IRI_FORBIDDEN.isdisjoint(value)):
             raise ValueError(f"invalid IRI: {value!r}")
         if kind is TermKind.BLANK_NODE and (not value.startswith("_:") or len(value) == 2):
             raise ValueError(f"invalid blank node: {value!r}")

@@ -16,23 +16,22 @@ so the scores are the walked ones bit for bit. Reassignment requires a strictly
 better score than the incumbent type; equal scores go to the smaller
 KnowledgeBase.class_rank. The root class is never assigned.
 
-A pass scores exactly the instances the KB marked dirty. When the method
-changed, it first rebuilds the kernel and marks every instance dirty; when
-some properties' domains changed (kb.dirty_properties), it rebuilds the
-kernel, compares the table entries of those properties and the class
-norms with the last kernel's, and marks dirty every instance the change
-can affect. A decision reads only the kernel and the instance's interned
-property set and incumbent, so it is applied at once, instance order does
-not matter, and a pass memoizes it on that pair: instances that share it
-cost one kernel call per pass. The pass returns only the decisions it
-made, one per instance scored, and leaves on each instance it scored the
-score of its type.
+A pass scores exactly the instances the KB marked dirty. A new method
+builds a kernel and marks every instance dirty; after domain writes
+(kb.dirty_properties) the kernel refreshes those properties' entries and
+marks dirty every instance the change can affect. A decision reads only
+the kernel and the instance's interned property set and incumbent, so it
+is applied at once, instance order does not matter, and a pass memoizes
+it on that pair: instances that share it cost one kernel call per pass.
+The pass returns only the decisions it made, one per instance scored, and
+leaves on each instance it scored the score of its type.
 """
 
 from __future__ import annotations
 
 import math
-from typing import NamedTuple
+from collections import defaultdict
+from typing import Iterable, NamedTuple
 
 from kbevolve.errors import UnknownEntityError
 from kbevolve.kb import OWL_THING, KnowledgeBase
@@ -65,23 +64,15 @@ def idf_weight(kb: KnowledgeBase, property_iri: str) -> float:
     return math.log(class_count / df)
 
 
-def _class_norms(table: dict[str, tuple[float, tuple[str, ...]]]) -> dict[str, float]:
-    """Squared norm of each class's weighted profile, summed in table
-    order so that it equals the per-pair cosine's bit for bit."""
-    squares: dict[str, list[float]] = {}
-    for weight, domains in table.values():
-        square = weight * weight
-        for cls in domains:
-            squares.setdefault(cls, []).append(square)
-    return {cls: sum(sq) for cls, sq in squares.items()}
-
-
 class _Kernel:
-    """Scoring tables for one state of the KB, built once per pass.
+    """Scoring tables for one method, which refresh builds and keeps current.
 
-    table maps every property with domains and a positive weight, in
-    sorted order, to its weight and domains; norms holds the class norms
-    cosine and pfidf divide by, and rank is the KB's class_rank.
+    table maps every property with domains and a positive weight to its
+    weight and domains, and index maps each class to its table properties
+    and their squared weights. norms holds the class norms cosine and pfidf
+    divide by, each summed in sorted property order as the per-pair cosine
+    sums it, bit for bit; a class without table properties has none. rank
+    is the KB's class_rank.
 
     Under naive and cosine, universal holds the table's properties whose
     domains include every non-root class: each adds 1 to every class, so
@@ -98,34 +89,72 @@ class _Kernel:
         if method not in METHODS:
             raise ValueError(f"unknown method: {method}")
         self.method = method
+        self.rank = kb.class_rank
         self.table: dict[str, tuple[float, tuple[str, ...]]] = {}
-        table, universal = self.table, set()
-        # A property with this many domains besides the root is universal; a KB of the
-        # root alone has none.
+        self.index: defaultdict[str, dict[str, float]] = defaultdict(dict)
+        self.norms: dict[str, float] | None = None if method == METHOD_NAIVE else {}
+        self.universal: set[str] = set()
+        self.refresh(kb, kb.properties)
+
+    def refresh(self, kb: KnowledgeBase, props: Iterable[str]) -> set[str]:
+        """Re-read the table entries of props, which must hold every property
+        whose domains changed since the last refresh (the class count idf
+        reads is fixed), and return the instances whose decision or score can
+        change: the users of each property whose entry changed and, under
+        cosine and pfidf, the direct instances of each class whose norm
+        changed and the users of each property on a non-root class whose norm
+        fell. Any other instance keeps its dot sums and its incumbent's score,
+        and no rival gains: every class it hits keeps or lowers its score.
+        Gathers none while every instance is dirty, as on a kernel's build."""
+        table, index, universal, norms = self.table, self.index, self.universal, self.norms
+        users, pfidf = kb.property_users, self.method == METHOD_PFIDF
+        gather = len(kb.dirty_instances) < len(kb.instances)
+        # A property on this many non-root classes is universal; the root alone has none.
         covers = len(kb.classes) - 1
-        properties, pfidf = kb.properties, method == METHOD_PFIDF
-        for prop in sorted(properties):
-            domains = properties[prop].domains
-            if not domains:
+        affected, touched = set(), set()
+        for prop in props:
+            domains = kb.properties[prop].domains
+            weight = (idf_weight(kb, prop) if pfidf else 1.0) if domains else 0.0
+            entry = (weight, tuple(domains)) if weight > 0.0 else None
+            old = table.get(prop)
+            if entry == old:
                 continue
-            if pfidf:
-                weight = idf_weight(kb, prop)
-                if weight > 0.0:
-                    table[prop] = (weight, tuple(domains))
-            else:
-                table[prop] = (1.0, tuple(domains))
-                if len(domains) >= covers > 0 and len(domains) - (OWL_THING in domains) == covers:
+            if gather:
+                affected.update(users.get(prop, ()))
+            universal.discard(prop)
+            if old is not None:
+                del table[prop]
+                for cls in old[1]:
+                    del index[cls][prop]
+                touched.update(old[1])
+            if entry is not None:
+                table[prop] = entry
+                touched.update(domains)
+                square = weight * weight
+                for cls in domains:
+                    index[cls][prop] = square
+                if not pfidf and len(domains) - (OWL_THING in domains) == covers > 0:
                     universal.add(prop)
-        self.norms = norms = None if method == METHOD_NAIVE else _class_norms(table)
-        self.rank = rank = kb.class_rank
-        self.universal = frozenset(universal)
-        self.background: list[str] = []
-        if universal:
-            # class_rank lists its classes in rank order, and the sort is stable.
-            self.background = [cls for cls in rank if cls != OWL_THING]
-            if norms is not None:
-                # Every non-root class is a domain of each universal property, so each has a norm.
-                self.background.sort(key=norms.__getitem__)
+        for cls in touched:
+            squares = index[cls]
+            if not squares:
+                del index[cls]
+            if norms is None:
+                continue
+            before, after = norms.pop(cls, 0.0), 0.0
+            if squares:
+                after = norms[cls] = sum([squares[prop] for prop in sorted(squares)])
+            if gather and after != before:
+                affected.update(kb.direct_instance_index.get(cls, ()))
+                if after < before and cls != OWL_THING:
+                    for prop in squares:
+                        affected.update(users.get(prop, ()))
+        # class_rank lists its classes in rank order, and the sort is stable.
+        self.background: list[str] = [cls for cls in self.rank if cls != OWL_THING] if universal else []
+        if universal and norms is not None:
+            # Every non-root class is a domain of each universal property, so each has a norm.
+            self.background.sort(key=norms.__getitem__)
+        return affected
 
     def decide(self, properties: tuple[str, ...], previous: str | None) -> tuple[str | None, float]:
         """(type, score): the best non-root class, ties going to the smaller
@@ -191,36 +220,6 @@ class _Kernel:
         return best, best_score
 
 
-def _affected(kb: KnowledgeBase, old: _Kernel, new: _Kernel) -> set[str]:
-    """Instances whose decision or score can differ between two kernels of one
-    method, old built before and new after the domain writes that marked
-    kb.dirty_properties. Only those properties' table entries can differ, as
-    the class count idf reads is fixed. The users of every dirty property
-    whose table entry changed and, under cosine and pfidf, the direct
-    instances of every class whose norm changed and the users of every
-    property with a domain among the non-root classes whose norm fell. Any
-    other instance keeps its dot sums and its incumbent's score, and no
-    rival gains: every class it hits keeps or lowers its score."""
-    users = kb.property_users
-    affected: set[str] = set()
-    for prop in kb.dirty_properties:
-        if old.table.get(prop) != new.table.get(prop):
-            affected.update(users.get(prop, ()))
-    if new.norms is None:
-        return affected
-    fell: set[str] = set()
-    for cls in old.norms.keys() | new.norms.keys():
-        before, after = old.norms.get(cls, 0.0), new.norms.get(cls, 0.0)
-        if before != after:
-            affected.update(kb.direct_instance_index.get(cls, ()))
-            if after < before and cls != OWL_THING:
-                fell.add(cls)
-    for prop, (_, domains) in new.table.items():
-        if not fell.isdisjoint(domains):
-            affected.update(users.get(prop, ()))
-    return affected
-
-
 def assign_types(kb: KnowledgeBase, method: str) -> list[TypingDecision]:
     """One typing pass over the dirty instances that have properties.
 
@@ -228,22 +227,21 @@ def assign_types(kb: KnowledgeBase, method: str) -> list[TypingDecision]:
     positive; a classified one is reassigned only when some class strictly
     beats the incumbent's score under the same method. Instances with no
     scorable evidence yield a no-change decision. A new method marks every
-    instance dirty; dirty properties under the same method rescore only the
-    instances _affected by the rebuilt kernel; a provenance-only domain
-    rewrite marks no property and keeps the kernel. Sets type_score on every
-    instance it scores and never reads it, clears kb.dirty_properties, and
-    returns the decisions this pass made, applied, in instance order; a
-    clean instance keeps its type_score and is not listed.
+    instance dirty and builds a kernel; under the same method, dirty
+    properties refresh it and rescore only the instances it finds affected,
+    and a provenance-only domain rewrite marks no property. Sets type_score
+    on every instance it scores and never reads it, clears
+    kb.dirty_properties, and returns the decisions this pass made, applied,
+    in instance order; a clean instance keeps its type_score and is not
+    listed.
     """
-    old = kb.typing_kernel
-    if old is None or old.method != method:
-        kb.typing_kernel = _Kernel(kb, method)
-        kb.dirty_instances.update(kb.instances)
-    elif kb.dirty_properties:
-        kb.typing_kernel = _Kernel(kb, method)
-        kb.dirty_instances.update(_affected(kb, old, kb.typing_kernel))
-    kb.dirty_properties.clear()
     kernel = kb.typing_kernel
+    if kernel is None or kernel.method != method:
+        kb.dirty_instances.update(kb.instances)
+        kb.typing_kernel = kernel = _Kernel(kb, method)
+    elif kb.dirty_properties:
+        kb.dirty_instances.update(kernel.refresh(kb, kb.dirty_properties))
+    kb.dirty_properties.clear()
     memo: dict[tuple, tuple[str | None, float]] = {}  # (interned set, incumbent) -> decide's result
     decisions: list[TypingDecision] = []
     for ikey in sorted(kb.dirty_instances):

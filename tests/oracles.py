@@ -236,9 +236,11 @@ def oracle_assign_types(kb: KnowledgeBase, method: str) -> list[TypingDecision]:
 
 
 def oracle_affected(kb: KnowledgeBase, old: _Kernel, new: _Kernel) -> set[str]:
-    """``type_inference._affected`` as it ran before the KB marked dirty
-    properties: it compares every table entry of the two kernels, not only
-    those of the properties whose domains changed."""
+    """The instances whose decision or score can differ between two kernels
+    of one method, old built before and new after some domain writes, which
+    ``_Kernel.refresh`` must return for those writes. It compares every
+    table entry and class norm of two whole builds, not only those of the
+    properties whose domains changed."""
     users = kb.property_users
     affected: set[str] = set()
     for prop in old.table.keys() | new.table.keys():
@@ -459,7 +461,7 @@ def _read_iri(text: str, i: int) -> tuple[str, int]:
                 out.append(text[k])
                 k += 1
         raw = "".join(out)
-    if not raw or not _IRI_FORBIDDEN.isdisjoint(raw):
+    if not raw or raw.startswith("_:") or not _IRI_FORBIDDEN.isdisjoint(raw):
         raise _err(text, i, "bad iri")
     return raw, end + 1
 

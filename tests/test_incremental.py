@@ -71,6 +71,16 @@ def build(schema) -> KnowledgeBase:
     return kb
 
 
+def apply_writes(kb: KnowledgeBase, writes) -> None:
+    """Domain writes as (property, class, provenance); no provenance removes
+    the domain, if present."""
+    for prop, cls, provenance in writes:
+        if provenance is not None:
+            kb.add_domain(prop, cls, provenance)
+        elif cls in kb.properties[prop].domains:
+            kb.remove_domain(prop, cls)
+
+
 @st.composite
 def class_tree(draw):
     """Schema edges of a random tree; a deep draw chains every class under
@@ -245,20 +255,23 @@ class TestAffected:
     @given(domain_write_inputs())
     @settings(max_examples=300, deadline=None)
     def test_unaffected_instances_keep_their_decision(self, inputs):
-        """After domain removals and additions, every instance outside
-        _affected keeps the (type, type_score) that a full decide gives."""
+        """After domain removals and additions, the kernel's refresh finds
+        what comparing a build before the writes with one after finds, and
+        every instance outside it keeps the (type, type_score) that a full
+        decide gives."""
         schema, data, method, writes = inputs
         kb = build(schema)
         kb.add_instance_triples(data)
         assign_types(kb, method)
-        old = kb.typing_kernel
+        old = type_inference._Kernel(kb, method)
         for prop, cls, provenance in writes:  # no provenance: remove
             if provenance is None:
                 kb.remove_domain(prop, cls)
             else:
                 kb.add_domain(prop, cls, provenance)
         new = type_inference._Kernel(kb, method)
-        affected = type_inference._affected(kb, old, new)
+        affected = kb.typing_kernel.refresh(kb, kb.dirty_properties)
+        assert affected == oracle_affected(kb, old, new)
         for ikey, rec in sorted(kb.instances.items()):
             if rec.properties and ikey not in affected:
                 assert (rec.assigned_type, rec.type_score) == new.decide(rec.properties, rec.assigned_type)
@@ -269,29 +282,54 @@ class TestDirtyProperties:
     @settings(max_examples=300, deadline=None)
     def test_affected_equals_whole_table_diff(self, inputs):
         """The dirty properties name every table entry a round of domain
-        writes changed: comparing only theirs finds what comparing the whole
-        tables finds, and a round that marks none changes no entry or norm."""
+        writes changed: refreshing only theirs finds what comparing two whole
+        builds finds, and a round that marks none changes no entry or norm."""
         schema, data, method, rounds = inputs
         kb = build(schema)
         kb.add_instance_triples(data)
         assign_types(kb, method)
         assert kb.dirty_properties == set()
         for writes in rounds:
-            for prop, cls, provenance in writes:  # no provenance: remove, if present
-                if provenance is not None:
-                    kb.add_domain(prop, cls, provenance)
-                elif cls in kb.properties[prop].domains:
-                    kb.remove_domain(prop, cls)
-            old, new = kb.typing_kernel, type_inference._Kernel(kb, method)
-            expected = oracle_affected(kb, old, new)
-            dirty = bool(kb.dirty_properties)
-            if dirty:
-                assert type_inference._affected(kb, old, new) == expected
+            old = type_inference._Kernel(kb, method)
+            apply_writes(kb, writes)
+            new = type_inference._Kernel(kb, method)
+            if kb.dirty_properties:
+                assert kb.typing_kernel.refresh(kb, kb.dirty_properties) == oracle_affected(kb, old, new)
             else:
                 assert (old.table, old.norms) == (new.table, new.norms)
             assign_types(kb, method)
             assert kb.dirty_properties == set()
-            assert (kb.typing_kernel is old) == (not dirty)
+
+
+class TestKernelRefresh:
+    @given(affected_inputs())
+    @settings(max_examples=300, deadline=None)
+    def test_refreshed_tables_equal_a_fresh_build(self, inputs):
+        """After each round of domain writes, refreshing the kept kernel over
+        the dirty properties leaves exactly the tables a fresh build makes:
+        every norm bit for bit, none for a class without table properties,
+        and background empty once universal is."""
+        schema, data, method, rounds = inputs
+        kb = build(schema)
+        kb.add_instance_triples(data)
+        assign_types(kb, method)
+        kernel = kb.typing_kernel
+        for writes in rounds:
+            apply_writes(kb, writes)
+            kernel.refresh(kb, kb.dirty_properties)
+            kb.dirty_properties.clear()
+            fresh = type_inference._Kernel(kb, method)
+            assert (kernel.table, kernel.index) == (fresh.table, fresh.index)
+            if method == "naive":
+                assert kernel.norms is fresh.norms is None
+            else:
+                assert all(type(norm) is float for norm in kernel.norms.values())
+                assert {cls: norm.hex() for cls, norm in kernel.norms.items()} == {
+                    cls: norm.hex() for cls, norm in fresh.norms.items()
+                }
+                assert kernel.norms.keys() == kernel.index.keys()
+            assert (kernel.universal, kernel.background) == (fresh.universal, fresh.background)
+            assert bool(kernel.background) == bool(kernel.universal)
 
 
 class TestMatchesFullRecompute:
@@ -362,10 +400,12 @@ class TestMatchesFullRecompute:
             narrowed = typing_pass()
             assert prop in narrowed.table  # one class of at least two: weight > 0
             if kind == "fall":
+                # The pass refreshes the kernel in place: keep the norm it had.
+                norm = None if method == "naive" else narrowed.norms[cls]
                 write(prop, cls, None)
                 kernel = typing_pass()
                 if method != "naive":
-                    assert kernel.norms.get(cls, 0.0) < narrowed.norms[cls]
+                    assert kernel.norms.get(cls, 0.0) < norm
             elif kind == "cover":
                 for other in kb.classes:
                     write(prop, other, provenance)

@@ -20,7 +20,7 @@ from kbevolve.kb import (
     KnowledgeBase,
     load_schema,
 )
-from kbevolve.ntriples import blank, iri, literal, read_batch, Triple
+from kbevolve.ntriples import TermKind, Triple, blank, iri, literal, read_batch
 
 
 class TestLoadSchema:
@@ -288,12 +288,14 @@ class TestClassRank:
 
 
 class TestExport:
-    def _export(self, kb) -> str:
+    @staticmethod
+    def _export(kb) -> str:
         out = io.StringIO()
         kb.export_ntriples(out)
         return out.getvalue()
 
-    def _reload(self, text: str) -> KnowledgeBase:
+    @staticmethod
+    def _reload(text: str) -> KnowledgeBase:
         triples, report = read_batch(io.StringIO(text), 1 << 20)
         assert not report.errors
         kb, leftover = load_schema(triples)
@@ -341,6 +343,37 @@ class TestExport:
         assert "_:b1 <" in text
         reloaded = self._reload(text)
         assert "_:b1" in reloaded.instances
+
+
+# One label as a blank node, as an IRI that reads like one (raw and
+# escaped), and as an ordinary IRI.
+_SPELLINGS = ("_:{}", "<_:{}>", "<\\u005F:{}>", "<" + INST + "{}>")
+_NODE = st.builds(str.format, st.sampled_from(_SPELLINGS), st.sampled_from(["a", "b"]))
+
+
+class TestIriAndBlankKeys:
+    @given(st.lists(st.tuples(_NODE, st.sampled_from(["p", "q"]), _NODE), min_size=1, max_size=8))
+    @settings(max_examples=200, deadline=None)
+    def test_distinct_terms_stay_distinct_instances(self, statements):
+        lines = [f"{s} <{PROP}{p}> {o} .\n" for s, p, o in statements]
+        triples, report = read_batch(iter(lines), len(lines))
+        # An IRI may not start with "_:", so no IRI can take a blank node's key.
+        refused = [n for n, line in enumerate(lines, 1) if "<_:" in line or "<\\u005F:" in line]
+        assert report.errors == [(n, "bad iri") for n in refused]
+        kb = kb_default()
+        kb.add_instance_triples(triples)
+        terms = {t.subject for t in triples} | {t.object for t in triples if t.object.kind is TermKind.IRI}
+        assert len({term.value for term in terms}) == len(terms)
+        assert set(kb.instances) == {term.value for term in terms}
+        used: dict[str, set[str]] = {}
+        for subject, predicate, _ in triples:
+            used.setdefault(subject.value, set()).add(predicate.value)
+
+        def held(each: KnowledgeBase) -> dict[str, set[str]]:
+            return {key: set(rec.properties) for key, rec in each.instances.items() if rec.properties}
+
+        assert held(kb) == used
+        assert held(TestExport._reload(TestExport._export(kb))) == used
 
 
 def presidentialish_kb() -> KnowledgeBase:

@@ -26,10 +26,11 @@ from oracles import oracle_parse_line
 
 class TestTermValidation:
     def test_iri_rejects_whitespace_and_brackets(self):
-        for bad in ["", "a b", "a\tb", "a<b", "a>b", "a\\b", "a\x00b", "a\x01b", "a\nb", "a\rb", "a\x1fb"]:
+        for bad in ["", "_:a", "_:", "a b", "a\tb", "a<b", "a>b", "a\\b", "a\x00b", "a\x01b", "a\nb", "a\rb", "a\x1fb"]:
             with pytest.raises(ValueError):
                 iri(bad)
         assert iri("a!b\x7fé").value == "a!b\x7fé"
+        assert iri("_a").value == "_a" and iri("a_:b").value == "a_:b"
 
     def test_blank_requires_label(self):
         with pytest.raises(ValueError):
@@ -152,6 +153,25 @@ class TestParseErrors:
             parse_ntriple_line(line)
         assert (exc_info.value.category, exc_info.value.byte_offset) == ("bad iri", offset)
         assert read_batch(iter([line + "\n"]), 1) == ([], ParseReport(1, 0, 0, [(1, "bad iri")]))
+
+    @pytest.mark.parametrize(
+        "line,offset",
+        [
+            ("<_:a> <http://ex/p> <http://ex/o> .", 0),
+            ("<\\u005F:a> <http://ex/p> <http://ex/o> .", 0),
+            ("<http://ex/s> <_:p> <http://ex/o> .", 14),
+            ("<http://ex/s> <http://ex/p> <_:o> .", 28),
+            ('<http://ex/s> <http://ex/p> "v"^^<_:d> .', 33),
+        ],
+    )
+    def test_iri_spelled_as_blank_node_is_bad_iri(self, line, offset):
+        # An IRI "_:a" would share the blank node _:a's instance key.
+        for parse in (parse_ntriple_line, oracle_parse_line):
+            with pytest.raises(ParseError) as exc_info:
+                parse(line)
+            assert (exc_info.value.category, exc_info.value.byte_offset) == ("bad iri", offset)
+        assert read_batch(iter([line + "\n"]), 1) == ([], ParseReport(1, 0, 0, [(1, "bad iri")]))
+        assert parse_ntriple_line(line.replace("_:", "_x:").replace("u005F:", "u005Fx:")) is not None
 
     def test_unterminated_iri(self):
         assert self._category("<http://ex/a <http://ex/p> <http://ex/b> .") == "bad iri"
@@ -429,7 +449,7 @@ class TestMatchesWalker:
 
 # Term bodies for lines of the plain-line regex's shape. A body may hold one
 # piece that keeps its line off that regex.
-_PLAIN_BODY = st.lists(st.sampled_from(["a", "b", "/", ":", "#", ".", "0"]), max_size=3).map("".join)
+_PLAIN_BODY = st.lists(st.sampled_from(["a", "b", "/", ":", "#", ".", "0", "_"]), max_size=3).map("".join)
 _AWKWARD_PIECE = st.sampled_from(
     ['"', "\r", "\t", " ", "<", ">", "é", "\ud800", "\\", "\\u0041", "\\n", '\\"']
 )

@@ -334,7 +334,7 @@ _IRI_TEXT = st.text(
     ),
     min_size=1,
     max_size=30,
-)
+).filter(lambda s: not s.startswith("_:"))  # a blank node's key, not an IRI
 _LITERAL_TEXT = st.text(
     st.characters(blacklist_categories=("Cs",), max_codepoint=0xFFFF), max_size=40
 )

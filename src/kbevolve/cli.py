@@ -23,12 +23,12 @@ from kbevolve.evolution import (
 )
 from kbevolve.generalization import ThresholdPolicy
 from kbevolve.kb import KnowledgeBase, load_schema
-from kbevolve.ntriples import ParseReport, Triple, read_batch, triple_to_line
+from kbevolve.ntriples import ParseReport, Triple, read_batch, read_rows, triple_to_line
 from kbevolve.synth import SynthSpec, generate_kb
 from kbevolve.type_inference import METHODS
 
 
-# Lines per read_batch call in ingest, which keeps counts and error lines, not triples.
+# Lines per read_rows call in ingest, which keeps counts and error lines, not rows.
 INGEST_BATCH_LINES = 10_000
 
 
@@ -147,7 +147,7 @@ def cmd_ingest(args: argparse.Namespace) -> int:
     total, parse_errors = ParseReport(), 0  # total.errors keeps only the errors to list
     with open(args.triples, "r", encoding="utf-8", errors="surrogateescape") as fh:
         while True:
-            _, batch = read_batch(fh, INGEST_BATCH_LINES, total.lines_read + 1)
+            _, batch = read_rows(fh, INGEST_BATCH_LINES, total.lines_read + 1)
             if batch.lines_read == 0:
                 break
             total.lines_read += batch.lines_read

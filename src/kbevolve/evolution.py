@@ -1,4 +1,4 @@
-"""The evolution orchestrator: read a batch of lines, add the triples,
+"""The evolution orchestrator: read a batch of lines as rows, add them,
 then alternate generalization and typing until a round changes nothing
 (bounded by max_inner_rounds), recording coverage metrics per batch.
 """
@@ -10,7 +10,7 @@ from typing import IO, Iterable, Iterator, NamedTuple
 
 from kbevolve.generalization import ThresholdPolicy, run_generalization_pass
 from kbevolve.kb import UNCLASSIFIED_LABEL, KnowledgeBase
-from kbevolve.ntriples import read_batch
+from kbevolve.ntriples import read_rows
 from kbevolve.record import Record
 from kbevolve.type_inference import METHODS, assign_types
 
@@ -123,7 +123,7 @@ def evolve(
 ) -> EvolutionReport:
     """Run the full cycle over a line source until it is exhausted.
 
-    Per batch: read batch_lines lines, add the triples, then repeat
+    Per batch: read batch_lines lines as rows, add them, then repeat
     generalize -> assign-types until a round produces zero domain changes
     and zero type changes, or max_inner_rounds is hit; a batch whose last
     allowed round still changed something counts in unconverged_batches.
@@ -147,7 +147,7 @@ def evolve(
     iteration = 0
     while True:
         try:
-            triples, parse_report = read_batch(source_iter, config.batch_lines, next_line)
+            rows, parse_report = read_rows(source_iter, config.batch_lines, next_line)
         except OSError as exc:
             report.error = f"source read failed at line {next_line}: {exc}"
             break
@@ -156,7 +156,7 @@ def evolve(
         next_line += parse_report.lines_read
         report.parse_errors += len(parse_report.errors)
         iteration += 1
-        kb.add_instance_triples(triples)
+        kb.add_instance_rows(rows)
         type_changes = domain_changes = 0
         for _ in range(config.max_inner_rounds):
             changes = run_generalization_pass(kb, config.policy, deletion_enabled=config.deletion_enabled)
@@ -191,7 +191,7 @@ def evolve(
         report.records.append(
             IterationRecord(
                 iteration=iteration,
-                triples_added=len(triples),
+                triples_added=len(rows),
                 instances_total=coverage.instances_total,
                 instances_with_properties=coverage.with_properties,
                 instances_classified=coverage.classified,

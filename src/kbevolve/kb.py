@@ -18,6 +18,9 @@ deletion_enabled) in generalized_with marks every class, a method other
 than typing_kernel's every instance, and the dirty properties, once
 typing_kernel has refreshed their table entries and the norms they move,
 the instances that refresh finds affected.
+Ingest folds in rows of plain strings, (subject key, predicate, IRI object
+or None), as ntriples.read_rows reads them for evolve; add_instance_triples
+projects Triples onto them.
 An instance record's properties are an interned sorted tuple: records
 with the same set hold one object, kept in property_sets with its number of
 holders in property_set_holders. Ingest gathers each subject's new
@@ -46,7 +49,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Iterable, NamedTuple, TextIO
 
 from kbevolve.errors import SchemaError, UnknownEntityError
-from kbevolve.ntriples import TermKind, Triple
+from kbevolve.ntriples import TermKind, Triple, triple_to_row
 from kbevolve.record import Record
 
 if TYPE_CHECKING:
@@ -208,7 +211,11 @@ class KnowledgeBase:
         return a if self.class_rank[a] < self.class_rank[b] else b
 
     def add_instance_triples(self, batch: Iterable[Triple]) -> None:
-        """Fold a batch of instance triples into the KB.
+        """add_instance_rows over the batch's triples, projected to rows."""
+        self.add_instance_rows(map(triple_to_row, batch))
+
+    def add_instance_rows(self, rows: Iterable[tuple[str, str, str | None]]) -> None:
+        """Fold a batch of instance rows (ntriples.triple_to_row) into the KB.
 
         Each subject gains its predicates as a property set, held as an
         interned sorted tuple (rdf:type with a known class object is a type
@@ -227,17 +234,14 @@ class KnowledgeBase:
         # The IRI objects of the statements that are not type assertions,
         # checked for placeholders once the batch's types are set.
         objects: list[str] = []
-        for s, p, o in batch:
-            skey = s.value
+        for skey, pv, okey in rows:
             rec = instances.get(skey)
             if rec is None:
                 rec = instances[skey] = InstanceRecord()
             elif rec.placeholder:
                 rec.placeholder = False  # first statement of its own
                 self.placeholders -= 1
-            pv = p.value
-            if o.kind is TermKind.IRI:
-                okey = o.value
+            if okey is not None:
                 if pv == RDF_TYPE and okey in classes:
                     if okey != OWL_THING:
                         prev = asserted.get(skey)

@@ -14,19 +14,24 @@ so an IRI written back raw parses as itself.
 Blank node labels are restricted to ``[A-Za-z0-9_-]+``.
 
 Parsing is pure per line, so a malformed line can never corrupt the parse
-of any other line, and parsed batches are immutable values. Within one
-``read_batch`` call, each distinct IRI (keyed by its body as written), and
-each plain literal on a line the line regex accepts, is decoded and
+of any other line, and parsed batches are immutable values. ``read_batch``
+returns ``Triple``s, for schemas, snapshots, tests and the library API.
+``read_rows``, which ``evolve`` and ``kbevolve ingest`` call, returns only
+what ingest reads of each: (subject key, predicate, IRI object or None)
+rows of plain strings, equal strings in one batch being one object. Within
+one ``read_batch`` call, each distinct IRI (keyed by its body as written),
+and each plain literal on a line the line regex accepts, is decoded and
 validated once, and every triple that uses it shares one ``Term``; an
 escape-free IRI's key is its value, so its text is held once. Only terms
 that parsed are cached, so a token that failed is scanned afresh wherever
 it appears. The line regex accepts the escape-free, ASCII-only
-``<s> <p> <o> .`` and ``<s> <p> "literal" .`` shapes; it never reports an
+``<s> <p> <o> .`` and ``<s> <p> "literal" .`` shapes, and ``read_rows``
+makes a row from its groups with no ``Term`` built; it never reports an
 error, and every other line goes through the term scanners, which own every
-error category and offset. The CLI opens files with
-``errors="surrogateescape"``, which keeps each byte that is not UTF-8 as a
-lone surrogate; a line holding one is a ``bad encoding`` error like any
-other malformed line, so one bad byte cannot abort a run.
+error category and offset, so both readers report alike. The CLI opens
+files with ``errors="surrogateescape"``, which keeps each byte that is not
+UTF-8 as a lone surrogate; a line holding one is a ``bad encoding`` error
+like any other malformed line, so one bad byte cannot abort a run.
 
 ``Term`` and ``Triple`` are immutable tuples. Their public constructors
 (``Term(...)``, ``Triple(...)``, ``iri``, ``literal``, ``blank``, and the
@@ -294,7 +299,13 @@ def _parse_line(line: str, iris: dict[str, Term], literals: dict[str, Term]) -> 
                     ),
                 )
             )
-    else:
+    return _scan_line(line, iris)
+
+
+def _scan_line(line: str, iris: dict[str, Term]) -> Triple | None:
+    """_parse_line through the term scanners alone, for a line the line
+    regex did not accept."""
+    if not line.isascii():
         bad = _SURROGATE_RE.search(line)
         if bad is not None:
             raise _err(line, bad.start(), "bad encoding")
@@ -349,6 +360,50 @@ def read_batch(
             triples.append(parsed)
     lines_read = number - first_line_number + 1
     return triples, ParseReport(lines_read, len(triples), skipped, errors)
+
+
+def read_rows(
+    stream: Iterable[str] | Iterator[str],
+    batch_size: int,
+    first_line_number: int = 1,
+) -> tuple[list[tuple[str, str, str | None]], ParseReport]:
+    """read_batch, with each triple projected by triple_to_row. Equal
+    strings in one batch's rows are one object. A line the line regex
+    accepts becomes a row with no Term built; every other line goes through
+    the term scanners, so the report is read_batch's."""
+    if batch_size < 1:
+        raise ValueError("batch_size must be >= 1")
+    rows: list[tuple[str, str, str | None]] = []
+    errors: list[tuple[int, str]] = []
+    skipped = 0
+    iris: dict[str, Term] = {}
+    strings: dict[str, str] = {}
+    get, keep = strings.get, strings.setdefault
+    match = _PLAIN_LINE_RE.fullmatch
+    number = first_line_number - 1
+    for number, line in enumerate(islice(stream, batch_size), first_line_number):
+        if line.isascii() and (m := match(line)) is not None:
+            s, p, o, _ = m.groups()
+        else:
+            try:
+                parsed = _scan_line(line, iris)
+            except ParseError as exc:
+                errors.append((number, exc.category))
+                continue
+            if parsed is None:
+                skipped += 1
+                continue
+            s, p, o = triple_to_row(parsed)
+        rows.append((get(s) or keep(s, s), get(p) or keep(p, p), o and (get(o) or keep(o, o))))
+    lines_read = number - first_line_number + 1
+    return rows, ParseReport(lines_read, len(rows), skipped, errors)
+
+
+def triple_to_row(t: Triple) -> tuple[str, str, str | None]:
+    """(subject key, predicate, object if it is an IRI, else None): all
+    that ingest reads of a triple, a key being a Term's value."""
+    s, p, o = t
+    return s.value, p.value, o.value if o.kind is TermKind.IRI else None
 
 
 def term_to_ntriples(term: Term) -> str:

@@ -82,7 +82,7 @@ class _Kernel:
     by norm, then class_rank, under cosine, whose score falls as the norm
     grows. pfidf's weights are not 1: it drops a property on every class
     (idf 0) and walks one that misses only the root like any other, so both
-    stay empty.
+    stay empty, and decide neither tests a property nor adds a count.
     """
 
     def __init__(self, kb: KnowledgeBase, method: str):
@@ -175,15 +175,14 @@ class _Kernel:
         puts the best first. A non-root incumbent that no other property
         hits gets its score for count; a root incumbent is never scored.
         """
-        table, universal = self.table, self.universal
-        dot: dict[str, float] = {}
+        table, universal, dot = self.table, self.universal, {}
         hits = count = 0
         for prop in properties:
             entry = table.get(prop)
             if entry is not None:
                 weight, domains = entry
                 hits += len(domains)
-                if prop in universal:
+                if universal and prop in universal:
                     count += 1
                     continue
                 for cls in domains:
@@ -192,7 +191,8 @@ class _Kernel:
         norms, rank, n_props = self.norms, self.rank, len(properties)
         best, best_score, kept = None, 0.0, 0.0
         for cls, d in dot.items():
-            d += count
+            if count:
+                d += count
             if norms is None:
                 score = d / hits
             else:

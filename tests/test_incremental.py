@@ -6,7 +6,7 @@ import io
 from collections import Counter
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import (
@@ -301,8 +301,24 @@ class TestDirtyProperties:
             assert kb.dirty_properties == set()
 
 
+def out_of_order_gains():
+    """affected_inputs' shape, pfidf: class C4 gains p2, p1 and p0 in three
+    rounds, so its table properties arrive in reverse sorted order; their
+    weights (ln 1.2, ln 2 and ln 3 at the end) are squares whose float sum
+    depends on the order of the terms."""
+    classes = [CLS + f"C{k}" for k in range(5)]
+    props = [PROP + f"p{k}" for k in range(3)]
+    schema = [subclass(cls, OWL_THING) for cls in classes]
+    schema += [t(prop, RDF_TYPE, RDF_PROPERTY) for prop in props]
+    for prop, width in zip(props, (1, 2, 4)):
+        schema += [domain(prop, cls) for cls in classes[:width]]
+    data = [t_lit(INST + "i0", prop) for prop in props]
+    return schema, data, "pfidf", [[(prop, classes[4], PROV_GENERALIZED)] for prop in reversed(props)]
+
+
 class TestKernelRefresh:
     @given(affected_inputs())
+    @example(out_of_order_gains())
     @settings(max_examples=300, deadline=None)
     def test_refreshed_tables_equal_a_fresh_build(self, inputs):
         """After each round of domain writes, refreshing the kept kernel over

@@ -18,6 +18,7 @@ from kbevolve.ntriples import (
     literal,
     parse_ntriple_line,
     read_batch,
+    read_rows,
     term_to_ntriples,
     triple_to_line,
 )
@@ -568,3 +569,99 @@ class TestParsedValues:
             t._replace(subject=literal("x"))
         with pytest.raises(ValueError):
             Triple._make((iri("http://ex/s"), blank("p"), iri("http://ex/o")))
+
+
+def _project(triples):
+    """Each triple as a row: subject key, predicate, and the object if it is an IRI."""
+    return [(s.value, p.value, o.value if o.kind is TermKind.IRI else None) for s, p, o in triples]
+
+
+# One line for each parser error category.
+ERROR_LINES = {
+    "missing subject": " .\n",
+    "missing predicate": "<http://ex/s> .\n",
+    "missing object": "<http://ex/s> <http://ex/p> .\n",
+    "bad subject": "x <http://ex/p> <http://ex/o> .\n",
+    "bad predicate": "<http://ex/s> _:p <http://ex/o> .\n",
+    "bad object": "<http://ex/s> <http://ex/p> x .\n",
+    "literal in subject position": '"v" <http://ex/p> <http://ex/o> .\n',
+    "bad blank node": "_:! <http://ex/p> <http://ex/o> .\n",
+    "bad datatype": '<http://ex/s> <http://ex/p> "v"^^x .\n',
+    "bad language tag": '<http://ex/s> <http://ex/p> "v"@1 .\n',
+    "bad escape": '<http://ex/s> <http://ex/p> "\\q" .\n',
+    "bad iri": "<_:a> <http://ex/p> <http://ex/o> .\n",
+    "bad encoding": "<http://ex/s\udcff> <http://ex/p> <http://ex/o> .\n",
+    "unterminated iri": "<http://ex/s\n",
+    "unterminated literal": '<http://ex/s> <http://ex/p> "v\n',
+    "missing dot": "<http://ex/s> <http://ex/p> <http://ex/o>\n",
+    "trailing garbage": "<http://ex/s> <http://ex/p> <http://ex/o> . x\n",
+}
+# Statements over a few terms, so that strings repeat within a batch: escaped
+# and plain spellings of one IRI, blank nodes, non-ASCII IRIs, and literals
+# plain, escaped, tagged, datatyped and holding a lone surrogate.
+_ROW_SUBJECTS = ["<http://ex/s>", "<http://ex/\\u0073>", "<http://ex/o>", "_:b", "<http://ex/é>"]
+_ROW_PREDICATES = ["<http://ex/p>", "<http://ex/\\u0070>", "<http://ex/q>"]
+_ROW_OBJECTS = _ROW_SUBJECTS + ['"v"', '"v\\n"', '"é"', '"v"@en', '"v"^^<http://ex/d>', '"\udcff"', "<_:a>"]
+_STATEMENTS = st.tuples(
+    st.sampled_from(_ROW_SUBJECTS),
+    st.sampled_from([" ", "\t"]),
+    st.sampled_from(_ROW_PREDICATES),
+    st.sampled_from([" ", "\t"]),
+    st.sampled_from(_ROW_OBJECTS),
+    st.sampled_from([" .\n", " .", ".\n", " . # c\n", " .\r\n"]),
+).map("".join)
+_ROW_LINES = st.one_of(
+    _STATEMENTS,
+    st.sampled_from([*ERROR_LINES.values(), "# c\n", "\n", " \t\n"]),
+    _LINES,
+)
+
+
+class TestReadRows:
+    @pytest.mark.parametrize("category", sorted(ERROR_LINES))
+    def test_error_line_category(self, category):
+        line = ERROR_LINES[category]
+        expected = ParseReport(1, 0, 0, [(7, category)])
+        assert read_batch(iter([line]), 1, 7) == ([], expected)
+        assert read_rows(iter([line]), 1, 7) == ([], expected)
+
+    @given(st.lists(_ROW_LINES, max_size=25), st.integers(1, 10), st.integers(1, 100))
+    @settings(max_examples=500)
+    def test_rows_are_read_batch_projected(self, lines, batch_size, first_line_number):
+        """Batch by batch over one stream each, read_rows returns the rows of
+        read_batch's triples, one object per distinct string, and an equal
+        report."""
+        triple_stream, row_stream = iter(lines), iter(lines)
+        number = first_line_number
+        while True:
+            triples, expected = read_batch(triple_stream, batch_size, number)
+            rows, report = read_rows(row_stream, batch_size, number)
+            assert rows == _project(triples)
+            assert report == expected
+            shared = {}
+            assert all(shared.setdefault(v, v) is v for row in rows for v in row if v is not None)
+            if report.lines_read == 0:
+                break
+            number += report.lines_read
+
+    def test_equal_strings_are_one_object(self):
+        lines = [
+            "<http://ex/s> <http://ex/p> <http://ex/o> .\n",
+            "<http://ex/\\u0073> <http://ex/p> _:b .\n",
+            '<http://ex/o> <http://ex/p> "v"@en .\n',
+            "_:b\t<http://ex/p> <http://ex/s> .\n",
+        ]
+        rows, _ = read_rows(iter(lines), 10)
+        assert rows == [
+            ("http://ex/s", "http://ex/p", "http://ex/o"),
+            ("http://ex/s", "http://ex/p", None),
+            ("http://ex/o", "http://ex/p", None),
+            ("_:b", "http://ex/p", "http://ex/s"),
+        ]
+        assert rows[0][0] is rows[1][0] is rows[3][2]
+        assert rows[0][2] is rows[2][0]
+        assert all(row[1] is rows[0][1] for row in rows)
+
+    def test_batch_size_validated(self):
+        with pytest.raises(ValueError):
+            read_rows(iter([]), 0)

@@ -23,36 +23,36 @@ from kbevolve.evolution import (
 )
 from kbevolve.generalization import ThresholdPolicy
 from kbevolve.kb import KnowledgeBase, load_schema
-from kbevolve.ntriples import ParseReport, Triple, read_batch, read_rows, triple_to_line
+from kbevolve.ntriples import ParseReport, read_batch, triple_to_line
 from kbevolve.synth import SynthSpec, generate_kb
 from kbevolve.type_inference import METHODS
 
 
-# Lines per read_rows call in ingest, which keeps counts and error lines, not rows.
+# Lines per read_batch call in ingest, which keeps counts and error lines, not rows.
 INGEST_BATCH_LINES = 10_000
 
 
-def _parse_file(path: str) -> tuple[list[Triple], ParseReport]:
+def _parse_file(path: str) -> tuple[list[tuple[str, str, str | None]], ParseReport]:
     with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
         return read_batch(fh, sys.maxsize)
 
 
 def _load_snapshot(path: str) -> KnowledgeBase:
     """Load a KB snapshot; any parse error means the file is corrupt."""
-    triples, report = _parse_file(path)
+    rows, report = _parse_file(path)
     if report.errors:
         line, category = report.errors[0]
         raise OSError(f"corrupt snapshot {path}: {category} on line {line}")
-    kb, leftover = load_schema(triples)
+    kb, leftover = load_schema(rows)
     kb.add_instance_triples(leftover)
     return kb
 
 
 def cmd_evolve(args: argparse.Namespace) -> int:
-    schema_triples, schema_report = _parse_file(args.schema)
+    schema_rows, schema_report = _parse_file(args.schema)
     if schema_report.errors:
         print(f"warning: {len(schema_report.errors)} malformed schema lines skipped", file=sys.stderr)
-    kb, leftover = load_schema(schema_triples)
+    kb, leftover = load_schema(schema_rows)
     kb.add_instance_triples(leftover)
     config = EvolutionConfig(
         batch_lines=args.batch_lines,
@@ -147,7 +147,7 @@ def cmd_ingest(args: argparse.Namespace) -> int:
     total, parse_errors = ParseReport(), 0  # total.errors keeps only the errors to list
     with open(args.triples, "r", encoding="utf-8", errors="surrogateescape") as fh:
         while True:
-            _, batch = read_rows(fh, INGEST_BATCH_LINES, total.lines_read + 1)
+            _, batch = read_batch(fh, INGEST_BATCH_LINES, total.lines_read + 1)
             if batch.lines_read == 0:
                 break
             total.lines_read += batch.lines_read

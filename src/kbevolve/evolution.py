@@ -10,7 +10,7 @@ from typing import IO, Iterable, Iterator, NamedTuple
 
 from kbevolve.generalization import ThresholdPolicy, run_generalization_pass
 from kbevolve.kb import UNCLASSIFIED_LABEL, KnowledgeBase
-from kbevolve.ntriples import read_rows
+from kbevolve.ntriples import read_batch
 from kbevolve.record import Record
 from kbevolve.type_inference import METHODS, assign_types
 
@@ -147,7 +147,7 @@ def evolve(
     iteration = 0
     while True:
         try:
-            rows, parse_report = read_rows(source_iter, config.batch_lines, next_line)
+            rows, parse_report = read_batch(source_iter, config.batch_lines, next_line)
         except OSError as exc:
             report.error = f"source read failed at line {next_line}: {exc}"
             break
@@ -156,7 +156,7 @@ def evolve(
         next_line += parse_report.lines_read
         report.parse_errors += len(parse_report.errors)
         iteration += 1
-        kb.add_instance_rows(rows)
+        kb.add_instance_triples(rows)
         type_changes = domain_changes = 0
         for _ in range(config.max_inner_rounds):
             changes = run_generalization_pass(kb, config.policy, deletion_enabled=config.deletion_enabled)

@@ -18,9 +18,10 @@ deletion_enabled) in generalized_with marks every class, a method other
 than typing_kernel's every instance, and the dirty properties, once
 typing_kernel has refreshed their table entries and the norms they move,
 the instances that refresh finds affected.
-Ingest folds in rows of plain strings, (subject key, predicate, IRI object
-or None), as ntriples.read_rows reads them for evolve; add_instance_triples
-projects Triples onto them.
+load_schema and ingest read statements as rows of plain strings, (subject
+key, predicate, IRI object or None), as ntriples.read_batch returns them: a
+subject key starting with _: is a blank node (no IRI starts so), and an
+object of None is a literal or a blank node.
 An instance record's properties are an interned sorted tuple: records
 with the same set hold one object, kept in property_sets with its number of
 holders in property_set_holders. Ingest gathers each subject's new
@@ -49,7 +50,6 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Iterable, NamedTuple, TextIO
 
 from kbevolve.errors import SchemaError, UnknownEntityError
-from kbevolve.ntriples import TermKind, Triple, triple_to_row
 from kbevolve.record import Record
 
 if TYPE_CHECKING:
@@ -210,12 +210,8 @@ class KnowledgeBase:
         the class with the smaller class_rank."""
         return a if self.class_rank[a] < self.class_rank[b] else b
 
-    def add_instance_triples(self, batch: Iterable[Triple]) -> None:
-        """add_instance_rows over the batch's triples, projected to rows."""
-        self.add_instance_rows(map(triple_to_row, batch))
-
-    def add_instance_rows(self, rows: Iterable[tuple[str, str, str | None]]) -> None:
-        """Fold a batch of instance rows (ntriples.triple_to_row) into the KB.
+    def add_instance_triples(self, rows: Iterable[tuple[str, str, str | None]]) -> None:
+        """Fold a batch of instance rows (ntriples.read_batch's) into the KB.
 
         Each subject gains its predicates as a property set, held as an
         interned sorted tuple (rdf:type with a known class object is a type
@@ -343,12 +339,18 @@ def _subject_ref(key: str) -> str:
     return key if key.startswith("_:") else f"<{key}>"
 
 
-def _require_iri(term, what: str) -> None:
-    if term.kind is not TermKind.IRI:
-        raise SchemaError(f"{what} must be an IRI, got {term.kind.value}")
+def _iri(key: str | None, what: str) -> str:
+    """A row's subject key or object, which must be an IRI."""
+    if key is None:
+        raise SchemaError(f"{what} must be an IRI, got literal or blank")
+    if key.startswith("_:"):
+        raise SchemaError(f"{what} must be an IRI, got blank")
+    return key
 
 
-def load_schema(triples: Iterable[Triple]) -> tuple[KnowledgeBase, list[Triple]]:
+def load_schema(
+    rows: Iterable[tuple[str, str, str | None]],
+) -> tuple[KnowledgeBase, list[tuple[str, str, str | None]]]:
     """Bootstrap a KB from schema statements.
 
     subClassOf edges build the class tree (single parent, no cycles),
@@ -356,22 +358,19 @@ def load_schema(triples: Iterable[Triple]) -> tuple[KnowledgeBase, list[Triple]]
     rdf:type owl:Class / rdf:Property register classes and properties.
     Classes referenced but never placed get the root as parent; the tree
     and class_rank are fixed here, as nothing adds a class later.
-    Non-schema triples are returned untouched for later ingestion.
+    Non-schema rows are returned untouched for later ingestion.
     """
     kb = KnowledgeBase()
-    leftover: list[Triple] = []
+    leftover: list[tuple[str, str, str | None]] = []
     parents: dict[str, str] = {}
     class_iris: set[str] = set()
     prop_iris: set[str] = set()
     domain_pairs: list[tuple[str, str]] = []
 
-    for t in triples:
-        s, p, o = t
-        pv = p.value
+    for row in rows:
+        s, pv, o = row
         if pv == RDFS_SUBCLASSOF:
-            _require_iri(s, "subClassOf subject")
-            _require_iri(o, "subClassOf object")
-            child, parent = s.value, o.value
+            child, parent = _iri(s, "subClassOf subject"), _iri(o, "subClassOf object")
             if child == OWL_THING:
                 raise SchemaError(f"the root class cannot have a parent: {OWL_THING}")
             prev = parents.get(child)
@@ -380,19 +379,16 @@ def load_schema(triples: Iterable[Triple]) -> tuple[KnowledgeBase, list[Triple]]
             parents[child] = parent
             class_iris.update((child, parent))
         elif pv == RDFS_DOMAIN:
-            _require_iri(s, "domain subject")
-            _require_iri(o, "domain object")
-            domain_pairs.append((s.value, o.value))
-            prop_iris.add(s.value)
-            class_iris.add(o.value)
-        elif pv == RDF_TYPE and o.kind is TermKind.IRI and o.value == OWL_CLASS:
-            _require_iri(s, "class declaration subject")
-            class_iris.add(s.value)
-        elif pv == RDF_TYPE and o.kind is TermKind.IRI and o.value == RDF_PROPERTY:
-            _require_iri(s, "property declaration subject")
-            prop_iris.add(s.value)
+            prop, cls = _iri(s, "domain subject"), _iri(o, "domain object")
+            domain_pairs.append((prop, cls))
+            prop_iris.add(prop)
+            class_iris.add(cls)
+        elif pv == RDF_TYPE and o == OWL_CLASS:
+            class_iris.add(_iri(s, "class declaration subject"))
+        elif pv == RDF_TYPE and o == RDF_PROPERTY:
+            prop_iris.add(_iri(s, "property declaration subject"))
         else:
-            leftover.append(t)
+            leftover.append(row)
 
     class_iris.discard(OWL_THING)
 

@@ -14,36 +14,35 @@ so an IRI written back raw parses as itself.
 Blank node labels are restricted to ``[A-Za-z0-9_-]+``.
 
 Parsing is pure per line, so a malformed line can never corrupt the parse
-of any other line, and parsed batches are immutable values. ``read_batch``
-returns ``Triple``s, for schemas, snapshots, tests and the library API.
-``read_rows``, which ``evolve`` and ``kbevolve ingest`` call, returns only
-what ingest reads of each: (subject key, predicate, IRI object or None)
-rows of plain strings, equal strings in one batch being one object. Within
-one ``read_batch`` call, each distinct IRI (keyed by its body as written),
-and each plain literal on a line the line regex accepts, is decoded and
-validated once, and every triple that uses it shares one ``Term``; an
-escape-free IRI's key is its value, so its text is held once. Only terms
-that parsed are cached, so a token that failed is scanned afresh wherever
-it appears. The line regex accepts the escape-free, ASCII-only
-``<s> <p> <o> .`` and ``<s> <p> "literal" .`` shapes, and ``read_rows``
-makes a row from its groups with no ``Term`` built; it never reports an
-error, and every other line goes through the term scanners, which own every
-error category and offset, so both readers report alike. The CLI opens
-files with ``errors="surrogateescape"``, which keeps each byte that is not
-UTF-8 as a lone surrogate; a line holding one is a ``bad encoding`` error
-like any other malformed line, so one bad byte cannot abort a run.
+of any other line. ``read_batch`` returns only what ``load_schema`` and
+ingest read of each statement: (subject key, predicate, IRI object or None)
+rows of plain strings, equal strings in one batch being one object. A key
+is a term's value, so a blank node's starts with ``_:`` and an IRI's never
+does; an object of None is a literal or a blank node. The line regex
+accepts the escape-free, ASCII-only ``<s> <p> <o> .`` and
+``<s> <p> "literal" .`` shapes, and ``read_batch`` makes a row from its
+groups with no ``Term`` built; it never reports an error, and every other
+line goes through the term scanners, which own every error category and
+offset. Within one ``read_batch`` call the scanners decode and validate
+each distinct IRI (keyed by its body as written) once; only IRIs that
+parsed are cached, so a token that failed is scanned afresh wherever it
+appears. ``parse_ntriple_line`` runs the term scanners on one line and
+returns a ``Triple``, for ``synth``, tests and the library API. The CLI
+opens files with ``errors="surrogateescape"``, which keeps each byte that
+is not UTF-8 as a lone surrogate; a line holding one is a ``bad encoding``
+error like any other malformed line, so one bad byte cannot abort a run.
 
 ``Term`` and ``Triple`` are immutable tuples. Their public constructors
 (``Term(...)``, ``Triple(...)``, ``iri``, ``literal``, ``blank``, and the
 tuple API's ``_make`` and ``_replace``) check every invariant above, and
 ``Triple`` also checks that its subject is not a literal and its
-predicate is an IRI. The parser builds a value without those checks only
-where it has already established them: every term of a line the line
-regex accepts (its IRI bodies exclude exactly what ``Term`` rejects, and
-its literal has no tag or datatype), and every triple (the regex admits
-only IRI subjects and predicates, and ``_read_term`` rejects a literal
-subject and a non-IRI predicate). An IRI read by ``_read_iri`` keeps the
-checked constructor, whose ``ValueError`` is its ``bad iri``.
+predicate is an IRI. The term scanners build every term through the
+checked constructor (an IRI's ``ValueError`` is its ``bad iri``), and
+build the triple without the checks, which ``_read_term`` has already
+established: it rejects a literal subject and a non-IRI predicate. The line
+regex's IRI bodies exclude exactly what ``Term`` rejects, their character
+class being built from the same set, so its rows are ones a triple could
+project to.
 """
 
 from __future__ import annotations
@@ -74,8 +73,9 @@ _ESCAPE_RE = re.compile(rf"\\({_UCHAR}|.)")
 # The escape-free "<s> <p> <o> ." and '<s> <p> "literal" .' shapes; the
 # groups are the subject, predicate and object IRI bodies, or the literal's
 # body in place of the object's. Only ever tried on ASCII lines, so an IRI
-# body excludes exactly what Term rejects, a leading "_:" included.
-_IRI_BODY = r"<(?!_:)([^<>\\\x00-\x20]+)>"
+# body, its class built from _IRI_FORBIDDEN, excludes exactly what Term
+# rejects, a leading "_:" included.
+_IRI_BODY = rf"<(?!_:)([^{''.join(map(re.escape, sorted(_IRI_FORBIDDEN)))}]+)>"
 _PLAIN_LINE_RE = re.compile(rf'{_IRI_BODY} {_IRI_BODY} (?:{_IRI_BODY}|"([^"\\]*)") \.(?:\r?\n)?')
 _ECHAR = {"t": "\t", "b": "\b", "n": "\n", "r": "\r", "f": "\f", '"': '"', "'": "'", "\\": "\\"}
 _LITERAL_ESCAPES = {c: f"\\u{c:04X}" for c in range(0x20)} | str.maketrans(
@@ -151,9 +151,8 @@ class Triple(_TripleFields):
     _make = classmethod(checked_make)
 
 
-# The parser's constructors: no checks, one tuple of every field. Only for
-# values whose invariants the parser has already established.
-_new_term = partial(tuple.__new__, Term)
+# The parser's triple constructor: no checks, one tuple of every field. Only
+# for triples whose invariants the parser has already established.
 _new_triple = partial(tuple.__new__, Triple)
 
 
@@ -276,35 +275,12 @@ def parse_ntriple_line(line: str) -> Triple | None:
     comment lines, and raises ParseError (with byte offset and category)
     for anything else, including a line that holds a lone surrogate.
     """
-    return _parse_line(line, {}, {})
-
-
-def _parse_line(line: str, iris: dict[str, Term], literals: dict[str, Term]) -> Triple | None:
-    """parse_ntriple_line, sharing parsed terms through two caches: IRIs
-    keyed by their body as written, plain literals by their body."""
-    if line.isascii():
-        m = _PLAIN_LINE_RE.fullmatch(line)
-        if m is not None:
-            s, p, o, lit = m.groups()
-            get = iris.get
-            return _new_triple(
-                (
-                    get(s) or iris.setdefault(s, _new_term((TermKind.IRI, s, None, None))),
-                    get(p) or iris.setdefault(p, _new_term((TermKind.IRI, p, None, None))),
-                    (get(o) or iris.setdefault(o, _new_term((TermKind.IRI, o, None, None))))
-                    if lit is None
-                    else (
-                        literals.get(lit)
-                        or literals.setdefault(lit, _new_term((TermKind.LITERAL, lit, None, None)))
-                    ),
-                )
-            )
-    return _scan_line(line, iris)
+    return _scan_line(line, {})
 
 
 def _scan_line(line: str, iris: dict[str, Term]) -> Triple | None:
-    """_parse_line through the term scanners alone, for a line the line
-    regex did not accept."""
+    """parse_ntriple_line, sharing parsed IRIs through a cache keyed by
+    their body as written."""
     if not line.isascii():
         bad = _SURROGATE_RE.search(line)
         if bad is not None:
@@ -331,46 +307,16 @@ def read_batch(
     stream: Iterable[str] | Iterator[str],
     batch_size: int,
     first_line_number: int = 1,
-) -> tuple[list[Triple], ParseReport]:
-    """Consume up to batch_size lines and parse them.
-
-    The batch unit is lines, not triples: malformed, blank, and comment
-    lines all consume budget. Repeated calls on the same stream resume
-    where the previous call stopped. An I/O failure while reading aborts
-    the whole batch; the partial result is discarded and the error
-    propagates.
-    """
-    if batch_size < 1:
-        raise ValueError("batch_size must be >= 1")
-    triples: list[Triple] = []
-    errors: list[tuple[int, str]] = []
-    skipped = 0
-    iris: dict[str, Term] = {}
-    literals: dict[str, Term] = {}
-    number = first_line_number - 1
-    for number, line in enumerate(islice(stream, batch_size), first_line_number):
-        try:
-            parsed = _parse_line(line, iris, literals)
-        except ParseError as exc:
-            errors.append((number, exc.category))
-            continue
-        if parsed is None:
-            skipped += 1
-        else:
-            triples.append(parsed)
-    lines_read = number - first_line_number + 1
-    return triples, ParseReport(lines_read, len(triples), skipped, errors)
-
-
-def read_rows(
-    stream: Iterable[str] | Iterator[str],
-    batch_size: int,
-    first_line_number: int = 1,
 ) -> tuple[list[tuple[str, str, str | None]], ParseReport]:
-    """read_batch, with each triple projected by triple_to_row. Equal
-    strings in one batch's rows are one object. A line the line regex
-    accepts becomes a row with no Term built; every other line goes through
-    the term scanners, so the report is read_batch's."""
+    """Consume up to batch_size lines and parse them into rows.
+
+    Each row is triple_to_row of the line's triple, and equal strings in
+    one batch's rows are one object. The batch unit is lines, not triples:
+    malformed, blank, and comment lines all consume budget. Repeated calls
+    on the same stream resume where the previous call stopped. An I/O
+    failure while reading aborts the whole batch; the partial result is
+    discarded and the error propagates.
+    """
     if batch_size < 1:
         raise ValueError("batch_size must be >= 1")
     rows: list[tuple[str, str, str | None]] = []
@@ -401,7 +347,8 @@ def read_rows(
 
 def triple_to_row(t: Triple) -> tuple[str, str, str | None]:
     """(subject key, predicate, object if it is an IRI, else None): all
-    that ingest reads of a triple, a key being a Term's value."""
+    that load_schema and ingest read of a triple, a key being a Term's
+    value."""
     s, p, o = t
     return s.value, p.value, o.value if o.kind is TermKind.IRI else None
 

@@ -1,4 +1,4 @@
-"""Shared test builders: terms, triples, the presidential fixture KB, and
+"""Shared test builders: rows, the presidential fixture KB, and
 per-instance scorers over the tables of the typing kernel that
 ``assign_types`` runs: every class's score in a dict, then a separate
 argmax, which ``_Kernel.decide`` fuses into one pass."""
@@ -9,7 +9,6 @@ import math
 
 from kbevolve.errors import UnknownEntityError
 from kbevolve.kb import OWL_THING, RDFS_DOMAIN, RDFS_SUBCLASSOF, InstanceRecord, KnowledgeBase, load_schema
-from kbevolve.ntriples import Triple, iri, literal
 from kbevolve.type_inference import METHOD_NAIVE, METHOD_PFIDF, TypingDecision, _Kernel
 
 EX = "http://ex/"
@@ -67,20 +66,35 @@ EXPECTED_PRESIDENTIAL_COUNTS = {
 }
 
 
-def t(subject: str, predicate: str, obj: str) -> Triple:
-    return Triple(iri(subject), iri(predicate), iri(obj))
+# Statements are rows, as ntriples.read_batch returns them: (subject key,
+# predicate, IRI object or None).
+Row = tuple[str, str, str | None]
 
 
-def t_lit(subject: str, predicate: str, value: str = "x") -> Triple:
-    return Triple(iri(subject), iri(predicate), literal(value))
+def t(subject: str, predicate: str, obj: str) -> Row:
+    return subject, predicate, obj
 
 
-def subclass(child: str, parent: str) -> Triple:
+def t_lit(subject: str, predicate: str) -> Row:
+    """A statement whose object is a literal."""
+    return subject, predicate, None
+
+
+def subclass(child: str, parent: str) -> Row:
     return t(child, RDFS_SUBCLASSOF, parent)
 
 
-def domain(prop: str, cls: str) -> Triple:
+def domain(prop: str, cls: str) -> Row:
     return t(prop, RDFS_DOMAIN, cls)
+
+
+def row_to_line(row: Row) -> str:
+    """An N-Triples line that read_batch reads as row, a None object being
+    written as the literal "x"."""
+    s, p, o = row
+    subject = s if s.startswith("_:") else f"<{s}>"
+    obj = '"x"' if o is None else f"<{o}>"
+    return f"{subject} <{p}> {obj} .\n"
 
 
 def presidential_kb() -> KnowledgeBase:

@@ -373,10 +373,10 @@ def oracle_evolve_audits(kb: KnowledgeBase, lines: list[str], config: EvolutionC
     domain_writer.writerow(DOMAIN_AUDIT_COLUMNS)
     source = iter(lines)
     while True:
-        triples, parse_report = read_batch(source, config.batch_lines)
+        rows, parse_report = read_batch(source, config.batch_lines)
         if parse_report.lines_read == 0:
             break
-        kb.add_instance_triples(triples)
+        kb.add_instance_triples(rows)
         for _ in range(config.max_inner_rounds):
             changes = oracle_generalization_pass(kb, config.policy, deletion_enabled=config.deletion_enabled)
             decisions = oracle_assign_types(kb, config.method)

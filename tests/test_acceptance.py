@@ -19,14 +19,18 @@ from helpers import (
     KIM,
     PRESIDENT,
     class_scores,
+    domain,
     naive_assign,
     pfidf_score,
     presidential_kb,
+    subclass,
+    t,
+    t_lit,
 )
 from kbevolve.evolution import EvolutionConfig, evolve
 from kbevolve.generalization import ThresholdPolicy, generalization_threshold, run_generalization_pass
-from kbevolve.kb import OWL_THING, RDF_TYPE, RDFS_DOMAIN, RDFS_SUBCLASSOF, load_schema
-from kbevolve.ntriples import iri, literal, read_batch, triple_to_line, Triple
+from kbevolve.kb import OWL_THING, RDF_TYPE, RDFS_DOMAIN, load_schema
+from kbevolve.ntriples import literal, parse_ntriple_line, read_batch, triple_to_line, triple_to_row
 from kbevolve.synth import SynthSpec, evaluate_accuracy, generate_kb
 from kbevolve.type_inference import METHODS, assign_types, idf_weight
 from oracles import InstanceProfile, TypeProfile, cosine_score, domain_frequency
@@ -44,7 +48,7 @@ def criterion(label: str):
 
 def evolve_synth(spec: SynthSpec, method: str, *, batch_lines: int | None = None, deletion=True):
     schema, instances, truth = generate_kb(spec)
-    kb, leftover = load_schema(schema)
+    kb, leftover = load_schema(map(triple_to_row, schema))
     assert leftover == []
     lines = [triple_to_line(t) + "\n" for t in instances]
     config = EvolutionConfig(
@@ -66,12 +70,12 @@ def kernel_cosine(type_support: set[str], instance_support: set[str]) -> float:
     """The production cosine of one class whose domains are type_support
     against one instance that carries instance_support."""
     cls, inst = "http://acc2/C", "http://acc2/i"
-    schema = [Triple(iri(cls), iri(RDFS_SUBCLASSOF), iri(OWL_THING))]
-    schema += [Triple(iri(f"http://acc2/{p}"), iri(RDFS_DOMAIN), iri(cls)) for p in sorted(type_support)]
+    schema = [subclass(cls, OWL_THING)]
+    schema += [domain(f"http://acc2/{p}", cls) for p in sorted(type_support)]
     kb, _ = load_schema(schema)
     # The type assertion creates the instance even when it carries nothing.
-    data = [Triple(iri(inst), iri(RDF_TYPE), iri(cls))]
-    data += [Triple(iri(inst), iri(f"http://acc2/{p}"), literal("x")) for p in sorted(instance_support)]
+    data = [t(inst, RDF_TYPE, cls)]
+    data += [t_lit(inst, f"http://acc2/{p}") for p in sorted(instance_support)]
     kb.add_instance_triples(data)
     return class_scores(kb, inst, "cosine").get(cls, 0.0)
 
@@ -116,17 +120,17 @@ def test_04_idf_ubiquity_suppression():
         classes = [f"http://acc4/C{k}" for k in range(5)]
         everywhere = "http://acc4/prop/everywhere"
         rare = "http://acc4/prop/rare"
-        schema = [Triple(iri(c), iri(RDFS_SUBCLASSOF), iri(OWL_THING)) for c in classes]
-        schema += [Triple(iri(everywhere), iri(RDFS_DOMAIN), iri(c)) for c in classes + [OWL_THING]]
-        schema.append(Triple(iri(rare), iri(RDFS_DOMAIN), iri(classes[0])))
+        schema = [subclass(c, OWL_THING) for c in classes]
+        schema += [domain(everywhere, c) for c in classes + [OWL_THING]]
+        schema.append(domain(rare, classes[0]))
         kb, _ = load_schema(schema)
         assert idf_weight(kb, everywhere) == 0.0
 
         inst = "http://acc4/inst/i"
         kb.add_instance_triples(
             [
-                Triple(iri(inst), iri(everywhere), literal("x")),
-                Triple(iri(inst), iri(rare), literal("x")),
+                t_lit(inst, everywhere),
+                t_lit(inst, rare),
             ]
         )
         # The ubiquitous property is absent from every idf-weighted type
@@ -136,7 +140,7 @@ def test_04_idf_ubiquity_suppression():
         assert all(scores[c] == 0.0 for c in classes[1:])
 
         only_everywhere = "http://acc4/inst/j"
-        kb.add_instance_triples([Triple(iri(only_everywhere), iri(everywhere), literal("x"))])
+        kb.add_instance_triples([t_lit(only_everywhere, everywhere)])
         assert all(pfidf_score(kb, only_everywhere, c) == 0.0 for c in classes)
 
 
@@ -211,7 +215,7 @@ def test_07_monotone_coverage():
         schema, instances, _ = generate_kb(spec)
         lines = [triple_to_line(t) + "\n" for t in instances]
         batch = -(-len(lines) // 3)
-        kb, _ = load_schema(schema)
+        kb, _ = load_schema(map(triple_to_row, schema))
         report = evolve(
             kb,
             iter(lines),
@@ -246,15 +250,15 @@ def test_09_round_trip_fixed_point():
         spec = SynthSpec(20, 5, 3, 100, 0.5, 0.0, seed=23)
         schema, instances, _ = generate_kb(spec)
         assert len(schema) + len(instances) >= 10000
-        kb, leftover = load_schema(schema)
+        kb, leftover = load_schema(map(triple_to_row, schema))
         kb.add_instance_triples(leftover)
-        kb.add_instance_triples(instances)
+        kb.add_instance_triples(map(triple_to_row, instances))
 
         first = io.StringIO()
         kb.export_ntriples(first)
-        triples, report = read_batch(io.StringIO(first.getvalue()), 1 << 22)
+        rows, report = read_batch(io.StringIO(first.getvalue()), 1 << 22)
         assert not report.errors
-        reloaded, rest = load_schema(triples)
+        reloaded, rest = load_schema(rows)
         reloaded.add_instance_triples(rest)
         second = io.StringIO()
         reloaded.export_ntriples(second)
@@ -277,7 +281,7 @@ def test_10_parser_robustness():
             '"literal" <http://ex/p> <http://ex/o> .\n',
             "<http://ex/s6> <http://ex/p> <http://ex/o6> .\n",
         ]
-        triples, report = read_batch(iter(corpus), len(corpus))
+        rows, report = read_batch(iter(corpus), len(corpus))
         # Exact accounting: every consumed line is a triple, a skip, or an error.
         assert report.lines_read == len(corpus)
         assert report.lines_read == report.triples_emitted + report.lines_skipped + len(report.errors)
@@ -285,12 +289,12 @@ def test_10_parser_robustness():
         assert report.lines_skipped == 2
         assert [line for line, _ in report.errors] == [2, 5, 8, 10, 11]
         # No cross-line corruption: the valid lines parse to exactly the
-        # subjects written, in order.
-        assert [t.subject.value for t in triples] == [
-            "http://ex/s0",
-            "http://ex/s1",
-            "_:b1",
-            "http://ex/s4",
-            "http://ex/s6",
+        # statements written, in order.
+        assert rows == [
+            ("http://ex/s0", "http://ex/p", "http://ex/o0"),
+            ("http://ex/s1", "http://ex/p", None),
+            ("_:b1", "http://ex/p", None),
+            ("http://ex/s4", "http://ex/p", "http://ex/o4"),
+            ("http://ex/s6", "http://ex/p", "http://ex/o6"),
         ]
-        assert triples[1].object.value == "vAl"
+        assert parse_ntriple_line(corpus[2]).object == literal("vAl", language_tag="en")

@@ -20,14 +20,14 @@ from kbevolve.evolution import (
 )
 from kbevolve.generalization import ThresholdPolicy, run_generalization_pass
 from kbevolve.kb import OWL_THING, RDF_TYPE, KnowledgeBase, load_schema
-from kbevolve.ntriples import triple_to_line
+from kbevolve.ntriples import parse_ntriple_line, triple_to_line, triple_to_row
 from kbevolve.synth import SynthSpec, generate_kb
 from kbevolve.type_inference import assign_types
 
 
 def load_synth(spec: SynthSpec):
     schema, instances, truth = generate_kb(spec)
-    kb, leftover = load_schema(schema)
+    kb, leftover = load_schema(map(triple_to_row, schema))
     assert leftover == []
     lines = [triple_to_line(tr) + "\n" for tr in instances]
     return kb, lines, truth
@@ -99,9 +99,7 @@ class TestCoverage:
 
 
 def _parse(line):
-    from kbevolve.ntriples import parse_ntriple_line
-
-    return parse_ntriple_line(line)
+    return triple_to_row(parse_ntriple_line(line))
 
 
 class TestEvolve:

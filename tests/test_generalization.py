@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from helpers import CLS, INST, PROP, domain, subclass, t, t_lit
 from kbevolve.errors import UnknownEntityError
+from kbevolve.ntriples import triple_to_row
 from kbevolve.generalization import (
     ACTION_ADDED,
     ACTION_REMOVED,
@@ -276,9 +277,9 @@ class TestPass:
         spec = SynthSpec(6, 3, 1, 10, 0.0, 0.0, seed=21)  # no hidden types, no noise
         schema, instances, truth = generate_kb(spec)
         stripped = [tr for tr in schema if tr.predicate.value != RDFS_DOMAIN]
-        kb, leftover = load_schema(stripped)
+        kb, leftover = load_schema(map(triple_to_row, stripped))
         kb.add_instance_triples(leftover)
-        kb.add_instance_triples(instances)
+        kb.add_instance_triples(map(triple_to_row, instances))
         changes = run_generalization_pass(kb, ThresholdPolicy())
         added = {(c.class_iri, c.property_iri) for c in changes if c.action == ACTION_ADDED}
         for cls, props in truth.signatures.items():
@@ -300,9 +301,9 @@ class TestPass:
 
         spec = SynthSpec(8, 4, 2, 25, 0.3, 0.25, seed=17)
         schema, instances, _ = generate_kb(spec)
-        kb, leftover = load_schema(schema)
+        kb, leftover = load_schema(map(triple_to_row, schema))
         kb.add_instance_triples(leftover)
-        kb.add_instance_triples(instances)
+        kb.add_instance_triples(map(triple_to_row, instances))
         for factor in (0.5, 1.0):
             changes = run_generalization_pass(kb, ThresholdPolicy(deletion_factor=factor))
             seen: dict[tuple[str, str], set[str]] = {}

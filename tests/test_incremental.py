@@ -17,6 +17,7 @@ from helpers import (
     class_scores,
     domain,
     kb_instance_state,
+    row_to_line,
     subclass,
     t,
     t_lit,
@@ -35,7 +36,7 @@ from kbevolve.kb import (
     KnowledgeBase,
     load_schema,
 )
-from kbevolve.ntriples import read_batch, triple_to_line
+from kbevolve.ntriples import read_batch, triple_to_row
 from kbevolve.synth import SynthSpec, generate_kb
 from kbevolve.type_inference import METHODS, assign_types
 from oracles import (
@@ -137,7 +138,7 @@ def evolve_inputs(draw):
     """The schema and batches of evolving_inputs as one line stream, with
     an evolve config."""
     schema, batches = draw(evolving_inputs())
-    lines = [triple_to_line(triple) + "\n" for batch, _ in batches for triple in batch]
+    lines = [row_to_line(row) for batch, _ in batches for row in batch]
     config = EvolutionConfig(
         batch_lines=draw(st.integers(1, max(1, len(lines)))),
         method=draw(st.sampled_from(METHODS)),
@@ -188,8 +189,8 @@ def affected_inputs(draw):
     "reorder" removes one of a property's two domains and adds it back, which
     reorders its domains, and "relabel" rewrites a domain's provenance alone."""
     schema, data, method, steps = draw(churn_inputs())
-    everything = [OWL_THING] + [s.value for s, p, _ in schema if p.value == RDFS_SUBCLASSOF]
-    props = [s.value for s, p, _ in schema if p.value == RDF_TYPE]
+    everything = [OWL_THING] + [s for s, p, _ in schema if p == RDFS_SUBCLASSOF]
+    props = [s for s, p, _ in schema if p == RDF_TYPE]
     provenance = st.sampled_from([PROV_SCHEMA, PROV_GENERALIZED])
     for kind in ("bounce", "reorder", "relabel"):
         pair = (draw(st.sampled_from(props)), draw(st.sampled_from(everything[1:])))
@@ -519,9 +520,9 @@ class TestCountersEqualRecount:
             apply_step(kb, step)
         snapshot = io.StringIO()
         kb.export_ntriples(snapshot)
-        triples, report = read_batch(io.StringIO(snapshot.getvalue()), 1 << 20)
+        rows, report = read_batch(io.StringIO(snapshot.getvalue()), 1 << 20)
         assert not report.errors
-        reloaded, leftover = load_schema(triples)
+        reloaded, leftover = load_schema(rows)
         reloaded.add_instance_triples(leftover)
         assert_counters_equal_recount(reloaded)
         kept, rebuilt = classification_coverage(kb), classification_coverage(reloaded)
@@ -590,8 +591,8 @@ class TestInternedSets:
             seed=3,
         )
         schema, triples, _ = generate_kb(spec)
-        triples.sort(key=lambda triple: triple.predicate.value)
-        whole, kb = build(schema), build(schema)
+        triples = sorted(map(triple_to_row, triples), key=lambda row: row[1])
+        whole, kb = build(map(triple_to_row, schema)), build(map(triple_to_row, schema))
         whole.add_instance_triples(triples)
         for triple in triples:
             kb.add_instance_triples([triple])

@@ -16,11 +16,12 @@ from kbevolve.kb import (
     PROV_SCHEMA,
     RDF_PROPERTY,
     RDF_TYPE,
+    RDFS_DOMAIN,
     RDFS_SUBCLASSOF,
     KnowledgeBase,
     load_schema,
 )
-from kbevolve.ntriples import TermKind, Triple, blank, iri, literal, read_batch
+from kbevolve.ntriples import TermKind, parse_ntriple_line, read_batch
 
 
 class TestLoadSchema:
@@ -72,9 +73,35 @@ class TestLoadSchema:
         assert INST + "i" not in kb.instances
 
     def test_schema_statement_with_literal_rejected(self):
-        bad = Triple(iri(CLS + "A"), iri(RDFS_SUBCLASSOF), literal("x"))
         with pytest.raises(SchemaError):
-            load_schema([bad])
+            load_schema([t_lit(CLS + "A", RDFS_SUBCLASSOF)])
+
+    @pytest.mark.parametrize(
+        "line,message",
+        [
+            (f"_:b <{RDFS_SUBCLASSOF}> <{CLS}A> .", "subClassOf subject must be an IRI, got blank"),
+            (f"_:b <{RDFS_DOMAIN}> <{CLS}A> .", "domain subject must be an IRI, got blank"),
+            (f"_:b <{RDF_TYPE}> <{OWL_CLASS}> .", "class declaration subject must be an IRI, got blank"),
+            (f"_:b <{RDF_TYPE}> <{RDF_PROPERTY}> .", "property declaration subject must be an IRI, got blank"),
+            (f'<{CLS}A> <{RDFS_SUBCLASSOF}> "x" .', "subClassOf object must be an IRI, got literal or blank"),
+            (f"<{CLS}A> <{RDFS_SUBCLASSOF}> _:b .", "subClassOf object must be an IRI, got literal or blank"),
+            (f'<{PROP}p> <{RDFS_DOMAIN}> "x"@en .', "domain object must be an IRI, got literal or blank"),
+            (f"<{PROP}p> <{RDFS_DOMAIN}> _:b .", "domain object must be an IRI, got literal or blank"),
+        ],
+    )
+    def test_schema_term_that_is_not_an_iri_rejected(self, line, message):
+        rows, report = read_batch(iter([line + "\n"]), 1)
+        assert len(rows) == 1 and not report.errors
+        with pytest.raises(SchemaError) as exc_info:
+            load_schema(rows)
+        assert str(exc_info.value) == message
+
+    @pytest.mark.parametrize("obj", ['"x"', f'"{OWL_CLASS}"', f'"{RDF_PROPERTY}"', "_:b"])
+    def test_type_with_literal_or_blank_object_is_leftover(self, obj):
+        rows, _ = read_batch(iter([f"<{INST}i> <{RDF_TYPE}> {obj} .\n"]), 1)
+        kb, leftover = load_schema(rows)
+        assert leftover == rows == [(INST + "i", RDF_TYPE, None)]
+        assert set(kb.classes) == {OWL_THING} and kb.properties == {}
 
     def test_duplicate_edge_tolerated(self):
         kb, _ = load_schema([subclass(CLS + "B", CLS + "A"), subclass(CLS + "B", CLS + "A")])
@@ -119,12 +146,13 @@ class TestAddInstanceTriples:
 
     def test_literal_objects_never_create_placeholders(self):
         kb = kb_default()
-        kb.add_instance_triples([t_lit(INST + "i", PROP + "p", "Seoul")])
+        kb.add_instance_triples([t_lit(INST + "i", PROP + "p")])
         assert set(kb.instances) == {INST + "i"}
 
     def test_blank_node_objects_never_create_placeholders(self):
         kb = kb_default()
-        kb.add_instance_triples([Triple(iri(INST + "i"), iri(PROP + "p"), blank("b"))])
+        rows, _ = read_batch(iter([f"<{INST}i> <{PROP}p> _:b .\n"]), 1)
+        kb.add_instance_triples(rows)
         assert set(kb.instances) == {INST + "i"}
 
     def test_type_with_unknown_object_is_ordinary_property(self):
@@ -296,9 +324,9 @@ class TestExport:
 
     @staticmethod
     def _reload(text: str) -> KnowledgeBase:
-        triples, report = read_batch(io.StringIO(text), 1 << 20)
+        rows, report = read_batch(io.StringIO(text), 1 << 20)
         assert not report.errors
-        kb, leftover = load_schema(triples)
+        kb, leftover = load_schema(rows)
         kb.add_instance_triples(leftover)
         return kb
 
@@ -337,7 +365,7 @@ class TestExport:
 
     def test_blank_node_instances_survive(self):
         kb = kb_default()
-        kb.add_instance_triples([Triple(blank("b1"), iri(PROP + "p"), literal("x"))])
+        kb.add_instance_triples([t_lit("_:b1", PROP + "p")])
         text = self._export(kb)
         assert text.startswith("<")  # declaration section first
         assert "_:b1 <" in text
@@ -356,18 +384,19 @@ class TestIriAndBlankKeys:
     @settings(max_examples=200, deadline=None)
     def test_distinct_terms_stay_distinct_instances(self, statements):
         lines = [f"{s} <{PROP}{p}> {o} .\n" for s, p, o in statements]
-        triples, report = read_batch(iter(lines), len(lines))
+        rows, report = read_batch(iter(lines), len(lines))
         # An IRI may not start with "_:", so no IRI can take a blank node's key.
         refused = [n for n, line in enumerate(lines, 1) if "<_:" in line or "<\\u005F:" in line]
         assert report.errors == [(n, "bad iri") for n in refused]
         kb = kb_default()
-        kb.add_instance_triples(triples)
+        kb.add_instance_triples(rows)
+        triples = [parse_ntriple_line(line) for n, line in enumerate(lines, 1) if n not in refused]
         terms = {t.subject for t in triples} | {t.object for t in triples if t.object.kind is TermKind.IRI}
         assert len({term.value for term in terms}) == len(terms)
         assert set(kb.instances) == {term.value for term in terms}
         used: dict[str, set[str]] = {}
-        for subject, predicate, _ in triples:
-            used.setdefault(subject.value, set()).add(predicate.value)
+        for subject, predicate, _ in rows:
+            used.setdefault(subject, set()).add(predicate)
 
         def held(each: KnowledgeBase) -> dict[str, set[str]]:
             return {key: set(rec.properties) for key, rec in each.instances.items() if rec.properties}

@@ -8,19 +8,20 @@ from hypothesis import strategies as st
 
 from kbevolve.errors import ParseError
 from kbevolve.ntriples import (
+    _PLAIN_LINE_RE,
     ParseReport,
     Term,
     TermKind,
     Triple,
-    _parse_line,
+    _scan_line,
     blank,
     iri,
     literal,
     parse_ntriple_line,
     read_batch,
-    read_rows,
     term_to_ntriples,
     triple_to_line,
+    triple_to_row,
 )
 from oracles import oracle_parse_line
 
@@ -231,8 +232,8 @@ class TestReadBatch:
     ]
 
     def test_counting_contract(self):
-        triples, report = read_batch(iter(self.SEVEN_LINES), 50000)
-        assert len(triples) == 5
+        rows, report = read_batch(iter(self.SEVEN_LINES), 50000)
+        assert len(rows) == 5
         assert report.lines_read == 7
         assert report.triples_emitted == 5
         assert report.lines_skipped == 1
@@ -240,8 +241,8 @@ class TestReadBatch:
         assert report.lines_read == report.triples_emitted + report.lines_skipped + len(report.errors)
 
     def test_empty_stream(self):
-        triples, report = read_batch(iter([]), 10)
-        assert triples == []
+        rows, report = read_batch(iter([]), 10)
+        assert rows == []
         assert report == ParseReport(0, 0, 0, [])
 
     def test_batch_size_validated(self):
@@ -262,8 +263,8 @@ class TestReadBatch:
             "garbage line\n",
             "<http://ex/c> <http://ex/p> <http://ex/d> .\n",
         ]
-        triples, report = read_batch(iter(lines), 10)
-        assert [t.subject.value for t in triples] == ["http://ex/a", "http://ex/c"]
+        rows, report = read_batch(iter(lines), 10)
+        assert [s for s, _, _ in rows] == ["http://ex/a", "http://ex/c"]
         assert len(report.errors) == 1
 
     def test_io_error_aborts_batch(self):
@@ -296,10 +297,10 @@ class TestReadBatch:
     def test_repeated_term_is_one_object(self):
         lines = [f"<http://ex/s> <http://ex/p> <http://ex/o{i}> .\n" for i in range(5)]
         lines.append('<http://ex/s>\t<http://ex/p> "v"@en .\n')
-        triples, _ = read_batch(iter(lines), 10)
-        assert len(triples) == 6
-        assert all(t.subject is triples[0].subject for t in triples)
-        assert all(t.predicate is triples[0].predicate for t in triples)
+        rows, _ = read_batch(iter(lines), 10)
+        assert len(rows) == 6
+        assert all(s is rows[0][0] for s, _, _ in rows)
+        assert all(p is rows[0][1] for _, p, _ in rows)
 
     def test_failed_token_is_never_shared(self):
         bad = "<http://ex/s> <http://ex/p> <a b> .\n"
@@ -307,7 +308,7 @@ class TestReadBatch:
         _, report = read_batch(iter(lines), 10)
         assert report.errors == [(1, "bad iri"), (3, "bad iri")]
         iris = {}
-        outcomes = [_outcome(lambda line: _parse_line(line, iris, {}), line) for line in lines]
+        outcomes = [_outcome(lambda line: _scan_line(line, iris), line) for line in lines]
         assert outcomes[0] == outcomes[2] == ("bad iri", 28)
         assert "a b" not in iris
 
@@ -316,15 +317,16 @@ class TestReadBatch:
             "<http://ex/\\u0073> <http://ex/p> <http://ex/o> .\n",
             "<http://ex/s> <http://ex/p> <http://ex/o> .\n",
         ]
-        triples, _ = read_batch(iter(lines), 10)
-        assert triples[0].subject == triples[1].subject == iri("http://ex/s")
+        rows, _ = read_batch(iter(lines), 10)
+        assert rows[0][0] == rows[1][0] == "http://ex/s"
+        assert rows[0][0] is rows[1][0]
 
     def test_successive_batches_share_nothing(self):
         stream = iter(["<http://ex/s> <http://ex/p> <http://ex/o> .\n"] * 2)
         (first,), _ = read_batch(stream, 1)
         (second,), _ = read_batch(stream, 1)
         assert first == second
-        assert first.subject is not second.subject
+        assert first[0] is not second[0]
 
 
 _IRI_TEXT = st.text(
@@ -468,40 +470,64 @@ def _near_plain_lines(bodies):
 
 
 class TestPlainLineShortcut:
+    """On lines near the line regex's shape, the term scanners agree with
+    the oracle, and read_batch, which takes the regex where it matches,
+    agrees with the scanners."""
+
     @given(_NEAR_BODIES)
     @settings(max_examples=1000)
     def test_same_triple_or_same_error(self, bodies):
         for line in _near_plain_lines(bodies):
             assert _outcome(parse_ntriple_line, line) == _outcome(oracle_parse_line, line)
 
+    def test_regex_accepts_the_iris_term_accepts(self):
+        """In each position, an IRI body holding one ASCII character, or
+        starting "_:", matches the line regex exactly when Term accepts it."""
+        for body in [f"a{chr(code)}b" for code in range(0x80)] + ["_:b", "_b", "b_:"]:
+            try:
+                iri(body)
+                accepted = True
+            except ValueError:
+                accepted = False
+            for k in range(3):
+                terms = ["<http://ex/s>", "<http://ex/p>", "<http://ex/o>"]
+                terms[k] = f"<{body}>"
+                matched = _PLAIN_LINE_RE.fullmatch(" ".join(terms) + " .\n") is not None
+                assert matched == accepted, (body, k)
+
     @given(st.lists(_NEAR_BODIES, max_size=3))
     @settings(max_examples=300)
     def test_batch_equals_line_by_line(self, line_bodies):
         lines = [line for bodies in line_bodies for line in _near_plain_lines(bodies)]
-        expected_triples, expected = [], ParseReport(lines_read=len(lines))
-        for number, line in enumerate(lines, 1):
-            try:
-                parsed = parse_ntriple_line(line)
-            except ParseError as exc:
-                expected.errors.append((number, exc.category))
-                continue
-            if parsed is None:
-                expected.lines_skipped += 1
-            else:
-                expected_triples.append(parsed)
-        expected.triples_emitted = len(expected_triples)
-        assert read_batch(iter(lines), max(1, len(lines))) == (expected_triples, expected)
+        assert read_batch(iter(lines), max(1, len(lines))) == _parse_lines(lines, 1)
+
+
+def _parse_lines(lines, first_line_number):
+    """The rows and report of lines parsed one by one by parse_ntriple_line,
+    the first being numbered first_line_number."""
+    rows, report = [], ParseReport(lines_read=len(lines))
+    for number, line in enumerate(lines, first_line_number):
+        try:
+            parsed = parse_ntriple_line(line)
+        except ParseError as exc:
+            report.errors.append((number, exc.category))
+            continue
+        if parsed is None:
+            report.lines_skipped += 1
+        else:
+            rows.append(triple_to_row(parsed))
+    report.triples_emitted = len(rows)
+    return rows, report
 
 
 def _parsed_values(lines):
-    """Every triple that parse_ntriple_line and read_batch return for lines."""
+    """Every triple that parse_ntriple_line returns for lines."""
     values = []
     for line in lines:
         try:
             values.append(parse_ntriple_line(line))
         except ParseError:
             pass
-    values += read_batch(iter(lines), len(lines))[0]
     return [v for v in values if v is not None]
 
 
@@ -515,8 +541,8 @@ def _assert_checked_constructors_agree(triples):
 
 
 class TestParsedValues:
-    """The parser builds terms and triples without the constructors' checks;
-    each must still be a value the checked constructors accept."""
+    """The parser builds triples without the constructor's checks; each
+    must still be a value the checked constructors accept."""
 
     @given(_LINES)
     @settings(max_examples=1000)
@@ -528,7 +554,7 @@ class TestParsedValues:
     def test_near_plain_lines(self, bodies):
         _assert_checked_constructors_agree(_parsed_values(_near_plain_lines(bodies)))
 
-    # One line per path: the line regex, and the term scanners.
+    # Lines of the line regex's shape, and tab-separated ones off it.
     LINES = [
         '<http://ex/a> <http://ex/p> "v" .\n',
         '<http://ex/a>\t<http://ex/p> "v" .\n',
@@ -569,11 +595,6 @@ class TestParsedValues:
             t._replace(subject=literal("x"))
         with pytest.raises(ValueError):
             Triple._make((iri("http://ex/s"), blank("p"), iri("http://ex/o")))
-
-
-def _project(triples):
-    """Each triple as a row: subject key, predicate, and the object if it is an IRI."""
-    return [(s.value, p.value, o.value if o.kind is TermKind.IRI else None) for s, p, o in triples]
 
 
 # One line for each parser error category.
@@ -623,25 +644,20 @@ class TestReadRows:
         line = ERROR_LINES[category]
         expected = ParseReport(1, 0, 0, [(7, category)])
         assert read_batch(iter([line]), 1, 7) == ([], expected)
-        assert read_rows(iter([line]), 1, 7) == ([], expected)
 
     @given(st.lists(_ROW_LINES, max_size=25), st.integers(1, 10), st.integers(1, 100))
     @settings(max_examples=500)
-    def test_rows_are_read_batch_projected(self, lines, batch_size, first_line_number):
-        """Batch by batch over one stream each, read_rows returns the rows of
-        read_batch's triples, one object per distinct string, and an equal
-        report."""
-        triple_stream, row_stream = iter(lines), iter(lines)
+    def test_rows_are_lines_parsed_one_by_one(self, lines, batch_size, first_line_number):
+        """Batch by batch over one stream, read_batch returns the rows of
+        parse_ntriple_line's triples, one object per distinct string, and
+        the report of those lines parsed one by one."""
+        stream = iter(lines)
         number = first_line_number
-        while True:
-            triples, expected = read_batch(triple_stream, batch_size, number)
-            rows, report = read_rows(row_stream, batch_size, number)
-            assert rows == _project(triples)
-            assert report == expected
+        for start in range(0, len(lines) + 1, batch_size):
+            rows, report = read_batch(stream, batch_size, number)
+            assert (rows, report) == _parse_lines(lines[start : start + batch_size], number)
             shared = {}
             assert all(shared.setdefault(v, v) is v for row in rows for v in row if v is not None)
-            if report.lines_read == 0:
-                break
             number += report.lines_read
 
     def test_equal_strings_are_one_object(self):
@@ -651,7 +667,7 @@ class TestReadRows:
             '<http://ex/o> <http://ex/p> "v"@en .\n',
             "_:b\t<http://ex/p> <http://ex/s> .\n",
         ]
-        rows, _ = read_rows(iter(lines), 10)
+        rows, _ = read_batch(iter(lines), 10)
         assert rows == [
             ("http://ex/s", "http://ex/p", "http://ex/o"),
             ("http://ex/s", "http://ex/p", None),
@@ -661,7 +677,3 @@ class TestReadRows:
         assert rows[0][0] is rows[1][0] is rows[3][2]
         assert rows[0][2] is rows[2][0]
         assert all(row[1] is rows[0][1] for row in rows)
-
-    def test_batch_size_validated(self):
-        with pytest.raises(ValueError):
-            read_rows(iter([]), 0)

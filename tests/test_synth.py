@@ -8,7 +8,7 @@ import pytest
 from kbevolve.errors import ConfigError, ConsistencyError
 from kbevolve.evolution import EvolutionConfig, evolve
 from kbevolve.kb import RDF_TYPE, load_schema
-from kbevolve.ntriples import triple_to_line
+from kbevolve.ntriples import triple_to_line, triple_to_row
 from kbevolve.synth import INST_NS, SynthSpec, evaluate_accuracy, generate_kb
 from kbevolve.type_inference import idf_weight
 
@@ -29,7 +29,7 @@ def spec_with(**overrides):
 
 def evolve_from(spec: SynthSpec, method: str):
     schema, instances, truth = generate_kb(spec)
-    kb, leftover = load_schema(schema)
+    kb, leftover = load_schema(map(triple_to_row, schema))
     assert leftover == []
     lines = [triple_to_line(t) + "\n" for t in instances]
     evolve(kb, iter(lines), EvolutionConfig(batch_lines=max(1, len(lines)), method=method))
@@ -94,7 +94,7 @@ class TestGenerate:
     def test_shared_properties_cover_every_class(self):
         spec = spec_with(shared_properties=2)
         schema, _, _ = generate_kb(spec)
-        kb, _ = load_schema(schema)
+        kb, _ = load_schema(map(triple_to_row, schema))
         shared = [p for p in kb.properties if "shared" in p]
         assert len(shared) == 2
         for prop in shared:
@@ -129,7 +129,7 @@ class TestEvaluateAccuracy:
         subjects = {t.subject.value for t in instances}
         assert INST_NS + "c022_i010" in truth.true_classes.keys() - subjects
         assert truth.hidden <= subjects
-        kb, _ = load_schema(schema)
+        kb, _ = load_schema(map(triple_to_row, schema))
         lines = [triple_to_line(t) + "\n" for t in instances]
         evolve(kb, iter(lines), EvolutionConfig(batch_lines=500, method="pfidf"))
         accuracy, _ = evaluate_accuracy(kb, truth)

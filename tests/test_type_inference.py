@@ -33,6 +33,7 @@ from helpers import (
 from kbevolve.errors import UnknownEntityError
 from kbevolve.generalization import ThresholdPolicy, run_generalization_pass
 from kbevolve.kb import OWL_THING, RDF_TYPE, KnowledgeBase, load_schema
+from kbevolve.ntriples import triple_to_row
 from kbevolve.type_inference import METHODS, _Kernel, assign_types, idf_weight
 from oracles import (
     InstanceProfile,
@@ -427,9 +428,9 @@ class TestAssignTypes:
 
         spec = SynthSpec(5, 3, 1, 8, 0.5, 0.0, seed=13)
         schema, instances, truth = generate_kb(spec)
-        kb, leftover = load_schema(schema)
+        kb, leftover = load_schema(map(triple_to_row, schema))
         kb.add_instance_triples(leftover)
-        kb.add_instance_triples(instances)
+        kb.add_instance_triples(map(triple_to_row, instances))
         assign_types(kb, method)
         accuracy, _ = evaluate_accuracy(kb, truth)
         assert accuracy == 1.0
@@ -447,9 +448,9 @@ class TestAssignTypes:
         from kbevolve.synth import SynthSpec, generate_kb
 
         schema, instances, _ = generate_kb(SynthSpec(6, 4, 2, 10, 0.5, 0.3, seed=29))
-        kb, leftover = load_schema(schema)
+        kb, leftover = load_schema(map(triple_to_row, schema))
         kb.add_instance_triples(leftover)
-        kb.add_instance_triples(instances)
+        kb.add_instance_triples(map(triple_to_row, instances))
         decisions = assign_types(kb, method)
         assert decisions
         assert all(0.0 <= d.score <= 1.0 for d in decisions)

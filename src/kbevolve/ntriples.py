@@ -19,37 +19,31 @@ ingest read of each statement: (subject key, predicate, IRI object or None)
 rows of plain strings, equal strings in one batch being one object. A key
 is a term's value, so a blank node's starts with ``_:`` and an IRI's never
 does; an object of None is a literal or a blank node. The line regex
-accepts the escape-free, ASCII-only ``<s> <p> <o> .`` and
-``<s> <p> "literal" .`` shapes, and ``read_batch`` makes a row from its
-groups with no ``Term`` built; it never reports an error, and every other
-line goes through the term scanners, which own every error category and
-offset. Within one ``read_batch`` call the scanners decode and validate
-each distinct IRI (keyed by its body as written) once; only IRIs that
-parsed are cached, so a token that failed is scanned afresh wherever it
-appears. ``parse_ntriple_line`` runs the term scanners on one line and
-returns a ``Triple``, for ``synth``, tests and the library API. The CLI
-opens files with ``errors="surrogateescape"``, which keeps each byte that
-is not UTF-8 as a lone surrogate; a line holding one is a ``bad encoding``
-error like any other malformed line, so one bad byte cannot abort a run.
+accepts every escape-free statement whose terms are separated by single
+spaces and which holds no lone surrogate: an IRI or blank-node subject,
+and an IRI, blank-node or literal object, the literal plain, tagged or
+datatyped. ``read_batch`` makes a row from its groups with no ``Term``
+built; it never reports an error, and every other line (escapes, tabs,
+extra spaces, comments and errors) goes through the term scanners, which
+own every error category and offset. ``parse_ntriple_line`` runs the term
+scanners on one line and returns a ``Triple``, for ``synth``, tests and
+the library API. The CLI opens files with ``errors="surrogateescape"``,
+which keeps each byte that is not UTF-8 as a lone surrogate; a line
+holding one is a ``bad encoding`` error like any other malformed line, so
+one bad byte cannot abort a run.
 
-``Term`` and ``Triple`` are immutable tuples. Their public constructors
+``Term`` and ``Triple`` are immutable tuples. Their constructors
 (``Term(...)``, ``Triple(...)``, ``iri``, ``literal``, ``blank``, and the
 tuple API's ``_make`` and ``_replace``) check every invariant above, and
 ``Triple`` also checks that its subject is not a literal and its
-predicate is an IRI. The term scanners build every term through the
-checked constructor (an IRI's ``ValueError`` is its ``bad iri``), and
-build the triple without the checks, which ``_read_term`` has already
-established: it rejects a literal subject and a non-IRI predicate. The line
-regex's IRI bodies exclude exactly what ``Term`` rejects, their character
-class being built from the same set, so its rows are ones a triple could
-project to.
+predicate is an IRI. The term scanners build every term and triple
+through them (an IRI's ``ValueError`` is its ``bad iri``).
 """
 
 from __future__ import annotations
 
 import re
 from enum import Enum
-from functools import partial
 from itertools import islice
 from typing import Iterable, Iterator, NamedTuple
 
@@ -59,10 +53,13 @@ from kbevolve.record import Record, checked_make
 _IRI_FORBIDDEN = frozenset(map(chr, range(0x21))) | set("<>\\")
 # Lone surrogates: how a file opened with errors="surrogateescape" carries
 # bytes that are not UTF-8.
-_SURROGATE_RE = re.compile(r"[\ud800-\udfff]")
-_BLANK_LABEL_RE = re.compile(r"[A-Za-z0-9_-]+")
+_SURROGATES = r"\ud800-\udfff"
+_SURROGATE_RE = re.compile(f"[{_SURROGATES}]")
+_BLANK_LABEL = r"[A-Za-z0-9_-]+"
+_BLANK_LABEL_RE = re.compile(_BLANK_LABEL)
 _LANG_CHARS_RE = re.compile(r"[A-Za-z0-9-]*")
-_LANG_TAG_RE = re.compile(r"[A-Za-z]+(?:-[A-Za-z0-9]+)*\Z")
+_LANG_TAG = r"[A-Za-z]+(?:-[A-Za-z0-9]+)*"
+_LANG_TAG_RE = re.compile(rf"{_LANG_TAG}\Z")
 # A term's opening delimiter, its body (group 1: the longest prefix whose
 # escapes are well formed) and its closing delimiter if the body reaches it
 # (group 2); a body that stops short stops at a malformed escape.
@@ -70,13 +67,17 @@ _UCHAR = r"u[0-9A-Fa-f]{4}|U[0-9A-Fa-f]{8}"
 _IRI_RE = re.compile(rf"<([^>\\]*(?:\\(?:{_UCHAR})[^>\\]*)*)(>?)")
 _LITERAL_RE = re.compile(rf'''"([^"\\]*(?:\\(?:[tbnrf"'\\]|{_UCHAR})[^"\\]*)*)("?)''')
 _ESCAPE_RE = re.compile(rf"\\({_UCHAR}|.)")
-# The escape-free "<s> <p> <o> ." and '<s> <p> "literal" .' shapes; the
-# groups are the subject, predicate and object IRI bodies, or the literal's
-# body in place of the object's. Only ever tried on ASCII lines, so an IRI
-# body, its class built from _IRI_FORBIDDEN, excludes exactly what Term
-# rejects, a leading "_:" included.
-_IRI_BODY = rf"<(?!_:)([^{''.join(map(re.escape, sorted(_IRI_FORBIDDEN)))}]+)>"
-_PLAIN_LINE_RE = re.compile(rf'{_IRI_BODY} {_IRI_BODY} (?:{_IRI_BODY}|"([^"\\]*)") \.(?:\r?\n)?')
+# The line regex. Its groups are the subject's IRI body or blank-node key,
+# the predicate's IRI body and the object's IRI body. Every character class
+# excludes the lone surrogates; an IRI body's, built from _IRI_FORBIDDEN,
+# excludes exactly what Term rejects, a leading "_:" included, so each row
+# is one a triple could project to.
+_IRI_CHARS = f"[^{''.join(map(re.escape, sorted(_IRI_FORBIDDEN)))}{_SURROGATES}]"
+_IRI_BODY = rf"<(?!_:)({_IRI_CHARS}+)>"
+_PLAIN_LINE_RE = re.compile(
+    rf"(?:{_IRI_BODY}|(_:{_BLANK_LABEL})) {_IRI_BODY} (?:{_IRI_BODY}|_:{_BLANK_LABEL}|"
+    rf'"[^"\\{_SURROGATES}]*"(?:@{_LANG_TAG}|\^\^<(?!_:){_IRI_CHARS}+>)?) \.(?:\r?\n)?'
+)
 _ECHAR = {"t": "\t", "b": "\b", "n": "\n", "r": "\r", "f": "\f", '"': '"', "'": "'", "\\": "\\"}
 _LITERAL_ESCAPES = {c: f"\\u{c:04X}" for c in range(0x20)} | str.maketrans(
     {"\\": "\\\\", '"': '\\"', "\n": "\\n", "\r": "\\r", "\t": "\\t", "\b": "\\b", "\f": "\\f"}
@@ -151,11 +152,6 @@ class Triple(_TripleFields):
     _make = classmethod(checked_make)
 
 
-# The parser's triple constructor: no checks, one tuple of every field. Only
-# for triples whose invariants the parser has already established.
-_new_triple = partial(tuple.__new__, Triple)
-
-
 class ParseReport(Record):
     """Per-batch line accounting.
 
@@ -204,11 +200,9 @@ def _unescape(text: str, start: int, body: str) -> str:
     return _ESCAPE_RE.sub(decode, body)
 
 
-def _read_iri(text: str, i: int, iris: dict[str, Term]) -> tuple[Term, int]:
+def _read_iri(text: str, i: int) -> tuple[Term, int]:
     m = _IRI_RE.match(text, i)
     body, closed = m.groups()
-    if closed and (term := iris.get(body)) is not None:
-        return term, m.end()
     # With no ">" left the IRI is unterminated, whatever its escapes hold.
     if not closed and text.find(">", m.end()) < 0:
         raise _err(text, i, "unterminated iri")
@@ -216,13 +210,12 @@ def _read_iri(text: str, i: int, iris: dict[str, Term]) -> tuple[Term, int]:
     if not closed:
         raise _err(text, m.end(), "bad escape")
     try:
-        term = iris[body] = Term(TermKind.IRI, value)
+        return Term(TermKind.IRI, value), m.end()
     except ValueError:
         raise _err(text, i, "bad iri") from None
-    return term, m.end()
 
 
-def _read_literal(text: str, i: int, iris: dict[str, Term]) -> tuple[Term, int]:
+def _read_literal(text: str, i: int) -> tuple[Term, int]:
     m = _LITERAL_RE.match(text, i)
     body, closed = m.groups()
     # Decoded first: an invalid code point before the stop is the error,
@@ -237,7 +230,7 @@ def _read_literal(text: str, i: int, iris: dict[str, Term]) -> tuple[Term, int]:
     if text[k : k + 2] == "^^":
         if text[k + 2 : k + 3] != "<":
             raise _err(text, k, "bad datatype")
-        datatype_term, k = _read_iri(text, k + 2, iris)
+        datatype_term, k = _read_iri(text, k + 2)
         datatype = datatype_term.value
     elif text[k : k + 1] == "@":
         tag = _LANG_CHARS_RE.match(text, k + 1).group()
@@ -248,7 +241,7 @@ def _read_literal(text: str, i: int, iris: dict[str, Term]) -> tuple[Term, int]:
     return Term(TermKind.LITERAL, value, language, datatype), k
 
 
-def _read_term(text: str, i: int, role: str, iris: dict[str, Term]) -> tuple[Term, int]:
+def _read_term(text: str, i: int, role: str) -> tuple[Term, int]:
     if i == len(text) or text[i] == ".":
         raise _err(text, i, f"missing {role}")
     ch = text[i]
@@ -257,14 +250,14 @@ def _read_term(text: str, i: int, role: str, iris: dict[str, Term]) -> tuple[Ter
     if role == "predicate" and ch != "<":
         raise _err(text, i, "bad predicate")
     if ch == "<":
-        return _read_iri(text, i, iris)
+        return _read_iri(text, i)
     if ch == "_" and text[i + 1 : i + 2] == ":":
         m = _BLANK_LABEL_RE.match(text, i + 2)
         if m is None:
             raise _err(text, i, "bad blank node")
         return Term(TermKind.BLANK_NODE, text[i : m.end()]), m.end()
     if ch == '"':
-        return _read_literal(text, i, iris)
+        return _read_literal(text, i)
     raise _err(text, i, f"bad {role}")
 
 
@@ -275,12 +268,6 @@ def parse_ntriple_line(line: str) -> Triple | None:
     comment lines, and raises ParseError (with byte offset and category)
     for anything else, including a line that holds a lone surrogate.
     """
-    return _scan_line(line, {})
-
-
-def _scan_line(line: str, iris: dict[str, Term]) -> Triple | None:
-    """parse_ntriple_line, sharing parsed IRIs through a cache keyed by
-    their body as written."""
     if not line.isascii():
         bad = _SURROGATE_RE.search(line)
         if bad is not None:
@@ -289,18 +276,18 @@ def _scan_line(line: str, iris: dict[str, Term]) -> Triple | None:
     i = _skip_ws(text, 0)
     if i == len(text) or text[i] == "#":
         return None
-    subject, i = _read_term(text, i, "subject", iris)
+    subject, i = _read_term(text, i, "subject")
     i = _skip_ws(text, i)
-    predicate, i = _read_term(text, i, "predicate", iris)
+    predicate, i = _read_term(text, i, "predicate")
     i = _skip_ws(text, i)
-    obj, i = _read_term(text, i, "object", iris)
+    obj, i = _read_term(text, i, "object")
     i = _skip_ws(text, i)
     if i == len(text) or text[i] != ".":
         raise _err(text, i, "missing dot")
     i = _skip_ws(text, i + 1)
     if i < len(text) and text[i] != "#":
         raise _err(text, i, "trailing garbage")
-    return _new_triple((subject, predicate, obj))
+    return Triple(subject, predicate, obj)
 
 
 def read_batch(
@@ -322,17 +309,17 @@ def read_batch(
     rows: list[tuple[str, str, str | None]] = []
     errors: list[tuple[int, str]] = []
     skipped = 0
-    iris: dict[str, Term] = {}
     strings: dict[str, str] = {}
     get, keep = strings.get, strings.setdefault
     match = _PLAIN_LINE_RE.fullmatch
     number = first_line_number - 1
     for number, line in enumerate(islice(stream, batch_size), first_line_number):
-        if line.isascii() and (m := match(line)) is not None:
-            s, p, o, _ = m.groups()
+        if (m := match(line)) is not None:
+            s, b, p, o = m.groups()
+            s = s or b
         else:
             try:
-                parsed = _scan_line(line, iris)
+                parsed = parse_ntriple_line(line)
             except ParseError as exc:
                 errors.append((number, exc.category))
                 continue

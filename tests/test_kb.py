@@ -13,6 +13,7 @@ from kbevolve.generalization import ThresholdPolicy, run_generalization_pass
 from kbevolve.kb import (
     OWL_CLASS,
     OWL_THING,
+    PROV_GENERALIZED,
     PROV_SCHEMA,
     RDF_PROPERTY,
     RDF_TYPE,
@@ -21,7 +22,7 @@ from kbevolve.kb import (
     KnowledgeBase,
     load_schema,
 )
-from kbevolve.ntriples import TermKind, parse_ntriple_line, read_batch
+from kbevolve.ntriples import _PLAIN_LINE_RE, TermKind, parse_ntriple_line, read_batch
 
 
 class TestLoadSchema:
@@ -371,6 +372,28 @@ class TestExport:
         assert "_:b1 <" in text
         reloaded = self._reload(text)
         assert "_:b1" in reloaded.instances
+
+    def test_every_line_takes_the_line_regex(self):
+        """A snapshot reloads through the line regex alone: it accepts every
+        line the export writes, for blank-node and non-ASCII instances,
+        placeholders and generalized domains."""
+        kb, _ = load_schema([subclass(CLS + "Café", OWL_THING), domain(PROP + "p", CLS + "Café")])
+        kb.add_instance_triples(
+            [
+                t(INST + "é", RDF_TYPE, CLS + "Café"),
+                t_lit(INST + "é", PROP + "p"),
+                t(INST + "é", PROP + "q", INST + "中"),
+                t("_:b1", RDF_TYPE, CLS + "Café"),
+                t_lit("_:b1", PROP + "q"),
+                t("_:b2", PROP + "q", "_:b1"),
+            ]
+        )
+        run_generalization_pass(kb, ThresholdPolicy())
+        assert kb.properties[PROP + "q"].domains == {CLS + "Café": PROV_GENERALIZED}
+        assert kb.instances[INST + "中"].placeholder
+        lines = self._export(kb).splitlines(keepends=True)
+        assert "_:b1 <" + PROP + "q> " in "".join(lines)
+        assert [line for line in lines if _PLAIN_LINE_RE.fullmatch(line) is None] == []
 
 
 # One label as a blank node, as an IRI that reads like one (raw and

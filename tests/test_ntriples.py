@@ -13,7 +13,6 @@ from kbevolve.ntriples import (
     Term,
     TermKind,
     Triple,
-    _scan_line,
     blank,
     iri,
     literal,
@@ -307,10 +306,6 @@ class TestReadBatch:
         lines = [bad, "<http://ex/s> <http://ex/p> <http://ex/o> .\n", bad]
         _, report = read_batch(iter(lines), 10)
         assert report.errors == [(1, "bad iri"), (3, "bad iri")]
-        iris = {}
-        outcomes = [_outcome(lambda line: _scan_line(line, iris), line) for line in lines]
-        assert outcomes[0] == outcomes[2] == ("bad iri", 28)
-        assert "a b" not in iris
 
     def test_escaped_and_plain_spellings_equal(self):
         lines = [
@@ -463,10 +458,16 @@ _ENDINGS = ("", "\n", "\r\n", "\r\r\n", " ", " #c")
 
 
 def _near_plain_lines(bodies):
-    """The plain-line shape over three bodies, with the object as an IRI and
-    as a literal, and with every ending."""
+    """The line regex's shape over three bodies, with the subject as an IRI
+    and as a blank node, the object as an IRI, a blank node and a plain,
+    tagged and datatyped literal, and with every ending."""
     s, p, o = bodies
-    return [f"<{s}> <{p}> {obj} .{end}" for obj in (f"<{o}>", f'"{o}"') for end in _ENDINGS]
+    return [
+        f"{subj} <{p}> {obj} .{end}"
+        for subj in (f"<{s}>", f"_:{s}")
+        for obj in (f"<{o}>", f"_:{o}", f'"{o}"', f'"{o}"@en', f'"{o}"^^<{o}>')
+        for end in _ENDINGS
+    ]
 
 
 class TestPlainLineShortcut:
@@ -481,19 +482,26 @@ class TestPlainLineShortcut:
             assert _outcome(parse_ntriple_line, line) == _outcome(oracle_parse_line, line)
 
     def test_regex_accepts_the_iris_term_accepts(self):
-        """In each position, an IRI body holding one ASCII character, or
-        starting "_:", matches the line regex exactly when Term accepts it."""
-        for body in [f"a{chr(code)}b" for code in range(0x80)] + ["_:b", "_b", "b_:"]:
+        """In each IRI position, the datatype's included, an IRI body holding
+        one ASCII character or a non-ASCII letter, or starting "_:", matches
+        the line regex exactly when Term accepts it. One holding a lone
+        surrogate, which the term scanners report as bad encoding, never
+        matches."""
+        lines = [
+            "<{}> <http://ex/p> <http://ex/o> .\n",
+            "<http://ex/s> <{}> <http://ex/o> .\n",
+            "<http://ex/s> <http://ex/p> <{}> .\n",
+            '<http://ex/s> <http://ex/p> "v"^^<{}> .\n',
+        ]
+        for body in [f"a{chr(code)}b" for code in range(0x80)] + ["_:b", "_b", "b_:", "aéb", "a中b", "a\ud800b"]:
             try:
                 iri(body)
-                accepted = True
+                accepted = "\ud800" not in body
             except ValueError:
                 accepted = False
-            for k in range(3):
-                terms = ["<http://ex/s>", "<http://ex/p>", "<http://ex/o>"]
-                terms[k] = f"<{body}>"
-                matched = _PLAIN_LINE_RE.fullmatch(" ".join(terms) + " .\n") is not None
-                assert matched == accepted, (body, k)
+            for line in lines:
+                matched = _PLAIN_LINE_RE.fullmatch(line.format(body)) is not None
+                assert matched == accepted, (body, line)
 
     @given(st.lists(_NEAR_BODIES, max_size=3))
     @settings(max_examples=300)
@@ -541,8 +549,8 @@ def _assert_checked_constructors_agree(triples):
 
 
 class TestParsedValues:
-    """The parser builds triples without the constructor's checks; each
-    must still be a value the checked constructors accept."""
+    """Each triple the parser returns is a value the checked constructors
+    accept, and equals and hashes like one built through them."""
 
     @given(_LINES)
     @settings(max_examples=1000)

@@ -18,19 +18,23 @@ of any other line. ``read_batch`` returns only what ``load_schema`` and
 ingest read of each statement: (subject key, predicate, IRI object or None)
 rows of plain strings, equal strings in one batch being one object. A key
 is a term's value, so a blank node's starts with ``_:`` and an IRI's never
-does; an object of None is a literal or a blank node. The line regex
-accepts every escape-free statement whose terms are separated by single
-spaces and which holds no lone surrogate: an IRI or blank-node subject,
-and an IRI, blank-node or literal object, the literal plain, tagged or
-datatyped. ``read_batch`` makes a row from its groups with no ``Term``
-built; it never reports an error, and every other line (escapes, tabs,
-extra spaces, comments and errors) goes through the term scanners, which
-own every error category and offset. ``parse_ntriple_line`` runs the term
-scanners on one line and returns a ``Triple``, for ``synth``, tests and
-the library API. The CLI opens files with ``errors="surrogateescape"``,
-which keeps each byte that is not UTF-8 as a lone surrogate; a line
-holding one is a ``bad encoding`` error like any other malformed line, so
-one bad byte cannot abort a run.
+does; an object of None is a literal or a blank node. A line takes one of
+three paths. The line regex accepts every escape-free statement whose
+terms are separated by single spaces and which holds no lone surrogate: an
+IRI or blank-node subject, and an IRI, blank-node or literal object, the
+literal plain, tagged or datatyped. The escaped-line pattern, tried only
+when the line regex misses, accepts the other well-formed statements:
+escaped IRIs, decoded in C and checked as ``Term`` checks them, literal
+escapes, checked but not decoded, runs of blanks and tabs around terms,
+and a trailing comment. ``read_batch`` makes a row from either pattern's
+groups with no ``Term`` built and never reports an error there; every
+other line (comments, blank lines and errors) goes through the term
+scanners, which own every error category and offset.
+``parse_ntriple_line`` runs the term scanners on one line and returns a
+``Triple``, for ``synth``, tests and the library API. The CLI opens files
+with ``errors="surrogateescape"``, which keeps each byte that is not UTF-8
+as a lone surrogate; a line holding one is a ``bad encoding`` error like
+any other malformed line, so one bad byte cannot abort a run.
 
 ``Term`` and ``Triple`` are immutable tuples. Their constructors
 (``Term(...)``, ``Triple(...)``, ``iri``, ``literal``, ``blank``, and the
@@ -43,7 +47,9 @@ through them (an IRI's ``ValueError`` is its ``bad iri``).
 from __future__ import annotations
 
 import re
+from codecs import raw_unicode_escape_decode, raw_unicode_escape_encode
 from enum import Enum
+from functools import cache
 from itertools import islice
 from typing import Iterable, Iterator, NamedTuple
 
@@ -72,11 +78,35 @@ _ESCAPE_RE = re.compile(rf"\\({_UCHAR}|.)")
 # excludes the lone surrogates; an IRI body's, built from _IRI_FORBIDDEN,
 # excludes exactly what Term rejects, a leading "_:" included, so each row
 # is one a triple could project to.
-_IRI_CHARS = f"[^{''.join(map(re.escape, sorted(_IRI_FORBIDDEN)))}{_SURROGATES}]"
+_IRI_FORBIDDEN_CHARS = "".join(map(re.escape, sorted(_IRI_FORBIDDEN)))
+_IRI_CHARS = f"[^{_IRI_FORBIDDEN_CHARS}{_SURROGATES}]"
 _IRI_BODY = rf"<(?!_:)({_IRI_CHARS}+)>"
 _PLAIN_LINE_RE = re.compile(
     rf"(?:{_IRI_BODY}|(_:{_BLANK_LABEL})) {_IRI_BODY} (?:{_IRI_BODY}|_:{_BLANK_LABEL}|"
     rf'"[^"\\{_SURROGATES}]*"(?:@{_LANG_TAG}|\^\^<(?!_:){_IRI_CHARS}+>)?) \.(?:\r?\n)?'
+)
+# The escaped-line pattern. Its groups are the line regex's, then the
+# datatype's IRI body. Its classes admit lone surrogates and its IRI
+# escapes may name any code point: _escaped_row rejects those lines, as
+# classes without the surrogates would take 1 ms more to compile. A
+# literal's escapes are checked here, as no row holds a literal.
+_ESCAPED_IRI_BODY = rf"[^{_IRI_FORBIDDEN_CHARS}]*(?:\\(?:{_UCHAR})[^{_IRI_FORBIDDEN_CHARS}]*)*"
+
+
+def _escaped_iri(group: str) -> str:
+    # The lookahead takes the body whole, as an atomic group would (Python
+    # 3.10 has none), so a malformed line does not backtrack through it
+    # character by character: this makes such lines fail 3 times faster.
+    return rf"<(?!_:|>)(?=(?P<{group}>{_ESCAPED_IRI_BODY}))(?P={group})>"
+
+
+_NOT_SURROGATE = r"(?![Dd][89A-Fa-f])[0-9A-Fa-f]{4}"
+_CODE_POINT = rf"u{_NOT_SURROGATE}|U(?:0000{_NOT_SURROGATE}|00(?:0[1-9A-Fa-f]|10)[0-9A-Fa-f]{{4}})"
+_ESCAPED_LITERAL = rf'''"[^"\\]*(?:\\(?:[tbnrf"'\\]|{_CODE_POINT})[^"\\]*)*"'''
+_ESCAPED_LINE = (
+    rf"[ \t]*(?:{_escaped_iri('s')}|(_:{_BLANK_LABEL}))[ \t]*{_escaped_iri('p')}[ \t]*"
+    rf"(?:{_escaped_iri('o')}|_:{_BLANK_LABEL}|{_ESCAPED_LITERAL}(?:@{_LANG_TAG}|\^\^{_escaped_iri('d')})?)"
+    rf"[ \t]*\.[ \t]*(?:(?s:#.*)|[\r\n]*)"
 )
 _ECHAR = {"t": "\t", "b": "\b", "n": "\n", "r": "\r", "f": "\f", '"': '"', "'": "'", "\\": "\\"}
 _LITERAL_ESCAPES = {c: f"\\u{c:04X}" for c in range(0x20)} | str.maketrans(
@@ -290,6 +320,40 @@ def parse_ntriple_line(line: str) -> Triple | None:
     return Triple(subject, predicate, obj)
 
 
+@cache
+def _escaped_line_re() -> re.Pattern[str]:
+    return re.compile(_ESCAPED_LINE)
+
+
+def _decoded_iri(body: str) -> str:
+    """An escaped-line IRI body with its escapes decoded in C. Raises
+    ValueError (UnicodeDecodeError for a code point above U+10FFFF) for a
+    value that holds a surrogate or that Term would reject as an IRI:
+    Term's check is repeated here, as building a Term costs more than the
+    decode."""
+    if "\\" not in body:
+        return body
+    value = raw_unicode_escape_decode(raw_unicode_escape_encode(body)[0])[0]
+    if value[:2] == "_:" or not _IRI_FORBIDDEN.isdisjoint(value) or _SURROGATE_RE.search(value):
+        raise ValueError(f"invalid IRI: {value!r}")
+    return value
+
+
+def _escaped_row(line: str) -> tuple[str, str, str | None] | None:
+    """The row of a line that the escaped-line pattern matches whole, that
+    holds no lone surrogate and whose escaped IRIs decode to IRIs, else
+    None: that line is left to the term scanners."""
+    m = _escaped_line_re().fullmatch(line)
+    if m is None or not line.isascii() and _SURROGATE_RE.search(line):
+        return None
+    s, b, p, o, d = m.groups()
+    try:
+        s, p, o, _ = [body and _decoded_iri(body) for body in (s, p, o, d)]
+    except ValueError:
+        return None
+    return s or b, p, o
+
+
 def read_batch(
     stream: Iterable[str] | Iterator[str],
     batch_size: int,
@@ -298,11 +362,13 @@ def read_batch(
     """Consume up to batch_size lines and parse them into rows.
 
     Each row is triple_to_row of the line's triple, and equal strings in
-    one batch's rows are one object. The batch unit is lines, not triples:
-    malformed, blank, and comment lines all consume budget. Repeated calls
-    on the same stream resume where the previous call stopped. An I/O
-    failure while reading aborts the whole batch; the partial result is
-    discarded and the error propagates.
+    one batch's rows are one object. A line takes the line regex, else the
+    escaped-line pattern, compiled on the first line that reaches it, else
+    the term scanners. The batch unit is lines, not triples: malformed,
+    blank, and comment lines all consume budget. Repeated calls on the
+    same stream resume where the previous call stopped. An I/O failure
+    while reading aborts the whole batch; the partial result is discarded
+    and the error propagates.
     """
     if batch_size < 1:
         raise ValueError("batch_size must be >= 1")
@@ -317,6 +383,8 @@ def read_batch(
         if (m := match(line)) is not None:
             s, b, p, o = m.groups()
             s = s or b
+        elif (row := _escaped_row(line)) is not None:
+            s, p, o = row
         else:
             try:
                 parsed = parse_ntriple_line(line)

@@ -1,6 +1,7 @@
 """Parser, batching, and serialization tests."""
 
 import io
+from unittest.mock import ANY
 
 import pytest
 from hypothesis import given, settings
@@ -9,6 +10,8 @@ from hypothesis import strategies as st
 from kbevolve.errors import ParseError
 from kbevolve.ntriples import (
     _PLAIN_LINE_RE,
+    _escaped_line_re,
+    _escaped_row,
     ParseReport,
     Term,
     TermKind,
@@ -412,7 +415,17 @@ _PIECES = st.sampled_from(
         " ", "\t", "^^", "@", "en", "_:", "b", "#", ".", "\ud800", "é",
     ]
 )
-_ESCAPES = st.sampled_from(["\\u0041", "\\uD800", "\\U00110000", "\\u-001", "\\q", '\\"'])
+# Escapes well formed and malformed: code points at the edges of the
+# surrogates and of U+10FFFF, escaped characters an IRI forbids or that
+# spell a blank node's "_:", a surrogate pair, backslashes before a raw
+# character, and escaped backslashes before "u0041".
+_ESCAPES = st.sampled_from(
+    [
+        "\\u0041", "\\uD7FF", "\\uD800", "\\uDFFF", "\\uE000", "\\U0000D800", "\\U0010FFFF", "\\U00110000",
+        "\\u0020", "\\u003E", "\\u005C", "\\u005F:", "\\uD83D\\uDE00", "\\é", "\\中", "\\\\u0041",
+        "\\\\\\u0041", "\\u-001", "\\q", '\\"',
+    ]
+)
 _SOUP = st.lists(st.one_of(_PIECES, _ESCAPES), max_size=6).map("".join)
 _OPENED = st.tuples(st.sampled_from(["<", '"', "_:"]), _SOUP, st.sampled_from([">", '"', ""])).map("".join)
 _SEP = st.sampled_from(["", " ", "\t "])
@@ -448,13 +461,14 @@ class TestMatchesWalker:
 # Term bodies for lines of the plain-line regex's shape. A body may hold one
 # piece that keeps its line off that regex.
 _PLAIN_BODY = st.lists(st.sampled_from(["a", "b", "/", ":", "#", ".", "0", "_"]), max_size=3).map("".join)
-_AWKWARD_PIECE = st.sampled_from(
-    ['"', "\r", "\t", " ", "<", ">", "é", "\ud800", "\\", "\\u0041", "\\n", '\\"']
+_AWKWARD_PIECE = st.one_of(
+    st.sampled_from(['"', "\r", "\t", " ", "<", ">", "é", "\ud800", "\\", "\\n"]), _ESCAPES
 )
 _NEAR_BODY = st.tuples(_PLAIN_BODY, st.one_of(st.just(""), _AWKWARD_PIECE), _PLAIN_BODY).map("".join)
 _NEAR_BODIES = st.tuples(_NEAR_BODY, _NEAR_BODY, _NEAR_BODY)
-# Endings the regex accepts, then endings it leaves to the term scanners.
-_ENDINGS = ("", "\n", "\r\n", "\r\r\n", " ", " #c")
+# Endings the line regex accepts, then endings it leaves to the
+# escaped-line pattern or to the term scanners.
+_ENDINGS = ("", "\n", "\r\n", "\r\r\n", " ", " #c", "\t# c\n", " # \udcff\n", " x\n")
 
 
 def _near_plain_lines(bodies):
@@ -502,6 +516,36 @@ class TestPlainLineShortcut:
             for line in lines:
                 matched = _PLAIN_LINE_RE.fullmatch(line.format(body)) is not None
                 assert matched == accepted, (body, line)
+
+    def test_escaped_iris_decode_to_the_iris_term_accepts(self):
+        """In each IRI position, an IRI body holding one escaped ASCII
+        character, non-ASCII letter, code point at the edge of the
+        surrogates or of U+10FFFF, or an escaped leading "_:", gives the
+        row of the term scanners' triple exactly when its value is one Term
+        accepts; otherwise read_batch leaves the line to the scanners, which
+        reject it."""
+        lines = [
+            "<{}> <http://ex/p> <http://ex/o> .\n",
+            "<http://ex/s> <{}> <http://ex/o> .\n",
+            "<http://ex/s> <http://ex/p> <{}> .\n",
+            '<http://ex/s> <http://ex/p> "v"^^<{}> .\n',
+        ]
+        codes = [*range(0x80), 0xE9, 0x4E2D, 0xD7FF, 0xD800, 0xDFFF, 0xE000, 0x10FFFF, 0x110000]
+        escaped = [f"a\\u{code:04X}b" for code in codes if code <= 0xFFFF] + [f"a\\U{code:08X}b" for code in codes]
+        for body in escaped + ["\\u005F:b", "_\\u003Ab", "\\u005Fb"]:
+            try:
+                value = body.encode().decode("unicode_escape")
+                iri(value)
+                accepted = not any(0xD800 <= ord(c) <= 0xDFFF for c in value)
+            except ValueError:
+                accepted = False
+            for line in lines:
+                line = line.format(body)
+                assert _PLAIN_LINE_RE.fullmatch(line) is None
+                expected = _parse_lines([line], 1)
+                assert read_batch(iter([line]), 1) == expected
+                assert (expected[0] != []) == accepted, (body, line)
+                assert (_escaped_row(line) is not None) == accepted, (body, line)
 
     @given(st.lists(_NEAR_BODIES, max_size=3))
     @settings(max_examples=300)
@@ -626,18 +670,33 @@ ERROR_LINES = {
     "trailing garbage": "<http://ex/s> <http://ex/p> <http://ex/o> . x\n",
 }
 # Statements over a few terms, so that strings repeat within a batch: escaped
-# and plain spellings of one IRI, blank nodes, non-ASCII IRIs, and literals
-# plain, escaped, tagged, datatyped and holding a lone surrogate.
-_ROW_SUBJECTS = ["<http://ex/s>", "<http://ex/\\u0073>", "<http://ex/o>", "_:b", "<http://ex/é>"]
-_ROW_PREDICATES = ["<http://ex/p>", "<http://ex/\\u0070>", "<http://ex/q>"]
-_ROW_OBJECTS = _ROW_SUBJECTS + ['"v"', '"v\\n"', '"é"', '"v"@en', '"v"^^<http://ex/d>', '"\udcff"', "<_:a>"]
+# and plain spellings of one IRI, blank nodes, non-ASCII IRIs, IRIs whose
+# escapes name a code point out of range or a character an IRI forbids, and
+# literals plain, escaped, tagged, datatyped and holding a lone surrogate or
+# an escape at the edge of the code points. Terms are separated by blanks
+# and tabs, after optional leading blanks, and a comment may follow the dot.
+_ROW_SUBJECTS = [
+    "<http://ex/s>", "<http://ex/\\u0073>", "<http://ex/o>", "_:b", "<http://ex/é>", "<http://ex/\\u00E9>",
+    "<\\u005F:b>", "<http://ex/\\uD800>",
+]
+_ROW_PREDICATES = [
+    "<http://ex/p>", "<http://ex/\\u0070>", "<http://ex/q>", "<http://ex/\\U00000070>", "<http://ex/\\u0020>",
+]
+_ROW_OBJECTS = _ROW_SUBJECTS + [
+    '"v"', '"v\\n"', '"é"', '"v"@en', '"v"^^<http://ex/d>', '"\udcff"', "<_:a>", "<http://ex/\\U0010FFFF>",
+    "<http://ex/\\U00110000>", "<http://ex/\\u003E>", "<http://ex/\\u005C>", "<http://ex/\\uD83D\\uDE00>",
+    '"\\uD7FF\\uE000\\U0010FFFF"', '"\\uDFFF"', '"\\U0000D800"', '"\\U00110000"', '"\\\\u0041\\\\\\u0041"',
+    '"\\é"', "<http://ex/\\中>", '"v"^^<http://ex/\\u0064>', '"v"^^<http://ex/\\u003E>',
+]
+_SEPARATORS = [" ", "\t", "  \t"]
 _STATEMENTS = st.tuples(
+    st.sampled_from(["", " \t"]),
     st.sampled_from(_ROW_SUBJECTS),
-    st.sampled_from([" ", "\t"]),
+    st.sampled_from(_SEPARATORS),
     st.sampled_from(_ROW_PREDICATES),
-    st.sampled_from([" ", "\t"]),
+    st.sampled_from(_SEPARATORS),
     st.sampled_from(_ROW_OBJECTS),
-    st.sampled_from([" .\n", " .", ".\n", " . # c\n", " .\r\n"]),
+    st.sampled_from([" .\n", " .", ".\n", " . # c\n", " .\r\n", "\t.\t#\tc\r\n", " . # \udcff\n", " .\r\r\n"]),
 ).map("".join)
 _ROW_LINES = st.one_of(
     _STATEMENTS,
@@ -667,6 +726,68 @@ class TestReadRows:
             shared = {}
             assert all(shared.setdefault(v, v) is v for row in rows for v in row if v is not None)
             number += report.lines_read
+
+    def test_new_line_shapes_take_the_escaped_line_pattern(self):
+        """Escaped IRIs, literal escapes, blank and tab runs and trailing
+        comments miss the line regex and give their row from the
+        escaped-line pattern, not from the term scanners."""
+        lines = [
+            "<http://ex/\\u0073> <http://ex/p> <http://ex/o> .\n",
+            "<http://ex/s> <http://ex/\\U00000070> <http://ex/o> .\n",
+            "<http://ex/s> <http://ex/p> <http://ex/\\u00E9\\U0001F600> .\n",
+            '<http://ex/s> <http://ex/p> "v"^^<http://ex/\\u0064> .\n',
+            '_:b <http://ex/p> "\\uD7FF\\uE000\\U0010FFFF\\n\\t\\"\\\\\\\\u0041\\\\\\u0041"@en .\n',
+            "<http://ex/s>\t<http://ex/p>\t_:o\t.\n",
+            " \t<http://ex/s>  <http://ex/p>   <http://ex/o>  .  \r\r\n",
+            "<http://ex/s><http://ex/p><http://ex/o>.\n",
+            '<http://ex/s> <http://ex/p> "é" . # a comment\n',
+            "<http://ex/s> <http://ex/p> <http://ex/o> .\t#\n",
+        ]
+        for line in lines:
+            assert _PLAIN_LINE_RE.fullmatch(line) is None, line
+            assert _escaped_line_re().fullmatch(line) is not None, line
+            (row,), _ = _parse_lines([line], 1)
+            assert _escaped_row(line) == row, line
+
+    @pytest.mark.parametrize(
+        "line",
+        [
+            *ERROR_LINES.values(),
+            "<http://ex/s> <http://ex/p> <http://ex/o> . # \udcff\n",
+            '<http://ex/s>\t<http://ex/p> "\udcff" .\n',
+            "<\\u005F:x> <http://ex/p> <http://ex/o> .\n",
+            "<http://ex/s> <http://ex/a\\u0020b> <http://ex/o> .\n",
+            '<http://ex/s> <http://ex/p> "\\uD800" .\n',
+            '<http://ex/s> <http://ex/p> "\\U0000DFFF" .\n',
+            "<http://ex/\\U00110000> <http://ex/p> <http://ex/o> .\n",
+            "<http://ex/s> <http://ex/p> <http://ex/\\uD83D\\uDE00> .\n",
+            "<http://ex/\\中> <http://ex/p> <http://ex/o> .\n",
+            '<http://ex/s> <http://ex/p> "\\é" .\n',
+        ],
+    )
+    def test_errors_take_the_term_scanners(self, line):
+        """A malformed line, or one holding a lone surrogate, takes neither
+        pattern's path: the term scanners report it."""
+        assert _PLAIN_LINE_RE.fullmatch(line) is None
+        assert _escaped_row(line) is None
+        assert _parse_lines([line], 1)[1].errors == [(1, ANY)]
+
+    def test_plain_lines_never_compile_the_escaped_line_pattern(self, monkeypatch):
+        def compile_pattern():
+            raise AssertionError("escaped-line pattern compiled")
+
+        monkeypatch.setattr("kbevolve.ntriples._escaped_line_re", compile_pattern)
+        lines = [
+            "<http://ex/s> <http://ex/p> <http://ex/o> .\n",
+            '_:b <http://ex/p> "v" .\n',
+            "<http://ex/é> <http://ex/p> _:o .\r\n",
+            '<http://ex/s> <http://ex/中> "v"@en-GB .',
+            '<http://ex/s> <http://ex/p> "v"^^<http://ex/d> .\n',
+        ]
+        rows, report = read_batch(iter(lines), 10)
+        assert len(rows) == report.lines_read == 5
+        with pytest.raises(AssertionError, match="compiled"):
+            read_batch(iter(["<http://ex/\\u0073> <http://ex/p> <http://ex/o> .\n"]), 1)
 
     def test_equal_strings_are_one_object(self):
         lines = [

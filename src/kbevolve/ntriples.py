@@ -19,11 +19,14 @@ ingest read of each statement: (subject key, predicate, IRI object or None)
 rows of plain strings, equal strings in one batch being one object. A key
 is a term's value, so a blank node's starts with ``_:`` and an IRI's never
 does; an object of None is a literal or a blank node. A line takes one of
-three paths. The line regex accepts every escape-free statement whose
+three paths. The plain path accepts every escape-free statement whose
 terms are separated by single spaces and which holds no lone surrogate: an
 IRI or blank-node subject, and an IRI, blank-node or literal object, the
-literal plain, tagged or datatyped. The escaped-line pattern, tried only
-when the line regex misses, accepts the other well-formed statements:
+literal plain, tagged or datatyped. Its line regex checks the statement's
+shape, an IRI body running to the next ``>``, and ``read_batch`` checks
+each key the first time a batch sees it, as ``Term`` checks an IRI and for
+lone surrogates. The escaped-line pattern, tried only when the plain path
+refuses a line, accepts the other well-formed statements:
 escaped IRIs, decoded in C and checked as ``Term`` checks them, literal
 escapes, checked but not decoded, runs of blanks and tabs around terms,
 and a trailing comment. ``read_batch`` makes a row from either pattern's
@@ -73,23 +76,23 @@ _UCHAR = r"u[0-9A-Fa-f]{4}|U[0-9A-Fa-f]{8}"
 _IRI_RE = re.compile(rf"<([^>\\]*(?:\\(?:{_UCHAR})[^>\\]*)*)(>?)")
 _LITERAL_RE = re.compile(rf'''"([^"\\]*(?:\\(?:[tbnrf"'\\]|{_UCHAR})[^"\\]*)*)("?)''')
 _ESCAPE_RE = re.compile(rf"\\({_UCHAR}|.)")
-# The line regex. Its groups are the subject's IRI body or blank-node key,
-# the predicate's IRI body and the object's IRI body. Every character class
-# excludes the lone surrogates; an IRI body's, built from _IRI_FORBIDDEN,
-# excludes exactly what Term rejects, a leading "_:" included, so each row
-# is one a triple could project to.
-_IRI_FORBIDDEN_CHARS = "".join(map(re.escape, sorted(_IRI_FORBIDDEN)))
-_IRI_CHARS = f"[^{_IRI_FORBIDDEN_CHARS}{_SURROGATES}]"
-_IRI_BODY = rf"<(?!_:)({_IRI_CHARS}+)>"
+# The line regex checks only a statement's shape. Its groups are the
+# subject's IRI body or blank-node key, the predicate's, the object's and the
+# datatype's IRI bodies. An IRI body runs to the next ">", which sre scans
+# far faster than a class of several characters, and never starts with
+# "_:", so it never equals a blank node's key; read_batch checks each body
+# the first time a batch sees it (_plain_key). The literal's class excludes
+# the lone surrogates.
 _PLAIN_LINE_RE = re.compile(
-    rf"(?:{_IRI_BODY}|(_:{_BLANK_LABEL})) {_IRI_BODY} (?:{_IRI_BODY}|_:{_BLANK_LABEL}|"
-    rf'"[^"\\{_SURROGATES}]*"(?:@{_LANG_TAG}|\^\^<(?!_:){_IRI_CHARS}+>)?) \.(?:\r?\n)?'
+    rf"(?:<(?!_:)([^>]+)>|(_:{_BLANK_LABEL})) <(?!_:)([^>]+)> (?:<(?!_:)([^>]+)>|_:{_BLANK_LABEL}|"
+    rf'"[^"\\{_SURROGATES}]*"(?:@{_LANG_TAG}|\^\^<(?!_:)([^>]+)>)?) \.(?:\r?\n)?'
 )
-# The escaped-line pattern. Its groups are the line regex's, then the
-# datatype's IRI body. Its classes admit lone surrogates and its IRI
-# escapes may name any code point: _escaped_row rejects those lines, as
-# classes without the surrogates would take 1 ms more to compile. A
-# literal's escapes are checked here, as no row holds a literal.
+# The escaped-line pattern. Its groups are the line regex's. Its classes
+# admit lone surrogates and its IRI escapes may name any code point:
+# _escaped_row rejects those lines, as classes without the surrogates would
+# take 1 ms more to compile. A literal's escapes are checked here, as no
+# row holds a literal.
+_IRI_FORBIDDEN_CHARS = "".join(map(re.escape, sorted(_IRI_FORBIDDEN)))
 _ESCAPED_IRI_BODY = rf"[^{_IRI_FORBIDDEN_CHARS}]*(?:\\(?:{_UCHAR})[^{_IRI_FORBIDDEN_CHARS}]*)*"
 
 
@@ -112,6 +115,23 @@ _ECHAR = {"t": "\t", "b": "\b", "n": "\n", "r": "\r", "f": "\f", '"': '"', "'": 
 _LITERAL_ESCAPES = {c: f"\\u{c:04X}" for c in range(0x20)} | str.maketrans(
     {"\\": "\\\\", '"': '\\"', "\n": "\\n", "\r": "\\r", "\t": "\\t", "\b": "\\b", "\f": "\\f"}
 )
+
+
+def _is_iri(value: str) -> bool:
+    """Term's IRI rule: not empty, not starting with a blank node's "_:",
+    and holding none of U+0000 to U+0020, "<", ">" and "\\"."""
+    return value != "" and value[:2] != "_:" and _IRI_FORBIDDEN.isdisjoint(value)
+
+
+def _plain_key(key: str) -> bool:
+    """Whether a group of the line regex is a key a row may hold: a blank
+    node's key, as its label's class ensures, or an IRI body that Term
+    accepts and that holds no lone surrogate. A printable string holds no
+    surrogate and nothing below U+0021 but the blank, and an IRI body holds
+    no ">" and never starts with "_:", so for one three searches decide."""
+    if key.isprintable():
+        return " " not in key and "<" not in key and "\\" not in key
+    return _is_iri(key) and not _SURROGATE_RE.search(key)
 
 
 class TermKind(Enum):
@@ -142,7 +162,7 @@ class Term(_TermFields):
                 raise ValueError("only literals carry a language tag or datatype")
         elif language_tag is not None and datatype_iri is not None:
             raise ValueError("language tag and datatype are mutually exclusive")
-        if kind is TermKind.IRI and (not value or value[:2] == "_:" or not _IRI_FORBIDDEN.isdisjoint(value)):
+        if kind is TermKind.IRI and not _is_iri(value):
             raise ValueError(f"invalid IRI: {value!r}")
         if kind is TermKind.BLANK_NODE and (not value.startswith("_:") or len(value) == 2):
             raise ValueError(f"invalid blank node: {value!r}")
@@ -328,13 +348,12 @@ def _escaped_line_re() -> re.Pattern[str]:
 def _decoded_iri(body: str) -> str:
     """An escaped-line IRI body with its escapes decoded in C. Raises
     ValueError (UnicodeDecodeError for a code point above U+10FFFF) for a
-    value that holds a surrogate or that Term would reject as an IRI:
-    Term's check is repeated here, as building a Term costs more than the
-    decode."""
+    value that holds a surrogate or that Term would reject as an IRI: Term's
+    rule is applied here, as building a Term costs more than the decode."""
     if "\\" not in body:
         return body
     value = raw_unicode_escape_decode(raw_unicode_escape_encode(body)[0])[0]
-    if value[:2] == "_:" or not _IRI_FORBIDDEN.isdisjoint(value) or _SURROGATE_RE.search(value):
+    if not _is_iri(value) or _SURROGATE_RE.search(value):
         raise ValueError(f"invalid IRI: {value!r}")
     return value
 
@@ -362,13 +381,15 @@ def read_batch(
     """Consume up to batch_size lines and parse them into rows.
 
     Each row is triple_to_row of the line's triple, and equal strings in
-    one batch's rows are one object. A line takes the line regex, else the
+    one batch's rows are one object. A line takes the plain path, else the
     escaped-line pattern, compiled on the first line that reaches it, else
-    the term scanners. The batch unit is lines, not triples: malformed,
-    blank, and comment lines all consume budget. Repeated calls on the
-    same stream resume where the previous call stopped. An I/O failure
-    while reading aborts the whole batch; the partial result is discarded
-    and the error propagates.
+    the term scanners. The plain path is the line regex, then a check of
+    each key the batch has not seen yet: only checked keys are interned, so
+    a key seen before needs none. The batch unit is lines, not triples:
+    malformed, blank, and comment lines all consume budget. Repeated calls
+    on the same stream resume where the previous call stopped. An I/O
+    failure while reading aborts the whole batch; the partial result is
+    discarded and the error propagates.
     """
     if batch_size < 1:
         raise ValueError("batch_size must be >= 1")
@@ -377,13 +398,25 @@ def read_batch(
     skipped = 0
     strings: dict[str, str] = {}
     get, keep = strings.get, strings.setdefault
+
+    def checked(key: str) -> str | None:
+        return keep(key, key) if _plain_key(key) else None
+
     match = _PLAIN_LINE_RE.fullmatch
     number = first_line_number - 1
     for number, line in enumerate(islice(stream, batch_size), first_line_number):
         if (m := match(line)) is not None:
-            s, b, p, o = m.groups()
+            s, b, p, o, d = m.groups()
             s = s or b
-        elif (row := _escaped_row(line)) is not None:
+            if (
+                (s := get(s) or checked(s))
+                and (p := get(p) or checked(p))
+                and (o is None or (o := get(o) or checked(o)))
+                and (d is None or get(d) or checked(d))
+            ):
+                rows.append((s, p, o))
+                continue
+        if (row := _escaped_row(line)) is not None:
             s, p, o = row
         else:
             try:

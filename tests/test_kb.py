@@ -22,7 +22,7 @@ from kbevolve.kb import (
     KnowledgeBase,
     load_schema,
 )
-from kbevolve.ntriples import _PLAIN_LINE_RE, TermKind, parse_ntriple_line, read_batch
+from kbevolve.ntriples import _PLAIN_LINE_RE, TermKind, _plain_key, parse_ntriple_line, read_batch
 
 
 class TestLoadSchema:
@@ -374,9 +374,10 @@ class TestExport:
         assert "_:b1" in reloaded.instances
 
     def test_every_line_takes_the_line_regex(self):
-        """A snapshot reloads through the line regex alone: it accepts every
-        line the export writes, for blank-node and non-ASCII instances,
-        placeholders and generalized domains."""
+        """A snapshot reloads through the plain path alone: the line regex
+        matches every line the export writes, for blank-node and non-ASCII
+        instances, placeholders and generalized domains, and every key it
+        holds passes the check."""
         kb, _ = load_schema([subclass(CLS + "Café", OWL_THING), domain(PROP + "p", CLS + "Café")])
         kb.add_instance_triples(
             [
@@ -394,6 +395,7 @@ class TestExport:
         lines = self._export(kb).splitlines(keepends=True)
         assert "_:b1 <" + PROP + "q> " in "".join(lines)
         assert [line for line in lines if _PLAIN_LINE_RE.fullmatch(line) is None] == []
+        assert all(_plain_key(key) for line in lines for key in _PLAIN_LINE_RE.fullmatch(line).groups() if key)
 
 
 # One label as a blank node, as an IRI that reads like one (raw and

@@ -1,7 +1,7 @@
 """Parser, batching, and serialization tests."""
 
 import io
-from unittest.mock import ANY
+from unittest.mock import ANY, patch
 
 import pytest
 from hypothesis import given, settings
@@ -305,10 +305,24 @@ class TestReadBatch:
         assert all(p is rows[0][1] for _, p, _ in rows)
 
     def test_failed_token_is_never_shared(self):
+        """A bad IRI body that the line regex matches, on two lines of one
+        batch in each IRI position, makes both lines errors: a key that
+        fails its check is never interned."""
         bad = "<http://ex/s> <http://ex/p> <a b> .\n"
         lines = [bad, "<http://ex/s> <http://ex/p> <http://ex/o> .\n", bad]
         _, report = read_batch(iter(lines), 10)
         assert report.errors == [(1, "bad iri"), (3, "bad iri")]
+        for body in ["a b", "a<b", "a\\b", "a\tb", "a\x01b", "a\ud800b"]:
+            for line in [
+                f"<{body}> <http://ex/p> <http://ex/o> .\n",
+                f"<http://ex/s> <{body}> <http://ex/o> .\n",
+                f"<http://ex/s> <http://ex/p> <{body}> .\n",
+                f'<http://ex/s> <http://ex/p> "v"^^<{body}> .\n',
+            ]:
+                assert _PLAIN_LINE_RE.fullmatch(line) is not None
+                rows, report = read_batch(iter([line, line]), 2)
+                assert (rows, report) == _parse_lines([line, line], 1)
+                assert rows == [] and len(report.errors) == 2, line
 
     def test_escaped_and_plain_spellings_equal(self):
         lines = [
@@ -459,10 +473,14 @@ class TestMatchesWalker:
 
 
 # Term bodies for lines of the plain-line regex's shape. A body may hold one
-# piece that keeps its line off that regex.
+# piece that keeps its line off the plain path, or one that is not printable
+# and that the key check accepts by Term's rule (DEL, U+0085, U+00A0, U+2028).
 _PLAIN_BODY = st.lists(st.sampled_from(["a", "b", "/", ":", "#", ".", "0", "_"]), max_size=3).map("".join)
 _AWKWARD_PIECE = st.one_of(
-    st.sampled_from(['"', "\r", "\t", " ", "<", ">", "é", "\ud800", "\\", "\\n"]), _ESCAPES
+    st.sampled_from(
+        ['"', "\r", "\t", " ", "<", ">", "é", "\ud800", "\\", "\\n", "\x01", "\x7f", "\x85", "\xa0", "\u2028"]
+    ),
+    _ESCAPES,
 )
 _NEAR_BODY = st.tuples(_PLAIN_BODY, st.one_of(st.just(""), _AWKWARD_PIECE), _PLAIN_BODY).map("".join)
 _NEAR_BODIES = st.tuples(_NEAR_BODY, _NEAR_BODY, _NEAR_BODY)
@@ -495,27 +513,35 @@ class TestPlainLineShortcut:
         for line in _near_plain_lines(bodies):
             assert _outcome(parse_ntriple_line, line) == _outcome(oracle_parse_line, line)
 
-    def test_regex_accepts_the_iris_term_accepts(self):
+    def test_plain_path_accepts_the_iris_term_accepts(self):
         """In each IRI position, the datatype's included, an IRI body holding
-        one ASCII character or a non-ASCII letter, or starting "_:", matches
-        the line regex exactly when Term accepts it. One holding a lone
-        surrogate, which the term scanners report as bad encoding, never
-        matches."""
+        one ASCII character, a non-ASCII letter or one that is not printable
+        (U+0085, U+00A0, U+2028), or starting "_:", takes the plain path
+        exactly when Term accepts it, and then gives the term scanners' row.
+        The line regex matches every such body but one holding ">" or
+        starting "_:"; the check of a key leaves the rest (a blank, "<",
+        "\\", a control character, or a lone surrogate, which the term
+        scanners report as bad encoding) to the other paths."""
         lines = [
             "<{}> <http://ex/p> <http://ex/o> .\n",
             "<http://ex/s> <{}> <http://ex/o> .\n",
             "<http://ex/s> <http://ex/p> <{}> .\n",
             '<http://ex/s> <http://ex/p> "v"^^<{}> .\n',
         ]
-        for body in [f"a{chr(code)}b" for code in range(0x80)] + ["_:b", "_b", "b_:", "aéb", "a中b", "a\ud800b"]:
+        bodies = [f"a{chr(code)}b" for code in (*range(0x80), 0x85, 0xA0, 0x2028)]
+        for body in bodies + ["_:b", "_b", "b_:", "aéb", "a中b", "a\ud800b"]:
             try:
                 iri(body)
                 accepted = "\ud800" not in body
             except ValueError:
                 accepted = False
             for line in lines:
-                matched = _PLAIN_LINE_RE.fullmatch(line.format(body)) is not None
-                assert matched == accepted, (body, line)
+                line = line.format(body)
+                matched = _PLAIN_LINE_RE.fullmatch(line) is not None
+                assert matched == (">" not in body and body[:2] != "_:"), (body, line)
+                expected = _parse_lines([line], 1)
+                assert read_batch(iter([line]), 1) == expected
+                assert _plain_rows([line]) == (expected[0] if accepted else []), (body, line)
 
     def test_escaped_iris_decode_to_the_iris_term_accepts(self):
         """In each IRI position, an IRI body holding one escaped ASCII
@@ -541,7 +567,7 @@ class TestPlainLineShortcut:
                 accepted = False
             for line in lines:
                 line = line.format(body)
-                assert _PLAIN_LINE_RE.fullmatch(line) is None
+                assert _plain_rows([line]) == []
                 expected = _parse_lines([line], 1)
                 assert read_batch(iter([line]), 1) == expected
                 assert (expected[0] != []) == accepted, (body, line)
@@ -552,6 +578,18 @@ class TestPlainLineShortcut:
     def test_batch_equals_line_by_line(self, line_bodies):
         lines = [line for bodies in line_bodies for line in _near_plain_lines(bodies)]
         assert read_batch(iter(lines), max(1, len(lines))) == _parse_lines(lines, 1)
+
+
+def _plain_rows(lines):
+    """The rows read_batch gives lines in one batch with the escaped-line
+    pattern and the term scanners shut off: those of the lines that take the
+    plain path, the line regex and the check of each key the batch has not
+    seen yet."""
+    with patch("kbevolve.ntriples._escaped_row", return_value=None), patch(
+        "kbevolve.ntriples.parse_ntriple_line", side_effect=ParseError("shut off", 0)
+    ):
+        rows, _ = read_batch(iter(lines), max(1, len(lines)))
+    return rows
 
 
 def _parse_lines(lines, first_line_number):
@@ -744,7 +782,7 @@ class TestReadRows:
             "<http://ex/s> <http://ex/p> <http://ex/o> .\t#\n",
         ]
         for line in lines:
-            assert _PLAIN_LINE_RE.fullmatch(line) is None, line
+            assert _plain_rows([line]) == [], line
             assert _escaped_line_re().fullmatch(line) is not None, line
             (row,), _ = _parse_lines([line], 1)
             assert _escaped_row(line) == row, line
@@ -768,9 +806,22 @@ class TestReadRows:
     def test_errors_take_the_term_scanners(self, line):
         """A malformed line, or one holding a lone surrogate, takes neither
         pattern's path: the term scanners report it."""
-        assert _PLAIN_LINE_RE.fullmatch(line) is None
+        assert _plain_rows([line]) == []
         assert _escaped_row(line) is None
         assert _parse_lines([line], 1)[1].errors == [(1, ANY)]
+
+    def test_an_iri_spelling_a_seen_blank_key_is_a_bad_iri(self):
+        """An IRI body that spells a blank node's key never matches the key
+        the batch interned for that blank node."""
+        for line in [
+            "<_:b> <http://ex/p> <http://ex/o> .\n",
+            "<http://ex/s> <_:b> <http://ex/o> .\n",
+            "<http://ex/s> <http://ex/p> <_:b> .\n",
+            '<http://ex/s> <http://ex/p> "v"^^<_:b> .\n',
+        ]:
+            rows, report = read_batch(iter(['_:b <http://ex/p> "v" .\n', line]), 2)
+            assert rows == [("_:b", "http://ex/p", None)]
+            assert report.errors == [(2, "bad iri")]
 
     def test_plain_lines_never_compile_the_escaped_line_pattern(self, monkeypatch):
         def compile_pattern():

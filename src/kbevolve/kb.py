@@ -24,13 +24,15 @@ subject key starting with _: is a blank node (no IRI starts so), and an
 object of None is a literal or a blank node.
 An instance record's properties are an interned sorted tuple: records
 with the same set hold one object, kept in property_sets with its number of
-holders in property_set_holders. Ingest gathers each subject's new
-properties for the batch, then sorts and interns the merged set once per
-subject, before the batch's type assertions reach set_type; the superseded
-set loses a holder and leaves the table with its last one, so the table
-holds exactly the non-empty sets that records hold. Typing and export walk
-the stored tuple as it is. property_users and class_property_counts
-stay per instance.
+holders in property_set_holders. Ingest reads a batch in two passes: the
+first gathers each subject's predicates, as dumps write them subject by
+subject; the second updates each subject once (record, property_users,
+class_property_counts, counters, dirty sets) and sorts and interns its
+merged set, before the batch's type assertions reach set_type. The
+superseded set loses a holder and leaves the table with its last one, so
+the table holds exactly the non-empty sets that records hold. Typing and
+export walk the stored tuple as it is. property_users and
+class_property_counts stay per instance.
 An instance record's type_score is the score its type earned in the typing
 pass that last scored it, under typing_kernel's method. The class tree and
 class_rank (deeper classes first, then smaller IRIs) are fixed by
@@ -217,26 +219,29 @@ class KnowledgeBase:
         interned sorted tuple (rdf:type with a known class object is a type
         assertion instead, resolved deepest-class-wins); IRI objects unknown
         as class, property, or instance become placeholder records.
-        Idempotent, and processed in phases so any permutation of a batch
-        yields the same state.
+        The first pass only gathers each subject's predicates, looking its
+        set up only when the subject is not the previous row's key object;
+        the second updates each subject once, in the order of its first row.
+        Idempotent, and the state equals that of folding the rows one by
+        one or in any order, up to the order of each property_users list.
         """
         instances = self.instances
         classes = self.classes
         properties = self.properties
         asserted: dict[str, str] = {}
-        # subject -> the properties it gains in this batch, merged with its
-        # old set and interned once the batch is read and before its types are set.
-        gained: dict[str, set[str]] = {}
+        # subject -> the predicates of its statements that are not type
+        # assertions; a subject of type assertions alone maps to an empty set.
+        predicates: dict[str, set[str]] = {}
         # The IRI objects of the statements that are not type assertions,
         # checked for placeholders once the batch's types are set.
         objects: list[str] = []
+        subject = None
         for skey, pv, okey in rows:
-            rec = instances.get(skey)
-            if rec is None:
-                rec = instances[skey] = InstanceRecord()
-            elif rec.placeholder:
-                rec.placeholder = False  # first statement of its own
-                self.placeholders -= 1
+            if skey is not subject:  # read_batch makes a subject's rows share one key object
+                subject = skey
+                seen = predicates.get(skey)
+                if seen is None:
+                    seen = predicates[skey] = set()
             if okey is not None:
                 if pv == RDF_TYPE and okey in classes:
                     if okey != OWL_THING:
@@ -244,34 +249,47 @@ class KnowledgeBase:
                         asserted[skey] = okey if prev is None else self.deeper_class(prev, okey)
                     continue
                 objects.append(okey)
-            props = rec.properties
-            if pv not in props:
-                new = gained.get(skey)
-                if new is None:
-                    gained[skey] = {pv}
-                elif pv in new:
-                    continue
-                else:
-                    new.add(pv)
-                self.property_users.setdefault(pv, []).append(skey)
-                cls = rec.assigned_type
-                if cls is not None:
-                    counts = self.class_property_counts[cls]
-                    counts[pv] = counts.get(pv, 0) + 1
-            if pv not in properties:
-                properties[pv] = PropertyRecord()
+            seen.add(pv)
 
-        for skey, new in gained.items():
-            rec = instances[skey]
+        users, class_counts = self.property_users, self.class_property_counts
+        mark_dirty = self.dirty_instances.add
+        freed = with_properties = classified_with_properties = 0
+        for skey, seen in predicates.items():
+            rec = instances.get(skey)
+            if rec is None:
+                rec = instances[skey] = InstanceRecord()
+            elif rec.placeholder:
+                rec.placeholder = False  # first statement of its own
+                freed += 1
             props, cls = rec.properties, rec.assigned_type
-            if not props:
-                self.instances_with_properties += 1
-                self.classified_with_properties += cls is not None
+            if props:
+                new = sorted(seen.difference(props))  # in a fixed order, as a new subject's
+                if not new:
+                    continue
+                merged = tuple(sorted(seen.union(props)))
+            elif seen:
+                new = merged = tuple(sorted(seen))
+                with_properties += 1
+                classified_with_properties += cls is not None
+            else:
+                continue
+            for pv in new:
+                try:
+                    users[pv].append(skey)
+                except KeyError:  # a property's first user registers it
+                    users[pv] = [skey]
+                    if pv not in properties:
+                        properties[pv] = PropertyRecord()
             if cls is not None:
+                counts = class_counts[cls]
+                for pv in new:
+                    counts[pv] = counts.get(pv, 0) + 1
                 self.dirty_classes.add(cls)
-            new.update(props)
-            rec.properties = self._intern(props, tuple(sorted(new)))
-        self.dirty_instances.update(gained)
+            mark_dirty(skey)
+            rec.properties = self._intern(props, merged)
+        self.placeholders -= freed
+        self.instances_with_properties += with_properties
+        self.classified_with_properties += classified_with_properties
 
         for skey, cls in sorted(asserted.items()):
             current = instances[skey].assigned_type

@@ -19,19 +19,21 @@ ingest read of each statement: (subject key, predicate, IRI object or None)
 rows of plain strings, equal strings in one batch being one object. A key
 is a term's value, so a blank node's starts with ``_:`` and an IRI's never
 does; an object of None is a literal or a blank node. A line takes one of
-three paths. The plain path accepts every escape-free statement whose
-terms are separated by single spaces and which holds no lone surrogate: an
-IRI or blank-node subject, and an IRI, blank-node or literal object, the
-literal plain, tagged or datatyped. Its line regex checks the statement's
-shape, an IRI body running to the next ``>``, and ``read_batch`` checks
-each key the first time a batch sees it, as ``Term`` checks an IRI and for
-lone surrogates. The escaped-line pattern, tried only when the plain path
-refuses a line, accepts the other well-formed statements:
-escaped IRIs, decoded in C and checked as ``Term`` checks them, literal
+three paths. The plain path accepts every statement whose terms are
+separated by single spaces, whose literal holds no escape, and which holds
+no lone surrogate: an IRI or blank-node subject, and an IRI, blank-node or
+literal object, the literal plain, tagged or datatyped. Its line regex
+checks the statement's shape, an IRI body running to the next ``>``, and
+``read_batch`` checks each key the first time a batch sees it, as ``Term``
+checks an IRI and for lone surrogates. A body holding a backslash is
+decoded there, as escaped IRIs are, and the batch maps that spelling to
+the decoded value. The escaped-line pattern, tried only when the plain
+path refuses a line, accepts the other well-formed statements: literal
 escapes, checked but not decoded, runs of blanks and tabs around terms,
-and a trailing comment. ``read_batch`` makes a row from either pattern's
-groups with no ``Term`` built and never reports an error there; every
-other line (comments, blank lines and errors) goes through the term
+and a trailing comment, with escaped IRIs on such lines decoded in C and
+checked as ``Term`` checks them. ``read_batch`` makes a row from either
+pattern's groups with no ``Term`` built and never reports an error there;
+every other line (comments, blank lines and errors) goes through the term
 scanners, which own every error category and offset.
 ``parse_ntriple_line`` runs the term scanners on one line and returns a
 ``Triple``, for ``synth``, tests and the library API. The CLI opens files
@@ -81,8 +83,8 @@ _ESCAPE_RE = re.compile(rf"\\({_UCHAR}|.)")
 # datatype's IRI bodies. An IRI body runs to the next ">", which sre scans
 # far faster than a class of several characters, and never starts with
 # "_:", so it never equals a blank node's key; read_batch checks each body
-# the first time a batch sees it (_plain_key). The literal's class excludes
-# the lone surrogates.
+# the first time a batch sees it (_plain_key), or decodes it if it holds a
+# backslash. The literal's class excludes the lone surrogates.
 _PLAIN_LINE_RE = re.compile(
     rf"(?:<(?!_:)([^>]+)>|(_:{_BLANK_LABEL})) <(?!_:)([^>]+)> (?:<(?!_:)([^>]+)>|_:{_BLANK_LABEL}|"
     rf'"[^"\\{_SURROGATES}]*"(?:@{_LANG_TAG}|\^\^<(?!_:)([^>]+)>)?) \.(?:\r?\n)?'
@@ -346,9 +348,10 @@ def _escaped_line_re() -> re.Pattern[str]:
 
 
 def _decoded_iri(body: str) -> str:
-    """An escaped-line IRI body with its escapes decoded in C. Raises
-    ValueError (UnicodeDecodeError for a code point above U+10FFFF) for a
-    value that holds a surrogate or that Term would reject as an IRI: Term's
+    """An IRI body of either pattern with its escapes decoded in C. Raises
+    ValueError (UnicodeDecodeError for a code point above U+10FFFF or a
+    short escape) for a value that holds a surrogate or that Term would
+    reject as an IRI, as a backslash starting no escape stays in it: Term's
     rule is applied here, as building a Term costs more than the decode."""
     if "\\" not in body:
         return body
@@ -385,11 +388,12 @@ def read_batch(
     escaped-line pattern, compiled on the first line that reaches it, else
     the term scanners. The plain path is the line regex, then a check of
     each key the batch has not seen yet: only checked keys are interned, so
-    a key seen before needs none. The batch unit is lines, not triples:
-    malformed, blank, and comment lines all consume budget. Repeated calls
-    on the same stream resume where the previous call stopped. An I/O
-    failure while reading aborts the whole batch; the partial result is
-    discarded and the error propagates.
+    a key seen before needs none; a key holding a backslash is decoded
+    there, and its spelling maps to the interned value. The batch unit is
+    lines, not triples: malformed, blank, and comment lines all consume
+    budget. Repeated calls on the same stream resume where the previous
+    call stopped. An I/O failure while reading aborts the whole batch; the
+    partial result is discarded and the error propagates.
     """
     if batch_size < 1:
         raise ValueError("batch_size must be >= 1")
@@ -400,7 +404,15 @@ def read_batch(
     get, keep = strings.get, strings.setdefault
 
     def checked(key: str) -> str | None:
-        return keep(key, key) if _plain_key(key) else None
+        if _plain_key(key):
+            return keep(key, key)
+        if "\\" in key:
+            try:
+                value = _decoded_iri(key)
+            except ValueError:
+                return None
+            return keep(key, get(value) or keep(value, value))
+        return None
 
     match = _PLAIN_LINE_RE.fullmatch
     number = first_line_number - 1

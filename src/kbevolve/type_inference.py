@@ -244,21 +244,24 @@ def assign_types(kb: KnowledgeBase, method: str) -> list[TypingDecision]:
     kb.dirty_properties.clear()
     memo: dict[tuple, tuple[str | None, float]] = {}  # (interned set, incumbent) -> decide's result
     decisions: list[TypingDecision] = []
+    instances, recall, decide, set_type = kb.instances, memo.get, kernel.decide, kb.set_type
+    # TypingDecision checks nothing, so its tuple is made without the Python call of its __new__.
+    append, make = decisions.append, tuple.__new__
     for ikey in sorted(kb.dirty_instances):
-        rec = kb.instances[ikey]
+        rec = instances[ikey]
         props = rec.properties
         if not props:
             continue
         previous = rec.assigned_type
         key = (props, previous)
-        result = memo.get(key)
+        result = recall(key)
         if result is None:
-            result = memo[key] = kernel.decide(props, previous)
+            result = memo[key] = decide(props, previous)
         chosen, score = result
         rec.type_score = score
         if chosen != previous:
-            kb.set_type(ikey, chosen)
-        decisions.append(TypingDecision(ikey, previous, chosen, score))
+            set_type(ikey, chosen)
+        append(make(TypingDecision, (ikey, previous, chosen, score)))
     # Types set just above follow from stable decisions: nothing to rescore.
     kb.dirty_instances.clear()
     return decisions

@@ -13,6 +13,8 @@ KB's incremental state. ``oracle_affected`` finds the instances a domain
 write can affect by comparing two typing kernels' whole tables.
 ``oracle_evolve_audits`` replays ``evolve``'s batch and round loop with the
 two passes and writes both audits from what they return.
+``oracle_add_instance_triples`` is the row-by-row ingest kbevolve ran
+before it read a batch per subject.
 ``property_support`` and the two coverage scans recount what the KB keeps
 as counters. The tests compare ``kbevolve.type_inference``,
 ``kbevolve.generalization``, the coverage functions and ``evolve``'s audits
@@ -45,7 +47,15 @@ from kbevolve.generalization import (
     ThresholdPolicy,
     generalization_threshold,
 )
-from kbevolve.kb import OWL_THING, PROV_GENERALIZED, UNCLASSIFIED_LABEL, KnowledgeBase
+from kbevolve.kb import (
+    OWL_THING,
+    PROV_GENERALIZED,
+    RDF_TYPE,
+    UNCLASSIFIED_LABEL,
+    InstanceRecord,
+    KnowledgeBase,
+    PropertyRecord,
+)
 from kbevolve.ntriples import Term, TermKind, Triple, read_batch
 from kbevolve.type_inference import (
     METHOD_COSINE,
@@ -259,6 +269,56 @@ def oracle_affected(kb: KnowledgeBase, old: _Kernel, new: _Kernel) -> set[str]:
         if not fell.isdisjoint(domains):
             affected.update(users.get(prop, ()))
     return affected
+
+
+def oracle_add_instance_triples(kb: KnowledgeBase, rows) -> None:
+    """The row-by-row ingest kbevolve ran before it read a batch per
+    subject: every row looks up its subject's record and, when its
+    predicate is new to the subject, updates property_users and the class
+    counts at once. It writes the KB through the same set_type and intern
+    table as add_instance_triples."""
+    asserted: dict[str, str] = {}
+    gained: dict[str, set[str]] = {}
+    objects: list[str] = []
+    for skey, pv, okey in rows:
+        rec = kb.instances.get(skey)
+        if rec is None:
+            rec = kb.instances[skey] = InstanceRecord()
+        elif rec.placeholder:
+            rec.placeholder = False
+            kb.placeholders -= 1
+        if okey is not None:
+            if pv == RDF_TYPE and okey in kb.classes:
+                if okey != OWL_THING:
+                    prev = asserted.get(skey)
+                    asserted[skey] = okey if prev is None else kb.deeper_class(prev, okey)
+                continue
+            objects.append(okey)
+        if pv not in rec.properties and pv not in gained.setdefault(skey, set()):
+            gained[skey].add(pv)
+            kb.property_users.setdefault(pv, []).append(skey)
+            if rec.assigned_type is not None:
+                counts = kb.class_property_counts[rec.assigned_type]
+                counts[pv] = counts.get(pv, 0) + 1
+        kb.properties.setdefault(pv, PropertyRecord())
+    for skey, new in gained.items():
+        rec = kb.instances[skey]
+        if not new:
+            continue
+        if not rec.properties:
+            kb.instances_with_properties += 1
+            kb.classified_with_properties += rec.assigned_type is not None
+        if rec.assigned_type is not None:
+            kb.dirty_classes.add(rec.assigned_type)
+        kb.dirty_instances.add(skey)
+        rec.properties = kb._intern(rec.properties, tuple(sorted(new | set(rec.properties))))
+    for skey, cls in sorted(asserted.items()):
+        current = kb.instances[skey].assigned_type
+        kb.set_type(skey, cls if current is None else kb.deeper_class(current, cls))
+    for okey in objects:
+        if okey not in kb.classes and okey not in kb.properties and okey not in kb.instances:
+            kb.instances[okey] = InstanceRecord(placeholder=True)
+            kb.placeholders += 1
 
 
 @dataclass

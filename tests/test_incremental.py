@@ -40,6 +40,7 @@ from kbevolve.ntriples import read_batch, triple_to_row
 from kbevolve.synth import SynthSpec, generate_kb
 from kbevolve.type_inference import METHODS, assign_types
 from oracles import (
+    oracle_add_instance_triples,
     oracle_affected,
     oracle_assign_types,
     oracle_classification_coverage,
@@ -563,6 +564,57 @@ def ingest_inputs(draw):
     return schema, triples, batches
 
 
+@st.composite
+def subject_batches(draw):
+    """A schema and batches of rows in which subjects interleave (A, B, A),
+    some carry only type assertions, (subject, predicate) pairs repeat,
+    IRI objects name instances that are subjects later in the batch or in
+    a later one, and rdf:type names classes, the root, an unknown class
+    and instances. A subject key is sometimes a fresh copy of an equal
+    string, as rows not read in one batch may hold."""
+    classes, schema = draw(class_tree())
+    props = [PROP + f"p{k}" for k in range(draw(st.integers(1, 4)))]
+    for prop in props:
+        for cls in sorted(draw(st.sets(st.sampled_from(classes), max_size=2))):
+            schema.append(domain(prop, cls))
+    instances = [INST + f"i{k}" for k in range(5)] + ["_:b"]
+    subjects = st.builds(
+        lambda s, copy: (s + ".")[:-1] if copy else s, st.sampled_from(instances), st.booleans()
+    )
+    types = [OWL_THING, CLS + "unknown"] + classes + instances[:2]
+    row = st.one_of(
+        st.builds(t_lit, subjects, st.sampled_from(props)),
+        st.builds(t, subjects, st.sampled_from(props), st.sampled_from(instances[:-1])),
+        st.builds(t, subjects, st.just(RDF_TYPE), st.sampled_from(types)),
+    )
+    return schema, draw(st.lists(st.lists(row, max_size=12), min_size=1, max_size=4))
+
+
+def ingest_state(kb: KnowledgeBase) -> tuple:
+    """What ingest writes: the records, the intern table, the indexes (each
+    property_users list as a set, after checking it holds no repeat), the
+    counters and the dirty sets."""
+    assert all(len(users) == len(set(users)) for users in kb.property_users.values())
+    return (
+        {k: (r.assigned_type, r.properties, r.placeholder, r.type_score) for k, r in kb.instances.items()},
+        list(kb.instances),
+        set(kb.properties),
+        kb.property_sets,
+        kb.property_set_holders,
+        {prop: set(users) for prop, users in kb.property_users.items()},
+        kb.class_property_counts,
+        kb.direct_instance_index,
+        (
+            kb.instances_with_properties,
+            kb.instances_classified,
+            kb.classified_with_properties,
+            kb.placeholders,
+            kb.properties_with_domain,
+        ),
+        (kb.dirty_classes, kb.dirty_instances, kb.dirty_properties),
+    )
+
+
 class TestInternedSets:
     @given(ingest_inputs())
     @settings(max_examples=300, deadline=None)
@@ -576,6 +628,44 @@ class TestInternedSets:
             kb.add_instance_triples(batch)
             assert_sets_interned(kb)
         assert kb_instance_state(kb) == kb_instance_state(reference)
+        assert_counters_equal_recount(kb)
+
+    @given(subject_batches())
+    @settings(max_examples=300, deadline=None)
+    @example(
+        (
+            [subclass(CLS + "C0", OWL_THING), subclass(CLS + "C1", CLS + "C0")],
+            [
+                [t(INST + "i0", RDF_TYPE, CLS + "C0"), t_lit(INST + "i0", PROP + "p0")],
+                [
+                    t_lit(INST + "i0", PROP + "p1"),
+                    t(INST + "i1", PROP + "p0", INST + "i2"),
+                    t_lit(INST + "i0", PROP + "p1"),
+                    t_lit(INST + "i0", PROP + "p0"),
+                    t(INST + "i3", RDF_TYPE, CLS + "C1"),
+                    t(INST + "i2", PROP + "p1", INST + "i4"),
+                    t(INST + "i1", RDF_TYPE, CLS + "unknown"),
+                    t(INST + "i1", RDF_TYPE, CLS + "C1"),
+                    t(INST + "i3", RDF_TYPE, CLS + "C0"),
+                ],
+                [t(INST + "i4", RDF_TYPE, CLS + "C0"), t_lit(INST + "i4", PROP + "p0")],
+            ],
+        )
+    )
+    def test_batches_equal_per_row_oracle(self, inputs):
+        """Batch by batch, ingest leaves the state the row-by-row ingest
+        leaves, up to the order of each property_users list. The dirty sets
+        are emptied before each batch, as the passes would, so each batch's
+        marks are compared on their own."""
+        schema, batches = inputs
+        kb, reference = build(schema), build(schema)
+        for batch in batches:
+            for each in (kb, reference):
+                each.dirty_classes.clear(), each.dirty_instances.clear(), each.dirty_properties.clear()
+            kb.add_instance_triples(batch)
+            oracle_add_instance_triples(reference, batch)
+            assert ingest_state(kb) == ingest_state(reference)
+        assert_sets_interned(kb)
         assert_counters_equal_recount(kb)
 
     def test_predicate_sorted_one_line_batches(self):

@@ -549,7 +549,9 @@ class TestPlainLineShortcut:
         surrogates or of U+10FFFF, or an escaped leading "_:", gives the
         row of the term scanners' triple exactly when its value is one Term
         accepts; otherwise read_batch leaves the line to the scanners, which
-        reject it."""
+        reject it. The plain path decodes the body, so on these single-spaced
+        lines it gives that row itself; the escaped-line pattern, which
+        other line shapes take, decodes and checks the body alike."""
         lines = [
             "<{}> <http://ex/p> <http://ex/o> .\n",
             "<http://ex/s> <{}> <http://ex/o> .\n",
@@ -567,8 +569,8 @@ class TestPlainLineShortcut:
                 accepted = False
             for line in lines:
                 line = line.format(body)
-                assert _plain_rows([line]) == []
                 expected = _parse_lines([line], 1)
+                assert _plain_rows([line]) == (expected[0] if accepted else []), (body, line)
                 assert read_batch(iter([line]), 1) == expected
                 assert (expected[0] != []) == accepted, (body, line)
                 assert (_escaped_row(line) is not None) == accepted, (body, line)
@@ -584,7 +586,7 @@ def _plain_rows(lines):
     """The rows read_batch gives lines in one batch with the escaped-line
     pattern and the term scanners shut off: those of the lines that take the
     plain path, the line regex and the check of each key the batch has not
-    seen yet."""
+    seen yet, which decodes a key holding a backslash."""
     with patch("kbevolve.ntriples._escaped_row", return_value=None), patch(
         "kbevolve.ntriples.parse_ntriple_line", side_effect=ParseError("shut off", 0)
     ):
@@ -767,13 +769,18 @@ class TestReadRows:
 
     def test_new_line_shapes_take_the_escaped_line_pattern(self):
         """Escaped IRIs, literal escapes, blank and tab runs and trailing
-        comments miss the line regex and give their row from the
-        escaped-line pattern, not from the term scanners."""
-        lines = [
+        comments give their row without the term scanners. The escaped-line
+        pattern matches and decodes every one, but a single-spaced line
+        whose only escapes are in IRIs gives its row from the plain path,
+        which decodes them; the others miss the line regex and take the
+        pattern."""
+        iri_escapes = [
             "<http://ex/\\u0073> <http://ex/p> <http://ex/o> .\n",
             "<http://ex/s> <http://ex/\\U00000070> <http://ex/o> .\n",
             "<http://ex/s> <http://ex/p> <http://ex/\\u00E9\\U0001F600> .\n",
             '<http://ex/s> <http://ex/p> "v"^^<http://ex/\\u0064> .\n',
+        ]
+        lines = iri_escapes + [
             '_:b <http://ex/p> "\\uD7FF\\uE000\\U0010FFFF\\n\\t\\"\\\\\\\\u0041\\\\\\u0041"@en .\n',
             "<http://ex/s>\t<http://ex/p>\t_:o\t.\n",
             " \t<http://ex/s>  <http://ex/p>   <http://ex/o>  .  \r\r\n",
@@ -782,9 +789,9 @@ class TestReadRows:
             "<http://ex/s> <http://ex/p> <http://ex/o> .\t#\n",
         ]
         for line in lines:
-            assert _plain_rows([line]) == [], line
             assert _escaped_line_re().fullmatch(line) is not None, line
             (row,), _ = _parse_lines([line], 1)
+            assert _plain_rows([line]) == ([row] if line in iri_escapes else []), line
             assert _escaped_row(line) == row, line
 
     @pytest.mark.parametrize(
@@ -834,11 +841,17 @@ class TestReadRows:
             "<http://ex/é> <http://ex/p> _:o .\r\n",
             '<http://ex/s> <http://ex/中> "v"@en-GB .',
             '<http://ex/s> <http://ex/p> "v"^^<http://ex/d> .\n',
+            "<http://ex/\\u0073> <http://ex/\\U00000070> <http://ex/\\u00E9> .\n",
         ]
         rows, report = read_batch(iter(lines), 10)
-        assert len(rows) == report.lines_read == 5
-        with pytest.raises(AssertionError, match="compiled"):
-            read_batch(iter(["<http://ex/\\u0073> <http://ex/p> <http://ex/o> .\n"]), 1)
+        assert len(rows) == report.lines_read == 6
+        for needs_pattern in [
+            '<http://ex/s> <http://ex/p> "v\\n" .\n',
+            "<http://ex/s>\t<http://ex/p> <http://ex/o> .\n",
+            "<http://ex/s> <http://ex/p> <http://ex/o> . # c\n",
+        ]:
+            with pytest.raises(AssertionError, match="compiled"):
+                read_batch(iter([needs_pattern]), 1)
 
     def test_equal_strings_are_one_object(self):
         lines = [
@@ -857,3 +870,41 @@ class TestReadRows:
         assert rows[0][0] is rows[1][0] is rows[3][2]
         assert rows[0][2] is rows[2][0]
         assert all(row[1] is rows[0][1] for row in rows)
+
+    def test_an_escaped_spelling_and_the_plain_one_are_one_object(self):
+        """The plain path maps an escaped spelling to its decoded value, so
+        the spelling seen twice and the plain one give one string object,
+        whichever comes first."""
+        escaped = "<http://ex/\\u0073> <http://ex/\\u0070> <http://ex/\\u006F> .\n"
+        plain = "<http://ex/o> <http://ex/p> <http://ex/s> .\n"
+        for lines in ([escaped, escaped, plain], [plain, escaped, escaped]):
+            rows = _plain_rows(lines)
+            forward, back = ("http://ex/s", "http://ex/p", "http://ex/o"), ("http://ex/o", "http://ex/p", "http://ex/s")
+            assert sorted(rows) == [back, forward, forward]
+            strings = {}
+            assert all(strings.setdefault(v, v) is v for row in rows for v in row)
+
+    @pytest.mark.parametrize("escape", ["\\u003E", "\\u0020", "\\U00000020", "\\uD800", "\\U00110000"])
+    def test_escaped_bodies_term_rejects_keep_their_error(self, escape):
+        """An escaped IRI body whose value Term rejects, or that names a
+        surrogate or a code point above U+10FFFF, ends as the error the term
+        scanners give that line alone, on the same line, in every IRI
+        position and on each of its repeats; a leading escaped "_:" too."""
+        bodies = [f"http://ex/a{escape}b", "\\u005F:b", f"\\u005F\\u003A{escape}"]
+        positions = [
+            "<{}> <http://ex/p> <http://ex/o> .\n",
+            "<http://ex/s> <{}> <http://ex/o> .\n",
+            "<http://ex/s> <http://ex/p> <{}> .\n",
+            '<http://ex/s> <http://ex/p> "v"^^<{}> .\n',
+        ]
+        good = "<http://ex/s> <http://ex/p> <http://ex/o> .\n"
+        for body in bodies:
+            for position in positions:
+                bad = position.format(body)
+                lines = [good, bad, good, bad]
+                rows, report = read_batch(iter(lines), 4, 3)
+                expected_rows, expected = _parse_lines(lines, 3)
+                assert (rows, report) == (expected_rows, expected)
+                (_, category), = _parse_lines([bad], 1)[1].errors
+                assert report.errors == [(4, category), (6, category)], bad
+                assert _plain_rows([bad]) == []

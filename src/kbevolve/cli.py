@@ -2,7 +2,8 @@
 
 Exit codes: 0 success, 1 schema/configuration error, 2 I/O error.
 Parse errors in instance data are tolerated and counted; snapshots read
-by report/export must parse clean.
+by report/export must parse clean. Input files are read as UTF-8 after an
+optional byte-order mark; outputs are written as UTF-8 without one.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ INGEST_BATCH_LINES = 10_000
 
 
 def _parse_file(path: str) -> tuple[list[tuple[str, str, str | None]], ParseReport]:
-    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
+    with open(path, "r", encoding="utf-8-sig", errors="surrogateescape") as fh:
         return read_batch(fh, sys.maxsize)
 
 
@@ -62,7 +63,7 @@ def cmd_evolve(args: argparse.Namespace) -> int:
         deletion_enabled=not args.no_delete,
     )
     with ExitStack() as stack:
-        source = stack.enter_context(open(args.triples, "r", encoding="utf-8", errors="surrogateescape"))
+        source = stack.enter_context(open(args.triples, "r", encoding="utf-8-sig", errors="surrogateescape"))
         typing_audit = domain_audit = None
         if args.typing_audit:
             typing_audit = stack.enter_context(open(args.typing_audit, "w", encoding="utf-8", newline=""))
@@ -145,7 +146,7 @@ def cmd_ingest(args: argparse.Namespace) -> int:
     if args.show_errors < 0:
         raise ValueError(f"--show-errors must be >= 0, got {args.show_errors}")
     total, parse_errors = ParseReport(), 0  # total.errors keeps only the errors to list
-    with open(args.triples, "r", encoding="utf-8", errors="surrogateescape") as fh:
+    with open(args.triples, "r", encoding="utf-8-sig", errors="surrogateescape") as fh:
         while True:
             _, batch = read_batch(fh, INGEST_BATCH_LINES, total.lines_read + 1)
             if batch.lines_read == 0:

@@ -25,13 +25,13 @@ object of None is a literal or a blank node.
 An instance record's properties are an interned sorted tuple: records
 with the same set hold one object, kept in property_sets with its number of
 holders in property_set_holders. Ingest reads a batch in two passes: the
-first gathers each subject's predicates, as dumps write them subject by
-subject; the second updates each subject once (record, property_users,
-class_property_counts, counters, dirty sets) and sorts and interns its
-merged set, before the batch's type assertions reach set_type. The
-superseded set loses a holder and leaves the table with its last one, so
-the table holds exactly the non-empty sets that records hold. Typing and
-export walk the stored tuple as it is. property_users and
+first gathers each subject's predicates in a list, as dumps write them
+subject by subject; the second updates each subject once (record,
+property_users, class_property_counts, counters, dirty sets) and sorts and
+interns its merged set, before the batch's type assertions reach
+set_type. The superseded set loses a holder and leaves the table with its
+last one, so the table holds exactly the non-empty sets that records hold.
+Typing and export walk the stored tuple as it is. property_users and
 class_property_counts stay per instance.
 An instance record's type_score is the score its type earned in the typing
 pass that last scored it, under typing_kernel's method. The class tree and
@@ -200,9 +200,11 @@ class KnowledgeBase:
             self.instances_classified -= 1
             self.classified_with_properties -= bool(props)
         else:
-            self.direct_instance_index.setdefault(class_iri, set()).add(instance_iri)
+            # get first: setdefault would build a container it mostly discards
+            index, class_counts = self.direct_instance_index, self.class_property_counts
+            (index.get(class_iri) or index.setdefault(class_iri, set())).add(instance_iri)
             self.dirty_classes.add(class_iri)
-            counts = self.class_property_counts.setdefault(class_iri, {})
+            counts = class_counts.get(class_iri) or class_counts.setdefault(class_iri, {})
             for prop in props:
                 counts[prop] = counts.get(prop, 0) + 1
         self.dirty_instances.add(instance_iri)
@@ -219,9 +221,10 @@ class KnowledgeBase:
         interned sorted tuple (rdf:type with a known class object is a type
         assertion instead, resolved deepest-class-wins); IRI objects unknown
         as class, property, or instance become placeholder records.
-        The first pass only gathers each subject's predicates, looking its
-        set up only when the subject is not the previous row's key object;
-        the second updates each subject once, in the order of its first row.
+        The first pass only gathers each subject's predicates in a list,
+        looking it up only when the subject is not the previous row's key
+        object; the second makes each subject's set and updates the subject
+        once, in the order of its first row.
         Idempotent, and the state equals that of folding the rows one by
         one or in any order, up to the order of each property_users list.
         """
@@ -230,8 +233,9 @@ class KnowledgeBase:
         properties = self.properties
         asserted: dict[str, str] = {}
         # subject -> the predicates of its statements that are not type
-        # assertions; a subject of type assertions alone maps to an empty set.
-        predicates: dict[str, set[str]] = {}
+        # assertions, repeats kept; a subject of type assertions alone maps
+        # to an empty list.
+        predicates: dict[str, list[str]] = {}
         # The IRI objects of the statements that are not type assertions,
         # checked for placeholders once the batch's types are set.
         objects: list[str] = []
@@ -241,7 +245,7 @@ class KnowledgeBase:
                 subject = skey
                 seen = predicates.get(skey)
                 if seen is None:
-                    seen = predicates[skey] = set()
+                    seen = predicates[skey] = []
             if okey is not None:
                 if pv == RDF_TYPE and okey in classes:
                     if okey != OWL_THING:
@@ -249,9 +253,10 @@ class KnowledgeBase:
                         asserted[skey] = okey if prev is None else self.deeper_class(prev, okey)
                     continue
                 objects.append(okey)
-            seen.add(pv)
+            seen.append(pv)
 
         users, class_counts = self.property_users, self.class_property_counts
+        sets, holders = self.property_sets, self.property_set_holders
         mark_dirty = self.dirty_instances.add
         freed = with_properties = classified_with_properties = 0
         for skey, seen in predicates.items():
@@ -263,12 +268,12 @@ class KnowledgeBase:
                 freed += 1
             props, cls = rec.properties, rec.assigned_type
             if props:
-                new = sorted(seen.difference(props))  # in a fixed order, as a new subject's
+                new = sorted(set(seen).difference(props))  # in a fixed order, as a new subject's
                 if not new:
                     continue
-                merged = tuple(sorted(seen.union(props)))
+                merged = tuple(sorted((*props, *new)))
             elif seen:
-                new = merged = tuple(sorted(seen))
+                new = merged = tuple(sorted(set(seen)))
                 with_properties += 1
                 classified_with_properties += cls is not None
             else:
@@ -286,7 +291,13 @@ class KnowledgeBase:
                     counts[pv] = counts.get(pv, 0) + 1
                 self.dirty_classes.add(cls)
             mark_dirty(skey)
-            rec.properties = self._intern(props, merged)
+            if props:  # the superseded set loses a holder and leaves the table with its last
+                if holders[props] == 1:
+                    del holders[props], sets[props]
+                else:
+                    holders[props] -= 1
+            rec.properties = shared = sets.setdefault(merged, merged)
+            holders[shared] = holders.get(shared, 0) + 1
         self.placeholders -= freed
         self.instances_with_properties += with_properties
         self.classified_with_properties += classified_with_properties
@@ -299,19 +310,6 @@ class KnowledgeBase:
             if okey not in classes and okey not in properties and okey not in instances:
                 instances[okey] = InstanceRecord(placeholder=True)
                 self.placeholders += 1
-
-    def _intern(self, old: tuple[str, ...], props: tuple[str, ...]) -> tuple[str, ...]:
-        """The shared object for a record whose set moves from old to the
-        non-empty props; old leaves the table with its last holder."""
-        holders = self.property_set_holders
-        if old:
-            if holders[old] == 1:
-                del holders[old], self.property_sets[old]
-            else:
-                holders[old] -= 1
-        shared = self.property_sets.setdefault(props, props)
-        holders[shared] = holders.get(shared, 0) + 1
-        return shared
 
     # ---- export ------------------------------------------------------
 

@@ -19,24 +19,23 @@ ingest read of each statement: (subject key, predicate, IRI object or None)
 rows of plain strings, equal strings in one batch being one object. A key
 is a term's value, so a blank node's starts with ``_:`` and an IRI's never
 does; an object of None is a literal or a blank node. A line takes one of
-three paths. The plain path accepts every statement whose terms are
-separated by single spaces, whose literal holds no escape, and which holds
-no lone surrogate: an IRI or blank-node subject, and an IRI, blank-node or
-literal object, the literal plain, tagged or datatyped. Its line regex
-checks the statement's shape, an IRI body running to the next ``>``, and
-``read_batch`` checks each key the first time a batch sees it, as ``Term``
-checks an IRI and for lone surrogates. A body holding a backslash is
-decoded there, as escaped IRIs are, and the batch maps that spelling to
-the decoded value. The escaped-line pattern, tried only when the plain
-path refuses a line, accepts the other well-formed statements: literal
-escapes, checked but not decoded, runs of blanks and tabs around terms,
-and a trailing comment, with escaped IRIs on such lines decoded in C and
-checked as ``Term`` checks them. ``read_batch`` makes a row from either
-pattern's groups with no ``Term`` built and never reports an error there;
-every other line (comments, blank lines and errors) goes through the term
-scanners, which own every error category and offset.
-``parse_ntriple_line`` runs the term scanners on one line and returns a
-``Triple``, for ``synth``, tests and the library API. The CLI opens files
+two paths. The plain path accepts every statement whose terms are
+separated by single spaces and which holds no lone surrogate: an IRI or
+blank-node subject, and an IRI, blank-node or literal object, the literal
+plain, tagged or datatyped, its escapes checked but not decoded. Its line
+regex checks the statement's shape, an IRI body running to the next ``>``,
+and ``read_batch`` checks each key the first time a batch sees it, as
+``Term`` checks an IRI and for lone surrogates. A body holding a backslash
+is decoded there, as escaped IRIs are, and the batch maps that spelling to
+the decoded value. Every other line (tab-separated terms, runs of blanks,
+trailing comments, comments, blank lines and errors) takes the scanner
+core, ``_scan``, which reads the line's terms as strings and owns every
+error category and offset: it returns the line's row, None for a comment
+or blank line, or raises ``_Malformed``, so ``read_batch`` builds no
+``Term`` and formats no message. ``parse_ntriple_line`` is the core's
+adapter for ``synth``, tests and the library API: it builds the checked
+``Term``s and ``Triple`` of the core's strings, and makes ``_Malformed`` a
+``ParseError`` with the byte offset of the failure. The CLI opens files
 with ``errors="surrogateescape"``, which keeps each byte that is not UTF-8
 as a lone surrogate; a line holding one is a ``bad encoding`` error like
 any other malformed line, so one bad byte cannot abort a run.
@@ -45,8 +44,8 @@ any other malformed line, so one bad byte cannot abort a run.
 (``Term(...)``, ``Triple(...)``, ``iri``, ``literal``, ``blank``, and the
 tuple API's ``_make`` and ``_replace``) check every invariant above, and
 ``Triple`` also checks that its subject is not a literal and its
-predicate is an IRI. The term scanners build every term and triple
-through them (an IRI's ``ValueError`` is its ``bad iri``).
+predicate is an IRI. The scanner core applies ``Term``'s IRI rule itself
+(``_is_iri``), so the terms its adapter builds always pass those checks.
 """
 
 from __future__ import annotations
@@ -54,7 +53,6 @@ from __future__ import annotations
 import re
 from codecs import raw_unicode_escape_decode, raw_unicode_escape_encode
 from enum import Enum
-from functools import cache
 from itertools import islice
 from typing import Iterable, Iterator, NamedTuple
 
@@ -78,40 +76,22 @@ _UCHAR = r"u[0-9A-Fa-f]{4}|U[0-9A-Fa-f]{8}"
 _IRI_RE = re.compile(rf"<([^>\\]*(?:\\(?:{_UCHAR})[^>\\]*)*)(>?)")
 _LITERAL_RE = re.compile(rf'''"([^"\\]*(?:\\(?:[tbnrf"'\\]|{_UCHAR})[^"\\]*)*)("?)''')
 _ESCAPE_RE = re.compile(rf"\\({_UCHAR}|.)")
+# A code-point escape that names neither a surrogate nor a code point above
+# U+10FFFF, as the line regex's literal takes it.
+_NOT_SURROGATE = r"(?![Dd][89A-Fa-f])[0-9A-Fa-f]{4}"
+_CODE_POINT = rf"u{_NOT_SURROGATE}|U(?:0000{_NOT_SURROGATE}|00(?:0[1-9A-Fa-f]|10)[0-9A-Fa-f]{{4}})"
 # The line regex checks only a statement's shape. Its groups are the
 # subject's IRI body or blank-node key, the predicate's, the object's and the
 # datatype's IRI bodies. An IRI body runs to the next ">", which sre scans
 # far faster than a class of several characters, and never starts with
 # "_:", so it never equals a blank node's key; read_batch checks each body
 # the first time a batch sees it (_plain_key), or decodes it if it holds a
-# backslash. The literal's class excludes the lone surrogates.
+# backslash. A literal's escapes are checked here, as no row holds a
+# literal, and its classes exclude the lone surrogates.
 _PLAIN_LINE_RE = re.compile(
     rf"(?:<(?!_:)([^>]+)>|(_:{_BLANK_LABEL})) <(?!_:)([^>]+)> (?:<(?!_:)([^>]+)>|_:{_BLANK_LABEL}|"
-    rf'"[^"\\{_SURROGATES}]*"(?:@{_LANG_TAG}|\^\^<(?!_:)([^>]+)>)?) \.(?:\r?\n)?'
-)
-# The escaped-line pattern. Its groups are the line regex's. Its classes
-# admit lone surrogates and its IRI escapes may name any code point:
-# _escaped_row rejects those lines, as classes without the surrogates would
-# take 1 ms more to compile. A literal's escapes are checked here, as no
-# row holds a literal.
-_IRI_FORBIDDEN_CHARS = "".join(map(re.escape, sorted(_IRI_FORBIDDEN)))
-_ESCAPED_IRI_BODY = rf"[^{_IRI_FORBIDDEN_CHARS}]*(?:\\(?:{_UCHAR})[^{_IRI_FORBIDDEN_CHARS}]*)*"
-
-
-def _escaped_iri(group: str) -> str:
-    # The lookahead takes the body whole, as an atomic group would (Python
-    # 3.10 has none), so a malformed line does not backtrack through it
-    # character by character: this makes such lines fail 3 times faster.
-    return rf"<(?!_:|>)(?=(?P<{group}>{_ESCAPED_IRI_BODY}))(?P={group})>"
-
-
-_NOT_SURROGATE = r"(?![Dd][89A-Fa-f])[0-9A-Fa-f]{4}"
-_CODE_POINT = rf"u{_NOT_SURROGATE}|U(?:0000{_NOT_SURROGATE}|00(?:0[1-9A-Fa-f]|10)[0-9A-Fa-f]{{4}})"
-_ESCAPED_LITERAL = rf'''"[^"\\]*(?:\\(?:[tbnrf"'\\]|{_CODE_POINT})[^"\\]*)*"'''
-_ESCAPED_LINE = (
-    rf"[ \t]*(?:{_escaped_iri('s')}|(_:{_BLANK_LABEL}))[ \t]*{_escaped_iri('p')}[ \t]*"
-    rf"(?:{_escaped_iri('o')}|_:{_BLANK_LABEL}|{_ESCAPED_LITERAL}(?:@{_LANG_TAG}|\^\^{_escaped_iri('d')})?)"
-    rf"[ \t]*\.[ \t]*(?:(?s:#.*)|[\r\n]*)"
+    rf'''"[^"\\{_SURROGATES}]*(?:\\(?:[tbnrf"'\\]|{_CODE_POINT})[^"\\{_SURROGATES}]*)*"'''
+    rf"(?:@{_LANG_TAG}|\^\^<(?!_:)([^>]+)>)?) \.(?:\r?\n)?"
 )
 _ECHAR = {"t": "\t", "b": "\b", "n": "\n", "r": "\r", "f": "\f", '"': '"', "'": "'", "\\": "\\"}
 _LITERAL_ESCAPES = {c: f"\\u{c:04X}" for c in range(0x20)} | str.maketrans(
@@ -221,12 +201,15 @@ class ParseReport(Record):
         self.errors: list[tuple[int, str]] = [] if errors is None else errors
 
 
-def _byte_offset(text: str, pos: int) -> int:
-    return len(text[:pos].encode("utf-8"))
+class _Malformed(Exception):
+    """A malformed line, as the scanner core reports it: the category, the
+    position of the failure in the line and an optional detail, with no
+    message formatted; parse_ntriple_line makes it a ParseError."""
 
+    __slots__ = ("category", "pos", "detail")
 
-def _err(text: str, pos: int, category: str, detail: str = "") -> ParseError:
-    return ParseError(category, _byte_offset(text, pos), detail)
+    def __init__(self, category: str, pos: int, detail: str = ""):
+        self.category, self.pos, self.detail = category, pos, detail
 
 
 def _skip_ws(text: str, i: int) -> int:
@@ -246,28 +229,27 @@ def _unescape(text: str, start: int, body: str) -> str:
             return _ECHAR[esc]
         code = int(esc[1:], 16)
         if 0xD800 <= code <= 0xDFFF or code > 0x10FFFF:
-            raise _err(text, start + m.start(), "bad escape", "invalid code point")
+            raise _Malformed("bad escape", start + m.start(), "invalid code point")
         return chr(code)
 
     return _ESCAPE_RE.sub(decode, body)
 
 
-def _read_iri(text: str, i: int) -> tuple[Term, int]:
+def _read_iri(text: str, i: int) -> tuple[str, int]:
     m = _IRI_RE.match(text, i)
     body, closed = m.groups()
     # With no ">" left the IRI is unterminated, whatever its escapes hold.
     if not closed and text.find(">", m.end()) < 0:
-        raise _err(text, i, "unterminated iri")
+        raise _Malformed("unterminated iri", i)
     value = _unescape(text, i + 1, body) if "\\" in body else body
     if not closed:
-        raise _err(text, m.end(), "bad escape")
-    try:
-        return Term(TermKind.IRI, value), m.end()
-    except ValueError:
-        raise _err(text, i, "bad iri") from None
+        raise _Malformed("bad escape", m.end())
+    if not _is_iri(value):
+        raise _Malformed("bad iri", i)
+    return value, m.end()
 
 
-def _read_literal(text: str, i: int) -> tuple[Term, int]:
+def _read_literal(text: str, i: int) -> tuple[tuple[TermKind, str, str | None, str | None], int]:
     m = _LITERAL_RE.match(text, i)
     body, closed = m.groups()
     # Decoded first: an invalid code point before the stop is the error,
@@ -276,41 +258,68 @@ def _read_literal(text: str, i: int) -> tuple[Term, int]:
     k = m.end()
     if not closed:
         if k == len(text):
-            raise _err(text, i, "unterminated literal")
-        raise _err(text, k, "bad escape")
+            raise _Malformed("unterminated literal", i)
+        raise _Malformed("bad escape", k)
     language = datatype = None
     if text[k : k + 2] == "^^":
         if text[k + 2 : k + 3] != "<":
-            raise _err(text, k, "bad datatype")
-        datatype_term, k = _read_iri(text, k + 2)
-        datatype = datatype_term.value
+            raise _Malformed("bad datatype", k)
+        datatype, k = _read_iri(text, k + 2)
     elif text[k : k + 1] == "@":
         tag = _LANG_CHARS_RE.match(text, k + 1).group()
         if not _LANG_TAG_RE.match(tag):
-            raise _err(text, k, "bad language tag")
+            raise _Malformed("bad language tag", k)
         language = tag
         k += 1 + len(tag)
-    return Term(TermKind.LITERAL, value, language, datatype), k
+    return (TermKind.LITERAL, value, language, datatype), k
 
 
-def _read_term(text: str, i: int, role: str) -> tuple[Term, int]:
+def _read_term(text: str, i: int, role: str) -> tuple[tuple[TermKind, str, str | None, str | None], int]:
+    """The fields of the Term at text[i], as Term takes them, and the
+    position after it."""
     if i == len(text) or text[i] == ".":
-        raise _err(text, i, f"missing {role}")
+        raise _Malformed(f"missing {role}", i)
     ch = text[i]
     if ch == '"' and role == "subject":
-        raise _err(text, i, "literal in subject position")
+        raise _Malformed("literal in subject position", i)
     if role == "predicate" and ch != "<":
-        raise _err(text, i, "bad predicate")
+        raise _Malformed("bad predicate", i)
     if ch == "<":
-        return _read_iri(text, i)
+        value, k = _read_iri(text, i)
+        return (TermKind.IRI, value, None, None), k
     if ch == "_" and text[i + 1 : i + 2] == ":":
         m = _BLANK_LABEL_RE.match(text, i + 2)
         if m is None:
-            raise _err(text, i, "bad blank node")
-        return Term(TermKind.BLANK_NODE, text[i : m.end()]), m.end()
+            raise _Malformed("bad blank node", i)
+        return (TermKind.BLANK_NODE, text[i : m.end()], None, None), m.end()
     if ch == '"':
         return _read_literal(text, i)
-    raise _err(text, i, f"bad {role}")
+    raise _Malformed(f"bad {role}", i)
+
+
+def _scan(line: str) -> tuple[str, str, str | None, tuple[TermKind, str, str | None, str | None]] | None:
+    """The scanner core: one physical line's row, (subject key, predicate,
+    IRI object or None), and its object's fields as Term takes them; None
+    for a blank or comment line. A malformed line, one holding a lone
+    surrogate included, raises _Malformed."""
+    if not line.isascii():
+        bad = _SURROGATE_RE.search(line)
+        if bad is not None:
+            raise _Malformed("bad encoding", bad.start())
+    text = line.rstrip("\r\n")
+    i = _skip_ws(text, 0)
+    if i == len(text) or text[i] == "#":
+        return None
+    (_, subject, _, _), i = _read_term(text, i, "subject")
+    (_, predicate, _, _), i = _read_term(text, _skip_ws(text, i), "predicate")
+    obj, i = _read_term(text, _skip_ws(text, i), "object")
+    i = _skip_ws(text, i)
+    if i == len(text) or text[i] != ".":
+        raise _Malformed("missing dot", i)
+    i = _skip_ws(text, i + 1)
+    if i < len(text) and text[i] != "#":
+        raise _Malformed("trailing garbage", i)
+    return subject, predicate, obj[1] if obj[0] is TermKind.IRI else None, obj
 
 
 def parse_ntriple_line(line: str) -> Triple | None:
@@ -320,60 +329,28 @@ def parse_ntriple_line(line: str) -> Triple | None:
     comment lines, and raises ParseError (with byte offset and category)
     for anything else, including a line that holds a lone surrogate.
     """
-    if not line.isascii():
-        bad = _SURROGATE_RE.search(line)
-        if bad is not None:
-            raise _err(line, bad.start(), "bad encoding")
-    text = line.rstrip("\r\n")
-    i = _skip_ws(text, 0)
-    if i == len(text) or text[i] == "#":
-        return None
-    subject, i = _read_term(text, i, "subject")
-    i = _skip_ws(text, i)
-    predicate, i = _read_term(text, i, "predicate")
-    i = _skip_ws(text, i)
-    obj, i = _read_term(text, i, "object")
-    i = _skip_ws(text, i)
-    if i == len(text) or text[i] != ".":
-        raise _err(text, i, "missing dot")
-    i = _skip_ws(text, i + 1)
-    if i < len(text) and text[i] != "#":
-        raise _err(text, i, "trailing garbage")
-    return Triple(subject, predicate, obj)
-
-
-@cache
-def _escaped_line_re() -> re.Pattern[str]:
-    return re.compile(_ESCAPED_LINE)
-
-
-def _decoded_iri(body: str) -> str:
-    """An IRI body of either pattern with its escapes decoded in C. Raises
-    ValueError (UnicodeDecodeError for a code point above U+10FFFF or a
-    short escape) for a value that holds a surrogate or that Term would
-    reject as an IRI, as a backslash starting no escape stays in it: Term's
-    rule is applied here, as building a Term costs more than the decode."""
-    if "\\" not in body:
-        return body
-    value = raw_unicode_escape_decode(raw_unicode_escape_encode(body)[0])[0]
-    if not _is_iri(value) or _SURROGATE_RE.search(value):
-        raise ValueError(f"invalid IRI: {value!r}")
-    return value
-
-
-def _escaped_row(line: str) -> tuple[str, str, str | None] | None:
-    """The row of a line that the escaped-line pattern matches whole, that
-    holds no lone surrogate and whose escaped IRIs decode to IRIs, else
-    None: that line is left to the term scanners."""
-    m = _escaped_line_re().fullmatch(line)
-    if m is None or not line.isascii() and _SURROGATE_RE.search(line):
-        return None
-    s, b, p, o, d = m.groups()
     try:
-        s, p, o, _ = [body and _decoded_iri(body) for body in (s, p, o, d)]
-    except ValueError:
+        scanned = _scan(line)
+    except _Malformed as exc:
+        raise ParseError(exc.category, len(line[: exc.pos].encode("utf-8")), exc.detail) from None
+    if scanned is None:
         return None
-    return s or b, p, o
+    subject, predicate, _, obj = scanned
+    kind = TermKind.BLANK_NODE if subject[:2] == "_:" else TermKind.IRI
+    return Triple(Term(kind, subject), Term(TermKind.IRI, predicate), Term(*obj))
+
+
+def _decoded_iri(body: str) -> str | None:
+    """An IRI body of the line regex holding a backslash, with its escapes
+    decoded in C; None for a short escape, a code point above U+10FFFF, or
+    a value that holds a surrogate or that Term would reject as an IRI, as
+    a backslash starting no escape stays in it: Term's rule is applied
+    here, as building a Term costs more than the decode."""
+    try:
+        value = raw_unicode_escape_decode(raw_unicode_escape_encode(body)[0])[0]
+    except UnicodeDecodeError:
+        return None
+    return value if _is_iri(value) and not _SURROGATE_RE.search(value) else None
 
 
 def read_batch(
@@ -385,14 +362,15 @@ def read_batch(
 
     Each row is triple_to_row of the line's triple, and equal strings in
     one batch's rows are one object. A line takes the plain path, else the
-    escaped-line pattern, compiled on the first line that reaches it, else
-    the term scanners. The plain path is the line regex, then a check of
-    each key the batch has not seen yet: only checked keys are interned, so
-    a key seen before needs none; a key holding a backslash is decoded
-    there, and its spelling maps to the interned value. The batch unit is
-    lines, not triples: malformed, blank, and comment lines all consume
-    budget. Repeated calls on the same stream resume where the previous
-    call stopped. An I/O failure while reading aborts the whole batch; the
+    scanner core, which reads comments and blank lines, the statements the
+    plain path refuses, and every error, with no Term built and no message
+    formatted. The plain path is the line regex, then a check of each key
+    the batch has not seen yet: only checked keys are interned, so a key
+    seen before needs none; a key holding a backslash is decoded there, and
+    its spelling maps to the interned value. The batch unit is lines, not
+    triples: malformed, blank, and comment lines all consume budget.
+    Repeated calls on the same stream resume where the previous call
+    stopped. An I/O failure while reading aborts the whole batch; the
     partial result is discarded and the error propagates.
     """
     if batch_size < 1:
@@ -406,11 +384,7 @@ def read_batch(
     def checked(key: str) -> str | None:
         if _plain_key(key):
             return keep(key, key)
-        if "\\" in key:
-            try:
-                value = _decoded_iri(key)
-            except ValueError:
-                return None
+        if "\\" in key and (value := _decoded_iri(key)) is not None:
             return keep(key, get(value) or keep(value, value))
         return None
 
@@ -428,18 +402,15 @@ def read_batch(
             ):
                 rows.append((s, p, o))
                 continue
-        if (row := _escaped_row(line)) is not None:
-            s, p, o = row
-        else:
-            try:
-                parsed = parse_ntriple_line(line)
-            except ParseError as exc:
-                errors.append((number, exc.category))
-                continue
-            if parsed is None:
-                skipped += 1
-                continue
-            s, p, o = triple_to_row(parsed)
+        try:
+            scanned = _scan(line)
+        except _Malformed as exc:
+            errors.append((number, exc.category))
+            continue
+        if scanned is None:
+            skipped += 1
+            continue
+        s, p, o, _ = scanned
         rows.append((get(s) or keep(s, s), get(p) or keep(p, p), o and (get(o) or keep(o, o))))
     lines_read = number - first_line_number + 1
     return rows, ParseReport(lines_read, len(rows), skipped, errors)

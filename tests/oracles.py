@@ -311,7 +311,13 @@ def oracle_add_instance_triples(kb: KnowledgeBase, rows) -> None:
         if rec.assigned_type is not None:
             kb.dirty_classes.add(rec.assigned_type)
         kb.dirty_instances.add(skey)
-        rec.properties = kb._intern(rec.properties, tuple(sorted(new | set(rec.properties))))
+        old, merged = rec.properties, tuple(sorted(new | set(rec.properties)))
+        if old:
+            kb.property_set_holders[old] -= 1
+            if not kb.property_set_holders[old]:
+                del kb.property_set_holders[old], kb.property_sets[old]
+        rec.properties = kb.property_sets.setdefault(merged, merged)
+        kb.property_set_holders[rec.properties] = kb.property_set_holders.get(rec.properties, 0) + 1
     for skey, cls in sorted(asserted.items()):
         current = kb.instances[skey].assigned_type
         kb.set_type(skey, cls if current is None else kb.deeper_class(current, cls))

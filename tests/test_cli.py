@@ -326,8 +326,40 @@ class TestExportCommand:
         assert not (tmp_path / "out.nt").exists()
 
 
+class TestByteOrderMark:
+    """A schema, instance file or snapshot that starts with a UTF-8
+    byte-order mark reads as the same file without it, and every output is
+    written without one."""
+
+    @staticmethod
+    def _outputs(work, bom, capsys):
+        schema, instances, snapshot = work / "synth_schema.nt", work / "synth_instances.nt", work / "kb.nt"
+        for path in (schema, instances):
+            path.write_bytes(bom + path.read_bytes() + b"broken\n")
+        argv = ["evolve", str(schema), str(instances), "--out", str(snapshot), "--report", str(work / "report.csv")]
+        assert main(argv) == 0
+        evolved = snapshot.read_bytes()
+        snapshot.write_bytes(bom + evolved)
+        assert main(["report", str(snapshot)]) == 0
+        assert main(["export", str(snapshot), "--out", str(work / "export.nt")]) == 0
+        assert main(["ingest", str(instances)]) == 0
+        captured = capsys.readouterr()
+        files = [evolved, (work / "report.csv").read_bytes(), (work / "export.nt").read_bytes()]
+        return files, captured.out.replace(str(work), "WORK"), captured.err
+
+    def test_bom_file_reads_as_without(self, tmp_path, capsys):
+        for name in ("plain", "bom"):
+            run_synth(tmp_path / name)
+        capsys.readouterr()
+        expected = self._outputs(tmp_path / "plain", b"", capsys)
+        assert self._outputs(tmp_path / "bom", b"\xef\xbb\xbf", capsys) == expected
+        files, stdout, _ = expected
+        assert not any(data.startswith(b"\xef\xbb\xbf") for data in files)
+        assert "parse_errors=1\nerror line " in stdout and "error line 1:" not in stdout
+
+
 class TestHelp:
-    @pytest.mark.parametrize("command", ["evolve", "synth", "report", "ingest", "export"])
+    @pytest.mark.parametrize("command",["evolve", "synth", "report", "ingest", "export"])
     def test_help_lists_flags_with_defaults(self, command, capsys):
         with pytest.raises(SystemExit) as exc_info:
             main([command, "--help"])

@@ -10,8 +10,8 @@ from hypothesis import strategies as st
 from kbevolve.errors import ParseError
 from kbevolve.ntriples import (
     _PLAIN_LINE_RE,
-    _escaped_line_re,
-    _escaped_row,
+    _Malformed,
+    _scan,
     ParseReport,
     Term,
     TermKind,
@@ -484,8 +484,8 @@ _AWKWARD_PIECE = st.one_of(
 )
 _NEAR_BODY = st.tuples(_PLAIN_BODY, st.one_of(st.just(""), _AWKWARD_PIECE), _PLAIN_BODY).map("".join)
 _NEAR_BODIES = st.tuples(_NEAR_BODY, _NEAR_BODY, _NEAR_BODY)
-# Endings the line regex accepts, then endings it leaves to the
-# escaped-line pattern or to the term scanners.
+# Endings the line regex accepts, then endings it leaves to the term
+# scanners.
 _ENDINGS = ("", "\n", "\r\n", "\r\r\n", " ", " #c", "\t# c\n", " # \udcff\n", " x\n")
 
 
@@ -521,7 +521,7 @@ class TestPlainLineShortcut:
         The line regex matches every such body but one holding ">" or
         starting "_:"; the check of a key leaves the rest (a blank, "<",
         "\\", a control character, or a lone surrogate, which the term
-        scanners report as bad encoding) to the other paths."""
+        scanners report as bad encoding) to the scanner core."""
         lines = [
             "<{}> <http://ex/p> <http://ex/o> .\n",
             "<http://ex/s> <{}> <http://ex/o> .\n",
@@ -550,8 +550,8 @@ class TestPlainLineShortcut:
         row of the term scanners' triple exactly when its value is one Term
         accepts; otherwise read_batch leaves the line to the scanners, which
         reject it. The plain path decodes the body, so on these single-spaced
-        lines it gives that row itself; the escaped-line pattern, which
-        other line shapes take, decodes and checks the body alike."""
+        lines it gives that row itself; the scanner core, which takes the
+        same line tab-separated, decodes and checks the body alike."""
         lines = [
             "<{}> <http://ex/p> <http://ex/o> .\n",
             "<http://ex/s> <{}> <http://ex/o> .\n",
@@ -573,7 +573,9 @@ class TestPlainLineShortcut:
                 assert _plain_rows([line]) == (expected[0] if accepted else []), (body, line)
                 assert read_batch(iter([line]), 1) == expected
                 assert (expected[0] != []) == accepted, (body, line)
-                assert (_escaped_row(line) is not None) == accepted, (body, line)
+                tabbed = line.replace("> ", ">\t", 1)
+                assert _plain_rows([tabbed]) == []
+                assert read_batch(iter([tabbed]), 1) == expected, (body, tabbed)
 
     @given(st.lists(_NEAR_BODIES, max_size=3))
     @settings(max_examples=300)
@@ -583,13 +585,11 @@ class TestPlainLineShortcut:
 
 
 def _plain_rows(lines):
-    """The rows read_batch gives lines in one batch with the escaped-line
-    pattern and the term scanners shut off: those of the lines that take the
-    plain path, the line regex and the check of each key the batch has not
-    seen yet, which decodes a key holding a backslash."""
-    with patch("kbevolve.ntriples._escaped_row", return_value=None), patch(
-        "kbevolve.ntriples.parse_ntriple_line", side_effect=ParseError("shut off", 0)
-    ):
+    """The rows read_batch gives lines in one batch with the scanner core
+    shut off: those of the lines that take the plain path, the line regex
+    and the check of each key the batch has not seen yet, which decodes a
+    key holding a backslash."""
+    with patch("kbevolve.ntriples._scan", side_effect=_Malformed("shut off", 0)):
         rows, _ = read_batch(iter(lines), max(1, len(lines)))
     return rows
 
@@ -743,6 +743,83 @@ _ROW_LINES = st.one_of(
     st.sampled_from([*ERROR_LINES.values(), "# c\n", "\n", " \t\n"]),
     _LINES,
 )
+# Each line's error message, byte offset included: every ERROR_LINES line,
+# then escape and other errors after a non-ASCII IRI, whose offsets count
+# bytes, not characters, and comment and blank lines holding a lone
+# surrogate.
+MESSAGES = {
+    " .\n": "missing subject at byte 1",
+    "<http://ex/s> .\n": "missing predicate at byte 14",
+    "<http://ex/s> <http://ex/p> .\n": "missing object at byte 28",
+    "x <http://ex/p> <http://ex/o> .\n": "bad subject at byte 0",
+    "<http://ex/s> _:p <http://ex/o> .\n": "bad predicate at byte 14",
+    "<http://ex/s> <http://ex/p> x .\n": "bad object at byte 28",
+    '"v" <http://ex/p> <http://ex/o> .\n': "literal in subject position at byte 0",
+    "_:! <http://ex/p> <http://ex/o> .\n": "bad blank node at byte 0",
+    '<http://ex/s> <http://ex/p> "v"^^x .\n': "bad datatype at byte 31",
+    '<http://ex/s> <http://ex/p> "v"@1 .\n': "bad language tag at byte 31",
+    '<http://ex/s> <http://ex/p> "\\q" .\n': "bad escape at byte 29",
+    "<_:a> <http://ex/p> <http://ex/o> .\n": "bad iri at byte 0",
+    "<http://ex/s\udcff> <http://ex/p> <http://ex/o> .\n": "bad encoding at byte 12",
+    "<http://ex/s\n": "unterminated iri at byte 0",
+    '<http://ex/s> <http://ex/p> "v\n': "unterminated literal at byte 28",
+    "<http://ex/s> <http://ex/p> <http://ex/o>\n": "missing dot at byte 41",
+    "<http://ex/s> <http://ex/p> <http://ex/o> . x\n": "trailing garbage at byte 44",
+    '<http://ex/é> <http://ex/p> "\\uD800" .\n': "bad escape at byte 30: invalid code point",
+    '<http://ex/é> <http://ex/p> "é\\q" .\n': "bad escape at byte 32",
+    "<http://ex/é\\U00110000> <http://ex/p> <http://ex/o> .\n": "bad escape at byte 13: invalid code point",
+    "<http://ex/é\\q> <http://ex/p> <http://ex/o> .\n": "bad escape at byte 13",
+    "<http://ex/é> <http://ex/中\\u0020> <http://ex/o> .\n": "bad iri at byte 15",
+    '<http://ex/é> <http://ex/p> "v"@1 .\n': "bad language tag at byte 32",
+    '<http://ex/é> <http://ex/p> "v\\u00E9\\U0000DFFF"^^<http://ex/d> .\n': "bad escape at byte 37: invalid code point",
+    '<http://ex/é> <http://ex/p> "v"^^<http://ex/\\u003E> .\n': "bad iri at byte 34",
+    "<http://ex/é> <http://ex/p> <http://ex/o\\u00\n": "unterminated iri at byte 29",
+    '<http://ex/é> <http://ex/p> "中\n': "unterminated literal at byte 29",
+    "<http://ex/é> <http://ex/p> <http://ex/o>\n": "missing dot at byte 42",
+    '<http://ex/é>\t<http://ex/p> "中" . x\n': "trailing garbage at byte 37",
+    "中 <http://ex/p> <http://ex/o> .\n": "bad subject at byte 0",
+    "_:中 <http://ex/p> <http://ex/o> .\n": "bad blank node at byte 0",
+    '<http://ex/é> <http://ex/p> "中\udcff" .\n': "bad encoding at byte 33",
+    "# 中\udcff\n": "bad encoding at byte 5",
+    " \t\udcff\n": "bad encoding at byte 2",
+}
+# bulk's line shapes, each mutated by up to three edits that insert, replace
+# or delete one piece: escapes well formed and not, quotes, "<", ">", tabs,
+# "#", CR, "_:", non-ASCII text and a lone surrogate.
+_BULK_LINES = [
+    '<http://synth.example/inst/c004_i069> <http://synth.example/prop/sig_c004_p04> "x" .\n',
+    "<http://synth.example/inst/c004_i069> <http://www.w3.org/1999/02/22-rdf-syntax-ns#type> "
+    "<http://synth.example/class/C004> .\n",
+    "<http://synth.example/inst/c004_i069> <http://synth.example/prop/shared_p00> <http://synth.example/inst/c001_i002> .\n",
+    "<\\u0068ttp://synth.example/inst/c004_i\\U00000069069> <http://synth.example/prop/sig_c004_p04> "
+    '"x"^^<http://www.w3.org/2001/XMLSchema#string> .\n',
+    '<http://synth.example/inst/c004_i069> <http://synth.example/prop/sig_c004_p04> "a\\"b\\\\c\\nd\\te\\u00e9\\U0001F600"@en .\n',
+    "_:c004_i069 <http://synth.example/prop/sig_c004_p04> _:o . # trailing comment\n",
+    "\t  # indented comment\n",
+]
+_MUTATION_PIECES = [
+    "\\", "\\u00E9", "\\U0010FFFF", "\\uD800", "\\U00110000", "\\n", "\\q", "\\u003E", '"', "<", ">", "\t", "#",
+    "\r", "_:", "é", "中", "\udcff", " ", ".",
+]
+_MUTATIONS = st.lists(
+    st.tuples(st.integers(0, 200), st.sampled_from(["insert", "replace", "delete"]), st.sampled_from(_MUTATION_PIECES)),
+    max_size=3,
+)
+
+
+def _mutated(line, mutations):
+    for pos, edit, piece in mutations:
+        k = pos % (len(line) + 1)
+        if edit == "insert":
+            line = line[:k] + piece + line[k:]
+        elif edit == "replace":
+            line = line[:k] + piece + line[k + 1 :]
+        else:
+            line = line[:k] + line[k + 1 :]
+    return line
+
+
+_MUTATED_BULK_LINES = st.builds(_mutated, st.sampled_from(_BULK_LINES), _MUTATIONS)
 
 
 class TestReadRows:
@@ -751,6 +828,34 @@ class TestReadRows:
         line = ERROR_LINES[category]
         expected = ParseReport(1, 0, 0, [(7, category)])
         assert read_batch(iter([line]), 1, 7) == ([], expected)
+
+    @pytest.mark.parametrize("line", sorted(MESSAGES))
+    def test_offsets_and_messages_are_kept(self, line):
+        """parse_ntriple_line raises each error with its category, byte
+        offset and message, and read_batch reports the same category."""
+        with pytest.raises(ParseError) as info:
+            parse_ntriple_line(line)
+        message = MESSAGES[line]
+        category, offset = message.split(":")[0].split(" at byte ")
+        assert (str(info.value), info.value.category, info.value.byte_offset) == (message, category, int(offset))
+        assert read_batch(iter([line]), 1) == ([], ParseReport(1, 0, 0, [(1, category)]))
+
+    def test_comment_and_blank_lines_holding_a_lone_surrogate_are_bad_encoding(self):
+        lines = ["# c\udcff\n", "#\udcff", "\udcff\n", " \t\udcff\r\n", "  # \ud800 c\n"]
+        rows, report = read_batch(iter(lines), len(lines))
+        assert (rows, report) == ([], ParseReport(5, 0, 0, [(n, "bad encoding") for n in range(1, 6)]))
+        assert report == _parse_lines(lines, 1)[1]
+
+    @given(st.lists(_MUTATED_BULK_LINES, max_size=20), st.integers(1, 10))
+    @settings(max_examples=500)
+    def test_mutated_bulk_lines_read_as_parsed_one_by_one(self, lines, batch_size):
+        """Batch by batch, read_batch equals the lines parsed one by one,
+        and parse_ntriple_line gives the oracle's triple or error on each."""
+        for line in lines:
+            assert _outcome(parse_ntriple_line, line) == _outcome(oracle_parse_line, line)
+        stream = iter(lines)
+        for start in range(0, len(lines) + 1, batch_size):
+            assert read_batch(stream, batch_size, start + 1) == _parse_lines(lines[start : start + batch_size], start + 1)
 
     @given(st.lists(_ROW_LINES, max_size=25), st.integers(1, 10), st.integers(1, 100))
     @settings(max_examples=500)
@@ -767,21 +872,20 @@ class TestReadRows:
             assert all(shared.setdefault(v, v) is v for row in rows for v in row if v is not None)
             number += report.lines_read
 
-    def test_new_line_shapes_take_the_escaped_line_pattern(self):
+    def test_new_line_shapes_take_the_plain_path_or_the_scanner_core(self):
         """Escaped IRIs, literal escapes, blank and tab runs and trailing
-        comments give their row without the term scanners. The escaped-line
-        pattern matches and decodes every one, but a single-spaced line
-        whose only escapes are in IRIs gives its row from the plain path,
-        which decodes them; the others miss the line regex and take the
-        pattern."""
-        iri_escapes = [
+        comments give their row. A single-spaced line takes the plain path,
+        which decodes the escapes of its IRIs and checks those of its
+        literal; the others miss the line regex and take the scanner core,
+        which gives the same row."""
+        single_spaced = [
             "<http://ex/\\u0073> <http://ex/p> <http://ex/o> .\n",
             "<http://ex/s> <http://ex/\\U00000070> <http://ex/o> .\n",
             "<http://ex/s> <http://ex/p> <http://ex/\\u00E9\\U0001F600> .\n",
             '<http://ex/s> <http://ex/p> "v"^^<http://ex/\\u0064> .\n',
-        ]
-        lines = iri_escapes + [
             '_:b <http://ex/p> "\\uD7FF\\uE000\\U0010FFFF\\n\\t\\"\\\\\\\\u0041\\\\\\u0041"@en .\n',
+        ]
+        lines = single_spaced + [
             "<http://ex/s>\t<http://ex/p>\t_:o\t.\n",
             " \t<http://ex/s>  <http://ex/p>   <http://ex/o>  .  \r\r\n",
             "<http://ex/s><http://ex/p><http://ex/o>.\n",
@@ -789,10 +893,11 @@ class TestReadRows:
             "<http://ex/s> <http://ex/p> <http://ex/o> .\t#\n",
         ]
         for line in lines:
-            assert _escaped_line_re().fullmatch(line) is not None, line
+            assert (_PLAIN_LINE_RE.fullmatch(line) is not None) == (line in single_spaced), line
             (row,), _ = _parse_lines([line], 1)
-            assert _plain_rows([line]) == ([row] if line in iri_escapes else []), line
-            assert _escaped_row(line) == row, line
+            assert _plain_rows([line]) == ([row] if line in single_spaced else []), line
+            assert _scan(line)[:3] == row, line
+            assert read_batch(iter([line]), 1) == ([row], ParseReport(1, 1, 0, [])), line
 
     @pytest.mark.parametrize(
         "line",
@@ -811,10 +916,11 @@ class TestReadRows:
         ],
     )
     def test_errors_take_the_term_scanners(self, line):
-        """A malformed line, or one holding a lone surrogate, takes neither
-        pattern's path: the term scanners report it."""
+        """A malformed line, or one holding a lone surrogate, takes no row
+        from the plain path: the scanner core reports it."""
         assert _plain_rows([line]) == []
-        assert _escaped_row(line) is None
+        with pytest.raises(_Malformed):
+            _scan(line)
         assert _parse_lines([line], 1)[1].errors == [(1, ANY)]
 
     def test_an_iri_spelling_a_seen_blank_key_is_a_bad_iri(self):
@@ -830,11 +936,11 @@ class TestReadRows:
             assert rows == [("_:b", "http://ex/p", None)]
             assert report.errors == [(2, "bad iri")]
 
-    def test_plain_lines_never_compile_the_escaped_line_pattern(self, monkeypatch):
-        def compile_pattern():
-            raise AssertionError("escaped-line pattern compiled")
+    def test_plain_lines_never_reach_the_scanner_core(self, monkeypatch):
+        def scan(line):
+            raise AssertionError("scanner core reached")
 
-        monkeypatch.setattr("kbevolve.ntriples._escaped_line_re", compile_pattern)
+        monkeypatch.setattr("kbevolve.ntriples._scan", scan)
         lines = [
             "<http://ex/s> <http://ex/p> <http://ex/o> .\n",
             '_:b <http://ex/p> "v" .\n',
@@ -842,16 +948,16 @@ class TestReadRows:
             '<http://ex/s> <http://ex/中> "v"@en-GB .',
             '<http://ex/s> <http://ex/p> "v"^^<http://ex/d> .\n',
             "<http://ex/\\u0073> <http://ex/\\U00000070> <http://ex/\\u00E9> .\n",
+            '<http://ex/s> <http://ex/p> "v\\n" .\n',
         ]
         rows, report = read_batch(iter(lines), 10)
-        assert len(rows) == report.lines_read == 6
-        for needs_pattern in [
-            '<http://ex/s> <http://ex/p> "v\\n" .\n',
+        assert len(rows) == report.lines_read == 7
+        for needs_scanner in [
             "<http://ex/s>\t<http://ex/p> <http://ex/o> .\n",
             "<http://ex/s> <http://ex/p> <http://ex/o> . # c\n",
         ]:
-            with pytest.raises(AssertionError, match="compiled"):
-                read_batch(iter([needs_pattern]), 1)
+            with pytest.raises(AssertionError, match="reached"):
+                read_batch(iter([needs_scanner]), 1)
 
     def test_equal_strings_are_one_object(self):
         lines = [
